@@ -1,6 +1,6 @@
 """Underspecified discourse representation structures for a small English
 fragment: principle-based construction, monotonic plural disambiguation, and
-brute-force enumeration of fully scoped readings."""
+an indexed, closure-pruned search for the fully scoped readings."""
 
 from .core import (
     CONDITIONAL, DISTRIBUTION, EVERY, GROUP, IDENTITY, INDIVIDUAL, STRICT,

@@ -363,6 +363,19 @@ class Closure:
             return False
         return self._rel.get((self._find(a), self._find(b)), 0) >= 1
 
+    def representative(self, l: Label) -> Label:
+        """The label that stands for l's identity class in derived_pairs()."""
+        return self._find(l) if l in self._parent else l
+
+    def derived_pairs(self) -> Iterator[tuple[Label, Label, bool]]:
+        """Every derived a >= b between distinct class representatives.
+
+        The flag is True when a > b is derivable.
+        """
+        for (a, b), strength in self._rel.items():
+            if a != b:
+                yield a, b, strength == 2
+
     def eq_class(self, l: Label) -> set[Label]:
         if l not in self._parent:
             return {l}

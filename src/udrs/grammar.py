@@ -161,7 +161,7 @@ def parse(tokens: list[str], lexicon: Optional[Lexicon] = None) -> list[Derivati
     sentences (separated by SEP) fold left-associatively into coordination
     nodes.  Raises ParseFailure with the position where analysis stopped.
     """
-    lexicon = lexicon or _default_lexicon()
+    lexicon = lexicon or Lexicon.default()
     segments: list[tuple[int, list[str], bool]] = []
     start = 0
     for i, tok in enumerate(tokens):
@@ -187,16 +187,6 @@ def parse(tokens: list[str], lexicon: Optional[Lexicon] = None) -> list[Derivati
         derivations = [DerivationNode(COORD, head=left, nonhead=right)
                        for left in derivations for right in roots]
     return derivations
-
-
-_lexicon_cache: Optional[Lexicon] = None
-
-
-def _default_lexicon() -> Lexicon:
-    global _lexicon_cache
-    if _lexicon_cache is None:
-        _lexicon_cache = Lexicon.default()
-    return _lexicon_cache
 
 
 def bracketed(node: DerivationNode, indent: int = 0) -> str:

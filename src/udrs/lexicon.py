@@ -8,6 +8,7 @@ a plain-text file, one entry per line: ``word POS rel [flags]`` with flags
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -220,7 +221,9 @@ class Lexicon:
             return cls(_parse_lex(fh.read(), path))
 
     @classmethod
+    @functools.cache
     def default(cls) -> "Lexicon":
+        """The built-in fragment, parsed once per process and then shared."""
         text = resources.files("udrs.data").joinpath("fragment.lex").read_text("utf-8")
         return cls(_parse_lex(text, "<default>"))
 

@@ -6,6 +6,12 @@ every subordination constraint holds geometrically: weak means inside or
 equal, strict means properly inside, identity means the same box.
 Conditional constraints are evaluated per candidate: a candidate that
 realizes the antecedent's strict relation must also satisfy the consequent.
+
+The search backtracks over label classes with the constraints compiled to
+small ints.  Each check is filed under the class whose placement completes
+it, the derived relations of the Closure narrow every class's candidate
+boxes before the search, and once the box forest is fixed "inside or
+equal" is one lookup in a box's ancestor set.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .core import (
     CONDITIONAL, IDENTITY, STRICT, WEAK, ArgSlot, Condition, CycleError,
     DiscourseReferent, Label, Membership, Predicate, Quantifier,
     ReferentIntro, SubordConstraint, UDRS, UDRSError, closure,
-    condition_slots, make_udrs,
+    condition_slots, make_udrs, strict,
 )
 from .delay import PendingRegistry
 from . import plurals
@@ -113,108 +119,190 @@ def _copy_slot(slot: ArgSlot) -> ArgSlot:
 
 
 def enumerate_scopings(u: UDRS) -> list[Scoping]:
-    """All label placements consistent with the constraint set."""
-    try:
-        c = closure(u.subord)
-    except CycleError as e:
-        raise InconsistentConstraints(str(e)) from None
+    """All label placements consistent with the constraint set.
 
+    The variables are the label classes the closure identifies, minus those
+    pinned to a box: first the classes of duplex labels, which fix the box
+    forest, then the rest in uid order.  Each tries TOP_BOX, then the res and
+    scope box of each duplex in uid order, so the scopings come out in that
+    lexicographic order; narrowing only ever drops candidates.
+    """
     mentioned = sorted(u.labels(), key=lambda l: l.uid)
-    reps = {l: min(c.eq_class(l), key=lambda m: m.uid) for l in mentioned}
     duplexes = sorted((cond for cond in u.conds if isinstance(cond, Quantifier)),
                       key=lambda d: d.label.uid)
+    # Every placement puts a duplex label in the parent box of both its boxes,
+    # so the closure may assume it: that only derives more necessary relations.
+    nesting = [strict(d.label, b) for d in duplexes for b in (d.res, d.scope)]
+    try:
+        c = closure(u.subord.union(nesting))
+    except CycleError:
+        try:
+            closure(u.subord)
+        except CycleError as e:
+            raise InconsistentConstraints(str(e)) from None
+        return []  # no box forest can nest the duplexes as the constraints ask
 
-    positions: list[tuple] = [TOP_BOX]
-    pinned: dict[Label, tuple] = {}
-    for l in mentioned:
+    # Label classes become ints in uid order of their first label; positions
+    # are ints too: 0 is TOP_BOX, 2i+1 and 2i+2 the res and scope of duplex i.
+    index: dict[Label, int] = {}
+    label_class = [index.setdefault(c.representative(l), len(index)) for l in mentioned]
+    class_of = dict(zip(mentioned, label_class))
+    n = len(index)
+    rel = [[0] * n for _ in range(n)]  # rel[a][b]: 1 if a >= b, 2 if a > b
+    for a, b, is_strict in c.derived_pairs():
+        rel[index[a]][index[b]] = 2 if is_strict else 1
+
+    boxes: list[tuple] = [TOP_BOX]
+    pin: list[Optional[int]] = [None] * n
+    for l, k in zip(mentioned, label_class):
         if l.is_top:
-            pinned[reps[l]] = TOP_BOX
-    for d in duplexes:
-        res_pos, scope_pos = ("res", d.label.uid), ("scope", d.label.uid)
-        positions.extend((res_pos, scope_pos))
-        for label, pos in ((d.res, res_pos), (d.scope, scope_pos)):
-            r = reps[label]
-            if pinned.get(r, pos) != pos:
+            pin[k] = 0
+    for i, d in enumerate(duplexes):
+        boxes.extend((("res", d.label.uid), ("scope", d.label.uid)))
+        for label, p in ((d.res, 2 * i + 1), (d.scope, 2 * i + 2)):
+            k = class_of[label]
+            if pin[k] not in (None, p):
                 return []  # one class pinned to two distinct boxes
-            pinned[r] = pos
+            pin[k] = p
+    hosts = [class_of[d.label] for d in duplexes]
+    host_vars = list(dict.fromkeys(k for k in hosts if pin[k] is None))
+    rest_vars = [k for k in range(n) if pin[k] is None and k not in host_vars]
 
-    variables = []
-    seen = set()
-    duplex_reps = []
-    for d in duplexes:
-        r = reps[d.label]
-        if r not in pinned and r not in seen:
-            duplex_reps.append(r)
-            seen.add(r)
-    for l in mentioned:
-        r = reps[l]
-        if r not in pinned and r not in seen:
-            variables.append(r)
-            seen.add(r)
+    # Checks (kind, a, b, x, y) ask for a >= b, a conditional only once
+    # x > y.  They are every derived relation between two classes, which
+    # holds in every scoping and subsumes the weak, strict and identity
+    # constraints, plus the conditionals the closure cannot discharge.  Each
+    # is filed under the search depth whose assignment completes it: 0 for
+    # pinned and host classes (checked once per box forest), j for the j-th
+    # rest class.
+    checks = [(STRICT if rel[a][b] == 2 else WEAK, a, b, a, a)
+              for a in range(n) for b in range(n) if rel[a][b]]
+    for sc in u.subord:
+        if sc.kind == CONDITIONAL:
+            a, b = class_of[sc.left], class_of[sc.right]
+            x, y = (class_of[l] for l in sc.antecedent)
+            if a != b and x != y and not rel[a][b]:
+                checks.append((CONDITIONAL, a, b, x, y))
+    depth = [0] * n
+    for j, k in enumerate(rest_vars, 1):
+        depth[k] = j
+    filed: list[list[tuple]] = [[] for _ in range(len(rest_vars) + 1)]
+    for check in checks:
+        filed[max(depth[k] for k in check[1:])].append(check)
 
-    constraints = list(u.subord)
+    candidates = _closure_candidates(rel, pin, len(boxes))
+    owned = {k: {b for i, h in enumerate(hosts) if h == k for b in (2 * i + 1, 2 * i + 2)}
+             for k in host_vars}
+    # parent[p]: the box that box p sits in, once its duplex label is placed.
+    # Pinned hosts cannot nest a box in itself: the closure above would have
+    # found the strict cycle that nesting implies.
+    parent: list[Optional[int]] = [None] + [pin[k] for k in hosts for _ in (0, 1)]
+    pos: list[Optional[int]] = list(pin)
     results: list[Scoping] = []
-    assignment: dict[Label, tuple] = dict(pinned)
 
-    def parents_for(assign: dict[Label, tuple]) -> Optional[dict]:
-        parents: dict[tuple, Optional[tuple]] = {TOP_BOX: None}
-        for d in duplexes:
-            host = assign[reps[d.label]]
-            parents[("res", d.label.uid)] = host
-            parents[("scope", d.label.uid)] = host
-        # every chain must reach the top box without looping
-        for p in parents:
-            chain = set()
-            q: Optional[tuple] = p
+    def place_hosts(i: int) -> None:
+        if i == len(host_vars):
+            place_rest_in_forest()
+            return
+        k = host_vars[i]
+        mine = owned[k]
+        for p in candidates[k]:
+            q: Optional[int] = p
+            while q is not None and q not in mine:
+                q = parent[q]
+            if q is not None:
+                continue  # p lies inside one of k's own boxes
+            for b in mine:
+                parent[b] = p
+            pos[k] = p
+            place_hosts(i + 1)
+        for b in mine:
+            parent[b] = None
+
+    def place_rest_in_forest() -> None:
+        anc = []  # anc[p]: p and every box p lies in
+        for p in range(len(boxes)):
+            chain, q = set(), p
             while q is not None:
-                if q in chain:
-                    return None
                 chain.add(q)
-                q = parents.get(q)
-            if TOP_BOX not in chain:
-                return None
-        return parents
-
-    def check(scoping: Scoping, assigned: set[Label]) -> bool:
-        for c in constraints:
-            labels = [c.left, c.right] + list(c.antecedent or ())
-            if all(reps[l] in assigned for l in labels):
-                full = Scoping({l: scoping.placement[reps[l]] for l in labels},
-                               scoping.parents)
-                if not full.satisfies(c):
-                    return False
-        return True
-
-    def assign_rest(rest: list[Label], parents: dict) -> None:
-        if not rest:
-            placement = {l: assignment[reps[l]] for l in mentioned}
-            results.append(Scoping(placement, dict(parents)))
+                q = parent[q]
+            anc.append(chain)
+        if not _all_hold(filed[0], pos, anc):
             return
-        var, tail = rest[0], rest[1:]
-        for pos in positions:
-            assignment[var] = pos
-            partial = Scoping(assignment, parents)
-            if check(partial, set(assignment)):
-                assign_rest(tail, parents)
-        del assignment[var]
+        parents: dict[tuple, Optional[tuple]] = {TOP_BOX: None}
+        for b in range(1, len(boxes)):
+            parents[boxes[b]] = boxes[parent[b]]
 
-    def assign_duplexes(rest: list[Label]) -> None:
-        if not rest:
-            parents = parents_for(assignment)
-            if parents is None:
+        def place_rest(j: int) -> None:
+            if j == len(rest_vars):
+                placement = dict(zip(mentioned, [boxes[pos[k]] for k in label_class]))
+                results.append(Scoping(placement, dict(parents)))
                 return
-            partial = Scoping(assignment, parents)
-            if check(partial, set(assignment)):
-                assign_rest(list(variables), parents)
-            return
-        var, tail = rest[0], rest[1:]
-        for pos in positions:
-            assignment[var] = pos
-            assign_duplexes(tail)
-        del assignment[var]
+            k, tests = rest_vars[j], filed[j + 1]
+            for p in candidates[k]:
+                pos[k] = p
+                if _all_hold(tests, pos, anc):
+                    place_rest(j + 1)
 
-    assign_duplexes(list(duplex_reps))
+        place_rest(0)
+
+    place_hosts(0)
     return results
+
+
+def _all_hold(checks: list[tuple], pos: list, anc: list[set[int]]) -> bool:
+    """Whether every compiled check holds under positions pos and forest anc."""
+    for kind, a, b, x, y in checks:
+        if kind == CONDITIONAL and (pos[x] == pos[y] or pos[x] not in anc[pos[y]]):
+            continue  # antecedent not realized
+        if pos[a] not in anc[pos[b]] or (kind == STRICT and pos[a] == pos[b]):
+            return False
+    return True
+
+
+def _closure_candidates(rel: list[list[int]], pin: list[Optional[int]],
+                        n_boxes: int) -> list[list[int]]:
+    """Per class, the positions its derived relations to pinned classes allow.
+
+    What holds in every placement: TOP_BOX contains every other box, box p
+    lies in box q when q's class is derived >= p's, the res and scope boxes
+    of a duplex are disjoint, and so is everything inside each of them.
+    """
+    box_class = [None] * n_boxes
+    for k, p in enumerate(pin):
+        if p:
+            box_class[p] = k
+
+    def within(p: int, q: int) -> bool:
+        return q == 0 or p == q or (p != 0 and rel[box_class[q]][box_class[p]] > 0)
+
+    def contains(p: int, q: int) -> bool:  # properly
+        return q != 0 and (p == 0 or rel[box_class[p]][box_class[q]] == 2)
+
+    siblings = [(r, r + 1) for r in range(1, n_boxes, 2)]
+    boxes = range(n_boxes)
+    # nest[p][q]: can box p lie in or equal box q, and properly?
+    nest = [[(False, False)] * n_boxes for _ in boxes]
+    for p in boxes:
+        for q in boxes:
+            apart = contains(p, q) or any(
+                within(p, r) and within(q, s) or within(p, s) and within(q, r)
+                for r, s in siblings)
+            nest[p][q] = (not apart, not apart and p != q)
+
+    out = []
+    for v in range(len(pin)):
+        dominated = any(row[v] == 2 for row in rel)
+        fits = []
+        for p in boxes:
+            if p == 0 and dominated:
+                continue  # something must properly contain it
+            if all((not rel[w][v] or nest[p][q][rel[w][v] - 1])
+                   and (not rel[v][w] or nest[q][p][rel[v][w] - 1])
+                   for w, q in enumerate(pin) if q is not None):
+                fits.append(p)
+        out.append(fits)
+    return out
 
 
 def build_drs(u: UDRS, scoping: Scoping) -> DRS:

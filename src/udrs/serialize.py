@@ -22,6 +22,7 @@ from .delay import PendingKey, PendingRegistry
 _KIND_ORDER = {WEAK: 0, STRICT: 1, IDENTITY: 2, CONDITIONAL: 3}
 _QUANT_NAMES = {EVERY: "every", DISTRIBUTION: "dist"}
 _QUANT_RELS = {v: k for k, v in _QUANT_NAMES.items()}
+_CONSTRUCTORS = {WEAK: weak, STRICT: strict, IDENTITY: identity}
 
 
 class SerializationError(UDRSError):
@@ -210,10 +211,20 @@ def from_json(doc, registry: Optional[PendingRegistry] = None) -> UDRS:
 
     Fresh internal identifiers are assigned; pending argument slots keep
     their key labels and, when a registry is supplied, are registered so
-    that resolve_pending can still reach them.
+    that resolve_pending can still reach them.  A missing or ill-typed field
+    raises SerializationError.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
+    try:
+        return _from_doc(doc, registry)
+    except KeyError as e:
+        raise SerializationError(f"malformed UDRS document: missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise SerializationError(f"malformed UDRS document: {e}") from None
+
+
+def _from_doc(doc: dict, registry: Optional[PendingRegistry]) -> UDRS:
     labels: dict[str, Label] = {}
     refs: dict[str, DiscourseReferent] = {}
     from . import core
@@ -248,6 +259,8 @@ def from_json(doc, registry: Optional[PendingRegistry] = None) -> UDRS:
         elif cd["type"] == "pred":
             conds.append(Predicate(l, cd["rel"], tuple(slot(a) for a in cd["args"])))
         elif cd["type"] == "quant":
+            if cd["rel"] not in _QUANT_RELS:
+                raise SerializationError(f"unknown quantifier {cd['rel']!r}")
             conds.append(Quantifier(l, _QUANT_RELS[cd["rel"]],
                                     label(cd["res"]), label(cd["scope"])))
         elif cd["type"] == "member":
@@ -259,9 +272,10 @@ def from_json(doc, registry: Optional[PendingRegistry] = None) -> UDRS:
         if sd["kind"] == CONDITIONAL:
             a, b = sd["antecedent"]
             subord.append(conditional(label(a), label(b), label(sd["left"]), label(sd["right"])))
+        elif sd["kind"] in _CONSTRUCTORS:
+            subord.append(_CONSTRUCTORS[sd["kind"]](label(sd["left"]), label(sd["right"])))
         else:
-            ctor = {WEAK: weak, STRICT: strict, IDENTITY: identity}[sd["kind"]]
-            subord.append(ctor(label(sd["left"]), label(sd["right"])))
+            raise SerializationError(f"unknown constraint kind {sd['kind']!r}")
     u = make_udrs(ls, subord, conds)
     if registry is not None:
         for cond in conds:

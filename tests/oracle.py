@@ -6,17 +6,25 @@ the duplex conditions (factorial) and every host box for each, then the
 full cartesian product of positions for the remaining labels, and checks
 each raw constraint directly against the resulting geometry.  Slow and
 obvious, which is the point.
+
+``reference_scopings`` is a second, narrower oracle: the library's first,
+plain backtracking scope search, kept verbatim so that the indexed search
+can be held to the same scopings in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from udrs.core import (
-    CONDITIONAL, IDENTITY, STRICT, WEAK, Membership, Predicate, Quantifier,
-    ReferentIntro, UDRS,
+    CONDITIONAL, IDENTITY, STRICT, WEAK, CycleError, Label, Membership,
+    Predicate, Quantifier, ReferentIntro, UDRS, closure,
 )
-from udrs.readings import DRS, DuplexCondition, canonical_form, check_binding
+from udrs.readings import (
+    DRS, TOP_BOX, DuplexCondition, InconsistentConstraints, Scoping,
+    canonical_form, check_binding,
+)
 
 TOP = ("top",)
 
@@ -140,3 +148,113 @@ def oracle_readings(u: UDRS) -> list[DRS]:
 
 def oracle_count(u: UDRS) -> int:
     return len(oracle_readings(u))
+
+
+def reference_scopings(u: UDRS) -> list[Scoping]:
+    """The plain backtracking search the library's scope search must match.
+
+    Tries every position for every label class and re-checks every
+    complete constraint at every node.  Same scopings, same order as
+    readings.enumerate_scopings, only slower.
+    """
+    try:
+        c = closure(u.subord)
+    except CycleError as e:
+        raise InconsistentConstraints(str(e)) from None
+
+    mentioned = sorted(u.labels(), key=lambda l: l.uid)
+    reps = {l: min(c.eq_class(l), key=lambda m: m.uid) for l in mentioned}
+    duplexes = sorted((cond for cond in u.conds if isinstance(cond, Quantifier)),
+                      key=lambda d: d.label.uid)
+
+    positions: list[tuple] = [TOP_BOX]
+    pinned: dict[Label, tuple] = {}
+    for l in mentioned:
+        if l.is_top:
+            pinned[reps[l]] = TOP_BOX
+    for d in duplexes:
+        res_pos, scope_pos = ("res", d.label.uid), ("scope", d.label.uid)
+        positions.extend((res_pos, scope_pos))
+        for label, pos in ((d.res, res_pos), (d.scope, scope_pos)):
+            r = reps[label]
+            if pinned.get(r, pos) != pos:
+                return []  # one class pinned to two distinct boxes
+            pinned[r] = pos
+
+    variables = []
+    seen = set()
+    duplex_reps = []
+    for d in duplexes:
+        r = reps[d.label]
+        if r not in pinned and r not in seen:
+            duplex_reps.append(r)
+            seen.add(r)
+    for l in mentioned:
+        r = reps[l]
+        if r not in pinned and r not in seen:
+            variables.append(r)
+            seen.add(r)
+
+    constraints = list(u.subord)
+    results: list[Scoping] = []
+    assignment: dict[Label, tuple] = dict(pinned)
+
+    def parents_for(assign: dict[Label, tuple]) -> Optional[dict]:
+        parents: dict[tuple, Optional[tuple]] = {TOP_BOX: None}
+        for d in duplexes:
+            host = assign[reps[d.label]]
+            parents[("res", d.label.uid)] = host
+            parents[("scope", d.label.uid)] = host
+        # every chain must reach the top box without looping
+        for p in parents:
+            chain = set()
+            q: Optional[tuple] = p
+            while q is not None:
+                if q in chain:
+                    return None
+                chain.add(q)
+                q = parents.get(q)
+            if TOP_BOX not in chain:
+                return None
+        return parents
+
+    def check(scoping: Scoping, assigned: set[Label]) -> bool:
+        for c in constraints:
+            labels = [c.left, c.right] + list(c.antecedent or ())
+            if all(reps[l] in assigned for l in labels):
+                full = Scoping({l: scoping.placement[reps[l]] for l in labels},
+                               scoping.parents)
+                if not full.satisfies(c):
+                    return False
+        return True
+
+    def assign_rest(rest: list[Label], parents: dict) -> None:
+        if not rest:
+            placement = {l: assignment[reps[l]] for l in mentioned}
+            results.append(Scoping(placement, dict(parents)))
+            return
+        var, tail = rest[0], rest[1:]
+        for pos in positions:
+            assignment[var] = pos
+            partial = Scoping(assignment, parents)
+            if check(partial, set(assignment)):
+                assign_rest(tail, parents)
+        del assignment[var]
+
+    def assign_duplexes(rest: list[Label]) -> None:
+        if not rest:
+            parents = parents_for(assignment)
+            if parents is None:
+                return
+            partial = Scoping(assignment, parents)
+            if check(partial, set(assignment)):
+                assign_rest(list(variables), parents)
+            return
+        var, tail = rest[0], rest[1:]
+        for pos in positions:
+            assignment[var] = pos
+            assign_duplexes(tail)
+        del assignment[var]
+
+    assign_duplexes(list(duplex_reps))
+    return results

@@ -1,0 +1,147 @@
+"""The indexed scope search against the plain backtracking reference.
+
+``enumerate_scopings`` must return exactly the scopings that
+``oracle.reference_scopings`` returns, in the same order, since reading
+order, ``udrs parse --readings`` output and the golden corpus follow it.
+Inputs: the golden corpus, every `that`-chain of depth 2 and 3 over
+{every, a, name}, every two-sentence quantified discourse with one or two
+`every` per sentence, and random constraint supersets of the corpus.
+Reading sets are also held to the brute-force oracle where it is fast
+enough; test_readings.py does the same for the corpus.
+"""
+
+import itertools
+import random
+import time
+
+import pytest
+
+from conftest import analyze, corpus_cases, random_superset, session_for_case
+from oracle import oracle_readings, reference_scopings
+from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
+from udrs.readings import (
+    InconsistentConstraints, canonical_form, enumerate_readings,
+    enumerate_scopings,
+)
+
+NOUNS = ("lawyer", "clerk", "student", "philosopher", "secretary")
+NAMES = ("john", "mary")
+
+
+def noun_phrases(dets):
+    """One NP per determiner: a fresh noun each, names alternating."""
+    nps, nouns, names = [], iter(NOUNS), itertools.cycle(NAMES)
+    for det in dets:
+        nps.append(next(names) if det == "name" else f"{det} {next(nouns)}")
+    return nps
+
+
+def that_chain(dets) -> str:
+    return " believed that ".join(noun_phrases(dets)).capitalize() + " left."
+
+
+def quantified_pair(first, second) -> str:
+    a, b, c, d = noun_phrases(first + second)
+    return f"{a} hired {b}. ".capitalize() + f"{c} met {d}.".capitalize()
+
+
+CHAINS = [that_chain(dets) for depth in (2, 3)
+          for dets in itertools.product(("every", "a", "name"), repeat=depth)]
+
+_ONE_EVERY = [("every", "a"), ("every", "name"), ("a", "every"), ("name", "every")]
+DISCOURSES = [quantified_pair(first, second) for first, second in
+              itertools.product(_ONE_EVERY, repeat=2)]
+DISCOURSES += [quantified_pair(("every", "every"), other)
+               for other in (("a", "a"), ("a", "name"), ("name", "a"))]
+
+# The brute-force oracle takes 7-26 s on each two-sentence discourse and
+# 10-40 s on a depth-3 chain with two `every`; under a second elsewhere.
+ORACLE_CHAINS = [t for t in CHAINS if t.lower().count("every") <= 1
+                 or t.count("believed") == 1]
+
+
+def corpus_udrss():
+    """Every corpus UDRS, plus both disambiguations of a pending plural."""
+    out = []
+    for case in corpus_cases():
+        session = session_for_case(case)
+        out.append((case.name, session.udrs))
+        if session.udrs.pending_slots():
+            for verdict in (COLLECTIVE, DISTRIBUTIVE):
+                variant = session_for_case(case)
+                variant.disambiguate(1, verdict)
+                out.append((f"{case.name}/{verdict}", variant.udrs))
+    return out
+
+
+def search_result(search, u):
+    try:
+        return [(s.placement, s.parents) for s in search(u)]
+    except InconsistentConstraints:
+        return InconsistentConstraints
+
+
+def assert_same_search(u, what):
+    mine = search_result(enumerate_scopings, u)
+    assert mine == search_result(reference_scopings, u), what
+    return mine
+
+
+def reading_set(drss):
+    return {canonical_form(d) for d in drss}
+
+
+def test_corpus_scopings_match_reference():
+    for name, u in corpus_udrss():
+        assert_same_search(u, name)
+
+
+@pytest.mark.parametrize("text", CHAINS)
+def test_chain_scopings_match_reference(text):
+    assert_same_search(analyze(text).udrs, text)
+
+
+@pytest.mark.parametrize("text", ORACLE_CHAINS)
+def test_chain_readings_match_oracle(text):
+    u = analyze(text).udrs
+    assert reading_set(enumerate_readings(u)) == reading_set(oracle_readings(u))
+
+
+@pytest.mark.parametrize("text", DISCOURSES)
+def test_discourse_scopings_match_reference(text):
+    assert_same_search(analyze(text).udrs, text)
+
+
+def test_random_supersets_match_reference():
+    """Extra weak, strict, identity and conditional constraints, 300 trials."""
+    rng = random.Random(1995)
+    bases = [u for _, u in corpus_udrss()] + [analyze(t).udrs for t in CHAINS[:9]]
+    outcomes = set()
+    for trial in range(300):
+        u = random_superset(bases[trial % len(bases)], rng, max_extra=4)
+        mine = assert_same_search(u, f"trial {trial}")
+        outcomes.add("inconsistent" if mine is InconsistentConstraints
+                     else "empty" if not mine else "scoped")
+    assert outcomes == {"inconsistent", "empty", "scoped"}
+
+
+def test_every_depth_4_chain_is_fast():
+    text = ("Every lawyer believed that every clerk believed that every student "
+            "believed that every philosopher left.")
+    u = analyze(text).udrs
+    start = time.monotonic()
+    readings = enumerate_readings(u)
+    elapsed = time.monotonic() - start
+    assert len(readings) == 1
+    assert elapsed < 2.0, f"enumeration took {elapsed:.2f}s"
+
+
+def test_three_quantified_sentences_search_is_fast():
+    text = ("Every lawyer hired a secretary. A clerk hired every student. "
+            "Every philosopher met an office.")
+    u = analyze(text).udrs
+    start = time.monotonic()
+    scopings = enumerate_scopings(u)
+    elapsed = time.monotonic() - start
+    assert len(scopings) == 7280
+    assert elapsed < 2.0, f"search took {elapsed:.2f}s"

@@ -1,10 +1,17 @@
-from conftest import analyze
+import copy
+import json
+
+import pytest
+
+from conftest import analyze, golden_path
 from udrs import (
     GROUP, LS, ArgSlot, Predicate, ReferentIntro, fresh_label, fresh_referent,
     make_udrs, top_label, weak,
 )
 from udrs.delay import PendingRegistry
-from udrs.serialize import from_json, to_dot, to_json, to_json_str
+from udrs.serialize import (
+    SerializationError, from_json, to_dot, to_json, to_json_str,
+)
 
 
 def roundtrip(u):
@@ -43,6 +50,44 @@ def test_roundtrip_string_form():
     text = to_json_str(session.udrs)
     rebuilt = from_json(text)
     assert to_json_str(rebuilt) == text
+
+
+def test_golden_document_roundtrips_byte_identically():
+    with open(golden_path("udrs_11.json"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert to_json_str(from_json(text)) == text
+
+
+def _without(doc, path):
+    """A deep copy of doc with the field at path (a key/index sequence) removed."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    del node[last]
+    return doc
+
+
+def test_malformed_documents_raise_serialization_error():
+    doc = to_json(analyze("The lawyers hired a secretary.").udrs)
+    hire = next(i for i, c in enumerate(doc["conds"]) if c.get("rel") == "hire")
+    malformed = {
+        "ls": _without(doc, ["ls"]),
+        "label": _without(doc, ["conds", 0, "label"]),
+        "pending": _without(doc, ["conds", hire, "args", 0, "pending"]),
+    }
+    for missing, bad in malformed.items():
+        with pytest.raises(SerializationError, match=repr(missing)):
+            from_json(bad)
+        with pytest.raises(SerializationError, match=repr(missing)):
+            from_json(json.dumps(bad))
+    with pytest.raises(SerializationError):
+        from_json({"ls": doc["ls"], "subord": [], "conds": ["not a condition"]})
+    bad_kind = copy.deepcopy(doc)
+    bad_kind["subord"][0]["kind"] = "sideways"
+    with pytest.raises(SerializationError, match="unknown constraint kind 'sideways'"):
+        from_json(bad_kind)
 
 
 def test_parsed_pending_slots_can_join_a_registry():
