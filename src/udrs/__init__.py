@@ -4,15 +4,13 @@ an indexed, closure-pruned search for the fully scoped readings."""
 
 from .core import (
     CONDITIONAL, DISTRIBUTION, EVERY, GROUP, IDENTITY, INDIVIDUAL, STRICT,
-    WEAK, ArgSlot, Condition, CycleError, DiscourseReferent, Label, LS,
-    Membership, Predicate, Quantifier, ReferentIntro, SubordConstraint, UDRS,
+    WEAK, Condition, CycleError, DiscourseReferent, Label, LS, Membership,
+    Predicate, Quantifier, ReferentIntro, Slot, SubordConstraint, UDRS,
     UDRSError, Violation, check_udrs, closure, conditional, fresh_label,
-    fresh_referent, identity, make_udrs, merge, strict, top_label, weak,
+    fresh_referent, fresh_slot, identity, make_udrs, merge, strict, top_label,
+    weak,
 )
-from .delay import (
-    ConflictingResolution, MalformedNP, PENDING, PendingKey, PendingRegistry,
-    UnknownKey, dref_res,
-)
+from .delay import MalformedNP, PENDING, PendingKey, PendingRegistry, dref_res
 from .lexicon import Lexicon, Sign, SubcatSlot, UnknownWord, np_pattern
 from .grammar import (
     SEP, DerivationNode, ParseFailure, parse, tokenize, yield_tokens,
@@ -25,7 +23,7 @@ from .principles import (
 from .plurals import (
     COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
     NotPlural, PluralTarget, ReadingDecision, decide, pl_dis_collective,
-    pl_dis_distributive, pl_dis_trivial, target_for,
+    pl_dis_distributive, target_for,
 )
 from .readings import (
     DRS, DuplexCondition, InconsistentConstraints, Scoping, UnresolvedSlot,

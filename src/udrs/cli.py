@@ -12,19 +12,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .core import UDRS, UDRSError
 from .grammar import COORD, DerivationNode, ParseFailure, bracketed, parse, tokenize
 from .lexicon import Lexicon, Sign
 from .plurals import (
-    COLLECTIVE, DISTRIBUTIVE, KnowledgeRules, PluralTarget, pl_dis_collective,
-    pl_dis_distributive, target_for,
+    COLLECTIVE, DISAMBIGUATE, DISTRIBUTIVE, KnowledgeRules, PluralTarget,
+    target_for,
 )
 from .principles import Derivation, combine_coord, empty_discourse, interpret
 from .readings import count_readings, drs_to_json, enumerate_readings, render_drs
-from .serialize import display_names, render_text, to_dot, to_json, to_json_str
+from .serialize import (
+    constraint_text, display_names, render_text, to_dot, to_json, to_json_str,
+)
 
 
 class Session:
@@ -63,12 +65,19 @@ class Session:
         return targets
 
     def disambiguate(self, index: int, verdict: str) -> None:
-        """Apply a reading to the index-th plural NP (1-based)."""
+        """Apply a reading to the index-th plural NP (1-based).
+
+        The session moves on to a new UDRS value; earlier values, such as
+        one read from ``udrs`` before this call, stay as they were.
+        """
+        if verdict not in DISAMBIGUATE:
+            raise UDRSError(f"unknown reading {verdict!r}")
         targets = self.plural_targets()
         if not 1 <= index <= len(targets):
             raise UDRSError(f"no plural NP #{index} (found {len(targets)})")
-        fn = pl_dis_collective if verdict == COLLECTIVE else pl_dis_distributive
-        self.discourse.udrs = fn(self.udrs, targets[index - 1], self.ctx.registry)
+        u = DISAMBIGUATE[verdict](self.udrs, targets[index - 1])
+        self.discourse = replace(self.discourse, udrs=u)
+        self.ctx.registry.discourse = u
 
 
 def sentence_roots(node: DerivationNode) -> list[DerivationNode]:
@@ -92,6 +101,30 @@ def build_session(text: str, lexicon: Optional[Lexicon] = None,
     return session, roots
 
 
+def build_directed_session(text: str, specs: list[str],
+                           lexicon: Optional[Lexicon] = None,
+                           rules: Optional[KnowledgeRules] = None,
+                           ) -> tuple[Session, list[DerivationNode]]:
+    """build_session with ``np<k>=reading`` directives as rule overrides.
+
+    Sequencing applies each directive when it meets the plural, ahead of any
+    rule, so an explicit directive always wins over the rules file.
+    """
+    directives: dict[int, str] = {}
+    for spec in specs:
+        index, verdict = _parse_disambiguation(spec)
+        if directives.setdefault(index, verdict) != verdict:
+            raise UDRSError(f"conflicting directives for np{index}")
+    if directives:
+        rules = (rules or KnowledgeRules()).with_overrides(directives)
+    session, roots = build_session(text, lexicon, rules)
+    found = len(session.ctx.registry.all_keys())
+    for index in sorted(directives):
+        if not 1 <= index <= found:
+            raise UDRSError(f"no plural NP #{index} (found {found})")
+    return session, roots
+
+
 def _parse_disambiguation(spec: str) -> tuple[int, str]:
     try:
         name, verdict = spec.split("=", 1)
@@ -111,21 +144,18 @@ def _trace_semantics(session: Session, roots: list[DerivationNode]) -> str:
     names = display_names(session.udrs)
     lines = []
 
-    def constraint_text(c) -> str:
+    def text(c) -> str:
         def n(l):
             return names.get(l, repr(l))
-        if c.kind == "conditional":
-            a, b = c.antecedent
-            return f"({n(a)} > {n(b)} => {n(c.left)} >= {n(c.right)})"
-        sym = {"weak": ">=", "strict": ">", "identity": "="}[c.kind]
-        return f"{n(c.left)} {sym} {n(c.right)}"
+        return constraint_text(c.kind, n(c.left), n(c.right),
+                               [n(l) for l in c.antecedent or ()])
 
     def walk(node: DerivationNode, depth: int) -> None:
         pad = "  " * depth
         if node.construction == "lexical":
             lines.append(f"{pad}{node.word}")
             return
-        delta = ", ".join(sorted(constraint_text(c) for c in node.introduced))
+        delta = ", ".join(sorted(text(c) for c in node.introduced))
         lines.append(f"{pad}{node.construction}" + (f"  +{{{delta}}}" if delta else ""))
         for child in node.children():
             walk(child, depth + 1)
@@ -135,8 +165,8 @@ def _trace_semantics(session: Session, roots: list[DerivationNode]) -> str:
         walk(root, 1)
     for i, delta in enumerate(session.coord_deltas, 1):
         if delta:
-            text = ", ".join(sorted(constraint_text(c) for c in delta))
-            lines.append(f"discourse {i}: +{{{text}}}")
+            shown = ", ".join(sorted(text(c) for c in delta))
+            lines.append(f"discourse {i}: +{{{shown}}}")
     return "\n".join(lines) + "\n"
 
 
@@ -147,10 +177,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
         return run_corpus(args.corpus, lexicon, rules)
     if args.text is None:
         raise UDRSError("no input: give a sentence or --corpus FILE")
-    session, roots = build_session(args.text, lexicon, rules)
-    for spec in args.disambiguate or []:
-        index, verdict = _parse_disambiguation(spec)
-        session.disambiguate(index, verdict)
+    session, roots = build_directed_session(args.text, args.disambiguate or [],
+                                            lexicon, rules)
     u = session.udrs
 
     if args.trace_syntax:
@@ -216,7 +244,11 @@ def _read_corpus(path: str) -> list[CorpusCase]:
             elif key == "disambiguate":
                 current.disambiguate.extend(value.split())
             elif key == "expect-readings":
-                current.expect_readings = int(value)
+                try:
+                    current.expect_readings = int(value)
+                except ValueError:
+                    raise UDRSError(f"{path}:{lineno}: expect-readings needs a "
+                                    f"count, got {value!r}") from None
             elif key == "expect-udrs":
                 current.expect_udrs = value
             else:
@@ -235,10 +267,8 @@ def run_corpus(path: str, lexicon: Optional[Lexicon] = None,
     for case in _read_corpus(path):
         problems = []
         try:
-            session, _ = build_session(case.input, lexicon, rules)
-            for spec in case.disambiguate:
-                index, verdict = _parse_disambiguation(spec)
-                session.disambiguate(index, verdict)
+            session, _ = build_directed_session(case.input, case.disambiguate,
+                                                lexicon, rules)
             if case.expect_udrs is not None:
                 with open(os.path.join(base, case.expect_udrs), encoding="utf-8") as fh:
                     expected = json.load(fh)
@@ -303,7 +333,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UDRSError as e:
+    except (UDRSError, OSError, UnicodeDecodeError) as e:  # unreadable input files
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -4,13 +4,20 @@ A UDRS is a set of labelled DRS conditions together with a partial
 subordination order over the labels.  The order is an upper semilattice with
 a distinguished top element; every consistent way of flattening it into a
 tree of DRS boxes is one fully scoped reading.
+
+UDRSs are immutable values.  An argument position of a condition is a
+referent, or a ``Slot`` that the UDRS's ``bindings`` map resolves: to a
+referent, or to a pending key that plural disambiguation later binds in
+turn.  Every step that adds information returns a new UDRS with larger
+sets and a larger map; no earlier value ever changes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Hashable, Iterable, Iterator, Mapping, Optional
 
 
 class UDRSError(Exception):
@@ -72,49 +79,41 @@ def fresh_referent(sort: str = INDIVIDUAL) -> DiscourseReferent:
     return DiscourseReferent(next(_ids), sort)
 
 
-class ArgSlot:
-    """Argument position of a predicate.
+@dataclass(frozen=True)
+class Slot:
+    """A verb's argument position, resolved through a UDRS's bindings."""
 
-    Either resolved to a discourse referent or pending on a delayed
-    resolution.  Slots are shared mutable cells: resolving a pending slot
-    updates every condition that mentions it, which is exactly the delayed
-    evaluation contract.  Identity hashing keeps conditions usable in sets.
-    """
-
-    __slots__ = ("referent", "pending_key")
-
-    def __init__(self, referent: Optional[DiscourseReferent] = None):
-        self.referent = referent
-        self.pending_key = None  # set by the pending registry when linked
-
-    @property
-    def is_resolved(self) -> bool:
-        return self.referent is not None
+    uid: int
 
     def __repr__(self) -> str:
-        if self.is_resolved:
-            return repr(self.referent)
-        if self.pending_key is not None:
-            return f"?{self.pending_key}"
-        return "?unlinked"
+        return f"?{self.uid}"
 
 
-def resolved(ref: DiscourseReferent) -> ArgSlot:
-    return ArgSlot(ref)
+# Slots count apart from labels and referents, whose numbering (and so the
+# iteration order of sets of them) is then the same with or without slots.
+_slot_ids = itertools.count(1)
+
+
+def fresh_slot() -> Slot:
+    return Slot(next(_slot_ids))
+
+
+# An argument is a referent or a Slot; a bindings map sends a Slot to a
+# referent or a pending key, and a pending key to a referent.
+Arg = Hashable
 
 
 # --- Conditions -------------------------------------------------------------
 #
 # Conditions hash by identity: labels and referents are globally fresh, so
-# two structurally equal conditions from different entries never exist, and
-# identity semantics lets a condition carry a mutable ArgSlot.
+# two structurally equal conditions from different entries never exist.
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Condition:
     label: Label
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ReferentIntro(Condition):
     dref: DiscourseReferent
 
@@ -122,10 +121,10 @@ class ReferentIntro(Condition):
         return f"[{self.label}: {self.dref}]"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Predicate(Condition):
     rel: str
-    args: tuple[ArgSlot, ...]
+    args: tuple[Arg, ...]
 
     def __repr__(self) -> str:
         args = ", ".join(repr(a) for a in self.args)
@@ -136,7 +135,7 @@ EVERY = "every"
 DISTRIBUTION = "distribution"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Quantifier(Condition):
     """Duplex condition: rel is EVERY or DISTRIBUTION, res/scope label its boxes."""
 
@@ -148,10 +147,10 @@ class Quantifier(Condition):
         return f"[{self.label}: {self.rel}(res={self.res}, scope={self.scope})]"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Membership(Condition):
-    element: ArgSlot
-    group: ArgSlot
+    element: Arg
+    group: Arg
 
     def __repr__(self) -> str:
         return f"[{self.label}: {self.element} ∈ {self.group}]"
@@ -211,11 +210,22 @@ class LS:
     l_min: Label
 
 
+_NO_BINDINGS: Mapping = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class UDRS:
     ls: LS
     subord: frozenset[SubordConstraint]
     conds: frozenset[Condition]
+    bindings: Mapping[Arg, Arg] = field(hash=False)
+
+    def resolve(self, arg: Arg) -> Arg:
+        """Follow the bindings: a referent, or the pending key or unlinked
+        Slot the argument still waits on."""
+        while (bound := self.bindings.get(arg)) is not None:
+            arg = bound
+        return arg
 
     def labels(self) -> set[Label]:
         """Every label mentioned in this UDRS (LS, constraints, conditions)."""
@@ -232,12 +242,14 @@ class UDRS:
                 out.add(cond.scope)
         return out
 
-    def pending_slots(self) -> list[ArgSlot]:
+    def pending_slots(self) -> list[Arg]:
+        """What each argument that does not resolve to a referent waits on."""
         out = []
         for cond in self.conds:
-            for slot in condition_slots(cond):
-                if not slot.is_resolved:
-                    out.append(slot)
+            for arg in condition_args(cond):
+                arg = self.resolve(arg)
+                if not isinstance(arg, DiscourseReferent):
+                    out.append(arg)
         return out
 
     def find_intro(self, label: Label) -> Optional[ReferentIntro]:
@@ -248,11 +260,13 @@ class UDRS:
 
 
 def make_udrs(ls: LS, subord: Iterable[SubordConstraint] = (),
-              conds: Iterable[Condition] = ()) -> UDRS:
-    return UDRS(ls, frozenset(subord), frozenset(conds))
+              conds: Iterable[Condition] = (),
+              bindings: Optional[Mapping[Arg, Arg]] = None) -> UDRS:
+    return UDRS(ls, frozenset(subord), frozenset(conds),
+                MappingProxyType(dict(bindings)) if bindings else _NO_BINDINGS)
 
 
-def condition_slots(cond: Condition) -> tuple[ArgSlot, ...]:
+def condition_args(cond: Condition) -> tuple[Arg, ...]:
     if isinstance(cond, Predicate):
         return cond.args
     if isinstance(cond, Membership):
@@ -440,9 +454,10 @@ def check_udrs(u: UDRS) -> list[Violation]:
     return violations
 
 
-def merge(u1: UDRS, u2: UDRS) -> tuple[frozenset[SubordConstraint], frozenset[Condition]]:
-    """Union the constraint and condition sets of two UDRSs.
+def merge(u1: UDRS, u2: UDRS) -> tuple[frozenset[SubordConstraint],
+                                       frozenset[Condition], dict[Arg, Arg]]:
+    """Union the constraint sets, condition sets and bindings of two UDRSs.
 
     Does not choose a distinguished-label pair; combinators decide that.
     """
-    return u1.subord | u2.subord, u1.conds | u2.conds
+    return u1.subord | u2.subord, u1.conds | u2.conds, u1.bindings | u2.bindings

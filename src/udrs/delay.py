@@ -6,6 +6,11 @@ distinguished labels means not scope bearing (take the referent at l_max),
 strict subordination means scope bearing (take the restrictor referent), and
 a weak-only pattern means the NP is an underspecified plural, so resolution
 blocks until plural disambiguation supplies the referent.
+
+Linking binds the verb's argument Slot to the referent, or to the NP's
+PendingKey; disambiguation later binds the key.  Both bindings live in the
+UDRS value.  What a derivation keeps is only the ordered log of the plural
+keys it met, which is also what ``np<k>`` counts.
 """
 
 from __future__ import annotations
@@ -13,20 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import (
-    UDRS, ArgSlot, DiscourseReferent, Label, Quantifier, UDRSError, closure,
-)
+from .core import UDRS, DiscourseReferent, Label, Quantifier, UDRSError, closure
 
 
 class MalformedNP(UDRSError):
-    pass
-
-
-class UnknownKey(UDRSError):
-    pass
-
-
-class ConflictingResolution(UDRSError):
     pass
 
 
@@ -71,72 +66,26 @@ def dref_res(np_udrs: UDRS) -> Union[DiscourseReferent, str]:
     raise MalformedNP(f"no subordination pattern between {l_max} and {l_min}")
 
 
-@dataclass
-class _Entry:
-    slot: ArgSlot
-    resolved_to: Optional[DiscourseReferent] = None
-
-
 class PendingRegistry:
-    """Derivation-local store of argument slots awaiting a referent.
+    """A derivation's plural keys in the order linking met them.
 
-    Slots are registered when a verb entry is instantiated, keyed by the
-    argument NP's distinguished labels once the slot is linked to its NP,
-    and consumed when plural disambiguation calls resolve_pending.
+    Whether a key is resolved is read off a UDRS value, the discourse the
+    derivation last sequenced or disambiguated: its bindings bind the key.
     """
 
     def __init__(self):
-        self._by_key: dict[PendingKey, _Entry] = {}
         self._order: list[PendingKey] = []
+        self.discourse: Optional[UDRS] = None
 
-    def link(self, slot: ArgSlot, np_udrs: UDRS) -> Union[DiscourseReferent, PendingKey]:
-        """Attach a slot to its argument NP and attempt resolution.
-
-        Returns the referent if dref_res resolved the slot, otherwise the
-        registered key the slot now waits on.
-        """
-        outcome = dref_res(np_udrs)
-        if outcome is not PENDING:
-            slot.referent = outcome
-            return outcome
-        key = PendingKey(np_udrs.ls.l_max, np_udrs.ls.l_min)
-        if key in self._by_key and self._by_key[key].slot is not slot:
-            raise ConflictingResolution(f"second slot registered for {key}")
-        slot.pending_key = key
-        if key not in self._by_key:
-            self._by_key[key] = _Entry(slot)
+    def register(self, key: PendingKey) -> None:
+        if key not in self._order:
             self._order.append(key)
-        return key
-
-    def adopt(self, slot: ArgSlot) -> None:
-        """Register an already-keyed pending slot (e.g. from a parsed document)."""
-        key = slot.pending_key
-        if key is None:
-            raise UnknownKey("slot carries no pending key")
-        if key not in self._by_key:
-            self._by_key[key] = _Entry(slot)
-            self._order.append(key)
-
-    def resolve_pending(self, key: PendingKey, dref: DiscourseReferent) -> None:
-        entry = self._by_key.get(key)
-        if entry is None:
-            raise UnknownKey(str(key))
-        if entry.resolved_to is not None:
-            if entry.resolved_to == dref:
-                return  # idempotent re-resolution
-            raise ConflictingResolution(
-                f"{key} already resolved to {entry.resolved_to}, got {dref}")
-        entry.resolved_to = dref
-        entry.slot.referent = dref
-
-    def lookup(self, l_max: Label, l_min: Label) -> Optional[PendingKey]:
-        key = PendingKey(l_max, l_min)
-        return key if key in self._by_key else None
-
-    def unresolved(self) -> list[PendingKey]:
-        """Keys still waiting, in registration order."""
-        return [k for k in self._order if self._by_key[k].resolved_to is None]
 
     def all_keys(self) -> list[PendingKey]:
         """Every key ever registered, in registration order."""
         return list(self._order)
+
+    def unresolved(self) -> list[PendingKey]:
+        """Keys the latest discourse does not bind, in registration order."""
+        bound = self.discourse.bindings if self.discourse is not None else {}
+        return [k for k in self._order if k not in bound]

@@ -14,8 +14,8 @@ from importlib import resources
 from typing import Optional
 
 from .core import (
-    GROUP, ArgSlot, DiscourseReferent, Label, LS, Predicate, Quantifier,
-    ReferentIntro, UDRS, UDRSError, closure, fresh_label, fresh_referent,
+    GROUP, DiscourseReferent, Label, LS, Predicate, Quantifier, ReferentIntro,
+    Slot, UDRS, UDRSError, closure, fresh_label, fresh_referent, fresh_slot,
     identity, make_udrs, strict, weak, EVERY,
 )
 
@@ -38,7 +38,7 @@ class SubcatSlot:
     """One expected argument of a sign.
 
     ``expects`` is "np", "clause" or "noun".  NP slots carry the verb's
-    argument cell; a determiner's noun slot instead carries the label and
+    argument Slot, which linking binds; a determiner's noun slot instead carries the label and
     referent the noun's predicate must be bound to.  ``saturated_with``
     records the argument's UDRS once the slot is filled.
     """
@@ -47,7 +47,7 @@ class SubcatSlot:
     expects: str              # "np" | "clause" | "noun"
     case: Optional[str] = None
     agr: Optional[str] = None
-    arg: Optional[ArgSlot] = None
+    arg: Optional[Slot] = None
     bind_label: Optional[Label] = None
     bind_dref: Optional[DiscourseReferent] = None
     saturated_with: Optional[UDRS] = None
@@ -98,7 +98,7 @@ def np_pattern(u: UDRS) -> str:
 
 # --- Entry constructors -------------------------------------------------------
 
-def _verb_sign(rel: str, slots: list[SubcatSlot], args: tuple[ArgSlot, ...],
+def _verb_sign(rel: str, slots: list[SubcatSlot], args: tuple[Slot, ...],
                word: Optional[str] = None, collective_subject: bool = False) -> Sign:
     l_verb = fresh_label()
     l_ceiling = fresh_label()  # scope ceiling, bound later by the functional head
@@ -109,7 +109,7 @@ def _verb_sign(rel: str, slots: list[SubcatSlot], args: tuple[ArgSlot, ...],
 
 def entry_transitive_verb(rel: str, word: Optional[str] = None,
                           collective_subject: bool = False) -> Sign:
-    subj, obj = ArgSlot(), ArgSlot()
+    subj, obj = fresh_slot(), fresh_slot()
     return _verb_sign(rel, [
         SubcatSlot("subj", "np", case="nom", arg=subj),
         SubcatSlot("comp", "np", case="acc", arg=obj),
@@ -118,13 +118,13 @@ def entry_transitive_verb(rel: str, word: Optional[str] = None,
 
 def entry_intransitive_verb(rel: str, word: Optional[str] = None,
                             collective_subject: bool = False) -> Sign:
-    subj = ArgSlot()
+    subj = fresh_slot()
     return _verb_sign(rel, [SubcatSlot("subj", "np", case="nom", arg=subj)],
                       (subj,), word, collective_subject)
 
 
 def entry_clause_verb(rel: str, word: Optional[str] = None) -> Sign:
-    subj = ArgSlot()
+    subj = fresh_slot()
     return _verb_sign(rel, [
         SubcatSlot("subj", "np", case="nom", arg=subj),
         SubcatSlot("comp", "clause"),
@@ -167,7 +167,7 @@ def entry_noun(rel: str, word: Optional[str] = None, agr: str = "sg",
     """
     l = label if label is not None else fresh_label()
     x = dref if dref is not None else fresh_referent()
-    u = make_udrs(LS(l, l), (), [Predicate(l, rel, (ArgSlot(x),))])
+    u = make_udrs(LS(l, l), (), [Predicate(l, rel, (x,))])
     return Sign("n", NOUN, (), u, agr=agr, word=word)
 
 
@@ -175,7 +175,7 @@ def entry_name(rel: str, word: Optional[str] = None) -> Sign:
     l1, l12 = fresh_label(), fresh_label()
     x = fresh_referent()
     u = make_udrs(LS(l1, l12), [identity(l1, l12)],
-                  [ReferentIntro(l1, x), Predicate(l1, rel, (ArgSlot(x),))])
+                  [ReferentIntro(l1, x), Predicate(l1, rel, (x,))])
     return Sign("np", NAME, (), u, agr="sg", word=word)
 
 

@@ -1,15 +1,17 @@
 """Monotonic collective/distributive disambiguation of plural NPs.
 
 An underspecified plural holds a weak subordination between its
-distinguished labels.  Disambiguation only ever adds: the collective
-reading strengthens the weak relation to identity, the distributive
-reading adds a distribution duplex whose restrictor introduces a fresh
-individual that is a member of the group.  Either way the delayed argument
-slot of the verb is then resolved.
+distinguished labels, and the verb argument linked to it is bound to the
+NP's pending key.  Disambiguation only ever adds, and returns a new UDRS:
+the collective reading strengthens the weak relation to identity and binds
+the key to the group; the distributive reading adds a distribution duplex
+whose restrictor introduces a fresh individual that is a member of the
+group, and binds the key to that individual.  A key is bound exactly when
+the plural is classified, so that check is a lookup.
 
-What counts as "enough information" is a pluggable rule registry: lexical
-directives, user overrides and continuation rules. Genuine pragmatic
-inference is out of scope.
+What counts as "enough information" is a pluggable rule registry: user
+directives, lexical directives and continuation rules, applied during
+discourse sequencing. Genuine pragmatic inference is out of scope.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    DISTRIBUTION, GROUP, ArgSlot, Condition, DiscourseReferent, Label,
-    Membership, Predicate, Quantifier, ReferentIntro, SubordConstraint, UDRS,
-    UDRSError, closure, fresh_label, fresh_referent, identity, make_udrs,
-    strict,
+    DISTRIBUTION, GROUP, Condition, DiscourseReferent, Label, Membership,
+    Predicate, Quantifier, ReferentIntro, SubordConstraint, UDRS, UDRSError,
+    fresh_label, fresh_referent, identity, make_udrs, strict,
 )
 from .delay import PendingKey, PendingRegistry
+from .serialize import display_names
 
 COLLECTIVE = "collective"
 DISTRIBUTIVE = "distributive"
@@ -44,6 +46,10 @@ class PluralTarget:
     l_min: Label
     group: DiscourseReferent
 
+    @property
+    def key(self) -> PendingKey:
+        return PendingKey(self.l_max, self.l_min)
+
 
 @dataclass(frozen=True)
 class ReadingDecision:
@@ -51,44 +57,46 @@ class ReadingDecision:
     verdict: str  # COLLECTIVE | DISTRIBUTIVE | UNKNOWN
 
 
+def _names(u: UDRS, *labels: Label) -> str:
+    names = display_names(u)
+    return "/".join(names.get(l, repr(l)) for l in labels)
+
+
 def target_for(u: UDRS, l_max: Label, l_min: Label) -> PluralTarget:
     intro = u.find_intro(l_max)
     if intro is None or intro.dref.sort != GROUP:
-        raise NotPlural(f"no group referent introduced at {l_max}")
+        raise NotPlural(f"no group referent introduced at {_names(u, l_max)}")
     return PluralTarget(l_max, l_min, intro.dref)
 
 
 def _check_target(u: UDRS, target: PluralTarget) -> None:
-    intro = u.find_intro(target.l_max)
-    if intro is None or intro.dref.sort != GROUP:
-        raise NotPlural(f"no group referent introduced at {target.l_max}")
-    c = closure(u.subord)
-    if c.identical(target.l_max, target.l_min) or c.strictly(target.l_max, target.l_min):
-        raise AlreadyDisambiguated(f"{target.l_max}/{target.l_min} already classified")
-    if not c.weakly(target.l_max, target.l_min):
-        raise NotPlural(f"no weak subordination between {target.l_max} and {target.l_min}")
+    """The target is a plural whose argument still waits on its key.
+
+    Only pl_dis_* strengthen a plural's weak subordination, and each binds
+    the key as it does, so a bound key is exactly an NP whose labels the
+    closure already relates by identity or strict subordination.
+    """
+    target_for(u, target.l_max, target.l_min)
+    key = target.key
+    if key in u.bindings:
+        raise _already_classified(u, target)
+    if key not in u.bindings.values():
+        raise NotPlural(f"no argument waits on {_names(u, target.l_max, target.l_min)}")
 
 
-def _resolve(registry: Optional[PendingRegistry], target: PluralTarget,
-             dref: DiscourseReferent) -> None:
-    if registry is None:
-        return
-    key = registry.lookup(target.l_max, target.l_min)
-    if key is not None:
-        registry.resolve_pending(key, dref)
+def _already_classified(u: UDRS, target: PluralTarget) -> AlreadyDisambiguated:
+    return AlreadyDisambiguated(
+        f"{_names(u, target.l_max, target.l_min)} already classified")
 
 
-def pl_dis_collective(u: UDRS, target: PluralTarget,
-                      registry: Optional[PendingRegistry] = None) -> UDRS:
+def pl_dis_collective(u: UDRS, target: PluralTarget) -> UDRS:
     """Strengthen the plural's weak subordination to identity."""
     _check_target(u, target)
-    out = make_udrs(u.ls, u.subord | {identity(target.l_max, target.l_min)}, u.conds)
-    _resolve(registry, target, target.group)
-    return out
+    return make_udrs(u.ls, u.subord | {identity(target.l_max, target.l_min)},
+                     u.conds, u.bindings | {target.key: target.group})
 
 
-def pl_dis_distributive(u: UDRS, target: PluralTarget,
-                        registry: Optional[PendingRegistry] = None) -> UDRS:
+def pl_dis_distributive(u: UDRS, target: PluralTarget) -> UDRS:
     """Add a distribution duplex quantifying over members of the group.
 
     The added strict subordination turns the NP scope bearing, which also
@@ -100,18 +108,15 @@ def pl_dis_distributive(u: UDRS, target: PluralTarget,
     added: list[Condition] = [
         Quantifier(target.l_max, DISTRIBUTION, l11, target.l_min),
         ReferentIntro(l11, x),
-        Membership(l11, ArgSlot(x), ArgSlot(target.group)),
+        Membership(l11, x, target.group),
     ]
-    out = make_udrs(
+    return make_udrs(
         u.ls,
         u.subord | {strict(target.l_max, l11), strict(target.l_max, target.l_min)},
-        u.conds | set(added))
-    _resolve(registry, target, x)
-    return out
+        u.conds | set(added), u.bindings | {target.key: x})
 
 
-def pl_dis_trivial(u: UDRS) -> UDRS:
-    return u
+DISAMBIGUATE = {COLLECTIVE: pl_dis_collective, DISTRIBUTIVE: pl_dis_distributive}
 
 
 # --- Knowledge interface -------------------------------------------------------
@@ -119,7 +124,8 @@ def pl_dis_trivial(u: UDRS) -> UDRS:
 class KnowledgeRules:
     """Rule registry deciding when a plural reading is forced.
 
-    Sources, in priority order: explicit per-NP overrides (CLI), subject
+    Sources, in priority order: explicit directives keyed by the 1-based
+    plural-NP index (``np<k>``, counted in the derivation's key log), subject
     rules keyed by verb relation (lexical directives like "gathered"), and
     continuation rules that fire once a predicate appears anywhere in the
     accumulated discourse.
@@ -128,14 +134,22 @@ class KnowledgeRules:
     def __init__(self):
         self.subject_rules: dict[str, str] = {}
         self.continuation_rules: dict[str, str] = {}
-        self.overrides: dict[tuple[Label, Label], str] = {}
+        self.overrides: dict[int, str] = {}
 
     def add_subject_rules(self, rels, verdict: str) -> None:
         for rel in rels:
             self.subject_rules.setdefault(rel, verdict)
 
-    def set_override(self, target: PluralTarget, verdict: str) -> None:
-        self.overrides[(target.l_max, target.l_min)] = verdict
+    def set_override(self, index: int, verdict: str) -> None:
+        self.overrides[index] = verdict
+
+    def with_overrides(self, overrides: dict[int, str]) -> "KnowledgeRules":
+        """A copy of these rules with the given directives added."""
+        rules = KnowledgeRules()
+        rules.subject_rules = dict(self.subject_rules)
+        rules.continuation_rules = dict(self.continuation_rules)
+        rules.overrides = {**self.overrides, **overrides}
+        return rules
 
     @classmethod
     def from_file(cls, path: str) -> "KnowledgeRules":
@@ -159,22 +173,26 @@ class KnowledgeRules:
 
 
 def decide(context: UDRS, target: PluralTarget,
-           rules: Optional[KnowledgeRules] = None) -> ReadingDecision:
-    """Consult the configured knowledge sources; default to UNKNOWN."""
+           rules: Optional[KnowledgeRules] = None,
+           index: Optional[int] = None) -> ReadingDecision:
+    """Consult the configured knowledge sources; default to UNKNOWN.
+
+    ``index`` is the target's 1-based plural-NP number, which directives
+    are keyed by.
+    """
     if rules is None:
         return ReadingDecision(target, UNKNOWN)
-    override = rules.overrides.get((target.l_max, target.l_min))
+    override = rules.overrides.get(index)
     if override:
         return ReadingDecision(target, override)
-    key = PendingKey(target.l_max, target.l_min)
+    key = target.key
     rels_present = set()
     for cond in context.conds:
         if not isinstance(cond, Predicate):
             continue
         rels_present.add(cond.rel)
         verdict = rules.subject_rules.get(cond.rel)
-        if (verdict and cond.args and not cond.args[0].is_resolved
-                and cond.args[0].pending_key == key):
+        if verdict and cond.args and context.resolve(cond.args[0]) == key:
             return ReadingDecision(target, verdict)
     for rel, verdict in sorted(rules.continuation_rules.items()):
         if rel in rels_present:
@@ -183,32 +201,41 @@ def decide(context: UDRS, target: PluralTarget,
 
 
 def apply_pending_decisions(
-        u: UDRS, registry: PendingRegistry, rules: Optional[KnowledgeRules],
+        u: UDRS, registry: PendingRegistry, rules: KnowledgeRules,
 ) -> tuple[UDRS, set[SubordConstraint], set[Condition]]:
     """Disambiguate every pending plural the knowledge source can decide.
 
-    Returns the (possibly unchanged) UDRS plus the constraint and condition
-    deltas, for tracing and monotonicity checks.
+    A directive on a plural that is already classified the other way (by
+    its verb, e.g. "gathered") is a conflict and raises.  Returns the
+    (possibly unchanged) UDRS plus the constraint and condition deltas, for
+    tracing and monotonicity checks.
     """
-    constraint_delta: set[SubordConstraint] = set()
-    cond_delta: set[Condition] = set()
+    start = u
     progress = True
     while progress:
         progress = False
-        for key in registry.unresolved():
-            try:
-                target = target_for(u, key.np_l_max, key.np_l_min)
-            except NotPlural:
-                continue  # slot pending on something this UDRS does not contain
-            decision = decide(u, target, rules)
-            if decision.verdict == UNKNOWN:
+        waiting = set(u.bindings.values())
+        for index, key in enumerate(registry.all_keys(), 1):
+            if key not in waiting:
+                continue  # the plural's sentence is not part of this UDRS
+            if key in u.bindings:
+                directive = rules.overrides.get(index)
+                if directive:
+                    target = target_for(u, key.np_l_max, key.np_l_min)
+                    if directive != _classified(u, target):
+                        raise _already_classified(u, target)
                 continue
-            before = u
-            if decision.verdict == COLLECTIVE:
-                u = pl_dis_collective(u, target, registry)
-            else:
-                u = pl_dis_distributive(u, target, registry)
-            constraint_delta |= u.subord - before.subord
-            cond_delta |= u.conds - before.conds
+            target = target_for(u, key.np_l_max, key.np_l_min)
+            verdict = decide(u, target, rules, index).verdict
+            if verdict == UNKNOWN:
+                continue
+            u = DISAMBIGUATE[verdict](u, target)
+            waiting = set(u.bindings.values())
             progress = True
-    return u, constraint_delta, cond_delta
+    return u, set(u.subord - start.subord), set(u.conds - start.conds)
+
+
+def _classified(u: UDRS, target: PluralTarget) -> str:
+    """The reading a disambiguated plural got: its key is bound to the group
+    itself (collective) or to a member of it (distributive)."""
+    return COLLECTIVE if u.bindings[target.key] == target.group else DISTRIBUTIVE

@@ -17,7 +17,7 @@ from .core import (
     Condition, Label, LS, Predicate, SubordConstraint, UDRS, UDRSError,
     check_udrs, conditional, identity, make_udrs, merge, top_label, weak,
 )
-from .delay import PendingKey, PendingRegistry
+from .delay import PENDING, PendingKey, PendingRegistry, dref_res
 from .grammar import (
     COORD, FUNCTIONAL, HEAD_COMP, HEAD_SUBJ, LEXICAL, SILENT, DerivationNode,
 )
@@ -38,7 +38,7 @@ class SemanticsError(UDRSError):
 
 @dataclass
 class Derivation:
-    """Shared state of one derivation: top label, pending slots, knowledge."""
+    """Shared state of one derivation: top label, plural-key log, knowledge."""
 
     lexicon: Lexicon
     top: Label
@@ -81,29 +81,32 @@ def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot,
     if slot.agr and comp.agr and slot.agr != comp.agr:
         raise SubcatMismatch(f"agreement mismatch: {slot.agr} vs {comp.agr}")
 
-    subord, conds = merge(head.udrs, comp.udrs)          # I, II
+    subord, conds, bindings = merge(head.udrs, comp.udrs)  # I, II
     ls = head.udrs.ls                                    # III
     delta: list[SubordConstraint] = [
         weak(comp.udrs.ls.l_min, head.udrs.ls.l_min)]    # IV: verb below arg min
     if comp.head_type in (QUANT, PLURAL):                # V: conditional ceiling
         delta.append(conditional(comp.udrs.ls.l_max, comp.udrs.ls.l_min,
                                  head.udrs.ls.l_max, comp.udrs.ls.l_max))
-    u = make_udrs(ls, subord | set(delta), conds)
 
     _saturate(slot, comp.udrs)
-    outcome = ctx.registry.link(slot.arg, comp.udrs)     # dref_res attempt
+    outcome = dref_res(comp.udrs)                        # link the argument
+    if outcome is PENDING:
+        outcome = PendingKey(comp.udrs.ls.l_max, comp.udrs.ls.l_min)
+        ctx.registry.register(outcome)
+    bindings[slot.arg] = outcome
+    u = make_udrs(ls, subord | set(delta), conds, bindings)
 
-    cond_delta: frozenset[Condition] = frozenset()
     if (isinstance(outcome, PendingKey) and head.collective_subject
             and slot.role == "subj"):
         # lexical directive (e.g. "gathered"): the subject must be collective
         target = plurals.target_for(u, outcome.np_l_max, outcome.np_l_min)
         before = u
-        u = plurals.pl_dis_collective(u, target, ctx.registry)
+        u = plurals.pl_dis_collective(u, target)
         delta.extend(u.subord - before.subord)
 
     sign = replace(head, cat=_result_cat(head), udrs=u)
-    return CombinatorResult(sign, frozenset(delta), cond_delta)
+    return CombinatorResult(sign, frozenset(delta))
 
 
 def combine_head_comp(head: Sign, comp: Sign, ctx: Derivation) -> CombinatorResult:
@@ -124,9 +127,9 @@ def combine_head_comp(head: Sign, comp: Sign, ctx: Derivation) -> CombinatorResu
     if slot.expects == "clause":
         if comp.cat != "cs":
             raise SubcatMismatch(f"expected complementizer clause, got {comp.cat}")
-        subord, conds = merge(head.udrs, comp.udrs)
+        subord, conds, bindings = merge(head.udrs, comp.udrs)
         cap = weak(head.udrs.ls.l_min, comp.udrs.ls.l_max)
-        u = make_udrs(head.udrs.ls, subord | {cap}, conds)
+        u = make_udrs(head.udrs.ls, subord | {cap}, conds, bindings)
         _saturate(slot, comp.udrs)
         return CombinatorResult(replace(head, cat=_result_cat(head), udrs=u),
                                 frozenset([cap]))
@@ -140,8 +143,7 @@ def _combine_det_noun(det: Sign, noun: Sign, slot: SubcatSlot) -> CombinatorResu
     if slot.agr and noun.agr and slot.agr != noun.agr:
         raise SubcatMismatch(f"agreement mismatch: {slot.agr} det, {noun.agr} noun")
     noun = bind_noun(noun, slot)
-    subord, conds = merge(det.udrs, noun.udrs)
-    u = make_udrs(det.udrs.ls, subord, conds)
+    u = make_udrs(det.udrs.ls, *merge(det.udrs, noun.udrs))
     _saturate(slot, noun.udrs)
     return CombinatorResult(replace(det, cat="np", udrs=u), frozenset())
 
@@ -189,31 +191,24 @@ def combine_functional(func: Sign, comp: Sign, ctx: Derivation) -> CombinatorRes
         for l in sorted(mentioned, key=lambda l: l.uid):
             if not l.is_top:
                 delta.append(weak(ctx.top, l))
-    u = make_udrs(comp.udrs.ls, subord | set(delta), comp.udrs.conds)
+    u = make_udrs(comp.udrs.ls, subord | set(delta), comp.udrs.conds,
+                  comp.udrs.bindings)
     _saturate(slot, comp.udrs)
     sign = replace(func, cat="s" if is_root else "cs", udrs=u)
     return CombinatorResult(sign, frozenset(delta))
 
 
-def combine_head_filler(head: Sign, filler: Sign) -> CombinatorResult:
-    """Head-filler combination: inherit everything from the head daughter only.
-
-    Declared for completeness; the fragment grammar contains no fillers, so
-    nothing reaches this combinator.
-    """
-    return CombinatorResult(replace(head), frozenset())
-
-
 def combine_coord(left: Sign, right: Sign, ctx: Derivation) -> CombinatorResult:
     """Discourse sequencing, the designated site for plural disambiguation."""
-    subord, conds = merge(left.udrs, right.udrs)
+    subord, conds, bindings = merge(left.udrs, right.udrs)
     delta: set[SubordConstraint] = set()
     for s in (left, right):
         l_max = s.udrs.ls.l_max
         if not l_max.is_top:
             delta.add(weak(ctx.top, l_max))
-    u = make_udrs(LS(ctx.top, ctx.top), subord | delta, conds)
+    u = make_udrs(LS(ctx.top, ctx.top), subord | delta, conds, bindings)
     u, c_delta, cond_delta = plurals.apply_pending_decisions(u, ctx.registry, ctx.rules)
+    ctx.registry.discourse = u
     sign = Sign("disc", "coord", (), u)
     return CombinatorResult(sign, frozenset(delta | c_delta), frozenset(cond_delta))
 

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    CONDITIONAL, IDENTITY, STRICT, WEAK, ArgSlot, Condition, CycleError,
-    DiscourseReferent, Label, Membership, Predicate, Quantifier,
-    ReferentIntro, SubordConstraint, UDRS, UDRSError, closure,
-    condition_slots, make_udrs, strict,
+    CONDITIONAL, IDENTITY, STRICT, WEAK, Arg, CycleError, DiscourseReferent,
+    Label, Membership, Predicate, Quantifier, ReferentIntro, SubordConstraint,
+    UDRS, UDRSError, closure, strict,
 )
-from .delay import PendingRegistry
+from .delay import PendingKey
 from . import plurals
 
 TOP_BOX = ("top",)
@@ -92,30 +91,6 @@ class Scoping:
         if c.kind == STRICT:
             return pl != pr and self.inside_or_equal(pr, pl)
         return self.inside_or_equal(pr, pl)  # WEAK
-
-
-def _clone_for_expansion(u: UDRS) -> tuple[UDRS, PendingRegistry]:
-    """Copy a UDRS with fresh argument-slot cells and a scratch registry."""
-    registry = PendingRegistry()
-    new_conds = []
-    for cond in u.conds:
-        if isinstance(cond, Predicate):
-            cond = Predicate(cond.label, cond.rel, tuple(_copy_slot(a) for a in cond.args))
-        elif isinstance(cond, Membership):
-            cond = Membership(cond.label, _copy_slot(cond.element), _copy_slot(cond.group))
-        new_conds.append(cond)
-    clone = make_udrs(u.ls, u.subord, new_conds)
-    for cond in new_conds:
-        for slot in condition_slots(cond):
-            if not slot.is_resolved and slot.pending_key is not None:
-                registry.adopt(slot)
-    return clone, registry
-
-
-def _copy_slot(slot: ArgSlot) -> ArgSlot:
-    new = ArgSlot(slot.referent)
-    new.pending_key = slot.pending_key
-    return new
 
 
 def enumerate_scopings(u: UDRS) -> list[Scoping]:
@@ -316,9 +291,9 @@ def build_drs(u: UDRS, scoping: Scoping) -> DRS:
             if isinstance(cond, ReferentIntro):
                 refs.add(cond.dref)
             elif isinstance(cond, Predicate):
-                preds.add((cond.rel, tuple(_ground(a) for a in cond.args)))
+                preds.add((cond.rel, tuple(_ground(u, a) for a in cond.args)))
             elif isinstance(cond, Membership):
-                members.add((_ground(cond.element), _ground(cond.group)))
+                members.add((_ground(u, cond.element), _ground(u, cond.group)))
             elif isinstance(cond, Quantifier):
                 subs.add(DuplexCondition(
                     cond.rel,
@@ -330,10 +305,11 @@ def build_drs(u: UDRS, scoping: Scoping) -> DRS:
     return box(TOP_BOX)
 
 
-def _ground(slot: ArgSlot) -> DiscourseReferent:
-    if not slot.is_resolved:
-        raise UnresolvedSlot(f"argument slot {slot!r} is unresolved")
-    return slot.referent
+def _ground(u: UDRS, arg: Arg) -> DiscourseReferent:
+    ref = u.resolve(arg)
+    if not isinstance(ref, DiscourseReferent):
+        raise UnresolvedSlot(f"argument {arg!r} waits on {ref!r}")
+    return ref
 
 
 # --- Reading identity ----------------------------------------------------------
@@ -403,7 +379,7 @@ def enumerate_readings(u: UDRS, expand_pending: bool = False) -> list[DRS]:
         if not expand_pending:
             raise UnresolvedSlot(
                 f"{len(pending)} unresolved argument slot(s); disambiguate first")
-        return _expand_and_enumerate(u)
+        return _expand_and_enumerate(u, pending)
     readings: dict[tuple, DRS] = {}
     for scoping in enumerate_scopings(u):
         drs = build_drs(u, scoping)
@@ -413,18 +389,15 @@ def enumerate_readings(u: UDRS, expand_pending: bool = False) -> list[DRS]:
     return list(readings.values())
 
 
-def _expand_and_enumerate(u: UDRS) -> list[DRS]:
-    probe, probe_registry = _clone_for_expansion(u)
-    keys = probe_registry.unresolved()
+def _expand_and_enumerate(u: UDRS, pending: list) -> list[DRS]:
+    keys = [k for k in pending if isinstance(k, PendingKey)]
     if not keys:
         raise UnresolvedSlot("pending slot carries no key; cannot expand")
-    key = keys[0]
+    key = min(keys, key=lambda k: k.np_l_max.uid)
+    target = plurals.target_for(u, key.np_l_max, key.np_l_min)
     readings: dict[tuple, DRS] = {}
     for branch in (plurals.pl_dis_collective, plurals.pl_dis_distributive):
-        clone, registry = _clone_for_expansion(u)
-        target = plurals.target_for(clone, key.np_l_max, key.np_l_min)
-        branched = branch(clone, target, registry)
-        for drs in enumerate_readings(branched, expand_pending=True):
+        for drs in enumerate_readings(branch(u, target), expand_pending=True):
             readings.setdefault(canonical_form(drs), drs)
     return list(readings.values())
 

@@ -9,15 +9,14 @@ documents and serialize ∘ parse is the identity on documents.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .core import (
     CONDITIONAL, DISTRIBUTION, EVERY, IDENTITY, STRICT, WEAK,
-    ArgSlot, Condition, DiscourseReferent, Label, LS, Membership, Predicate,
+    Arg, Condition, DiscourseReferent, Label, LS, Membership, Predicate,
     Quantifier, ReferentIntro, SubordConstraint, UDRS, UDRSError,
     conditional, identity, make_udrs, strict, weak,
 )
-from .delay import PendingKey, PendingRegistry
+from .delay import PendingKey
 
 _KIND_ORDER = {WEAK: 0, STRICT: 1, IDENTITY: 2, CONDITIONAL: 3}
 _QUANT_NAMES = {EVERY: "every", DISTRIBUTION: "dist"}
@@ -29,21 +28,22 @@ class SerializationError(UDRSError):
     pass
 
 
-def _arg_shape(slot: ArgSlot) -> tuple:
-    if slot.is_resolved:
-        return ("r", slot.referent.sort)
+def _arg_shape(u: UDRS, arg: Arg) -> tuple:
+    arg = u.resolve(arg)
+    if isinstance(arg, DiscourseReferent):
+        return ("r", arg.sort)
     return ("p",)
 
 
-def _base_key(cond: Condition) -> tuple:
+def _base_key(u: UDRS, cond: Condition) -> tuple:
     if isinstance(cond, ReferentIntro):
         return (0, cond.dref.sort)
     if isinstance(cond, Predicate):
-        return (1, cond.rel, len(cond.args), tuple(_arg_shape(a) for a in cond.args))
+        return (1, cond.rel, len(cond.args), tuple(_arg_shape(u, a) for a in cond.args))
     if isinstance(cond, Quantifier):
         return (2, cond.rel)
     if isinstance(cond, Membership):
-        return (3, _arg_shape(cond.element), _arg_shape(cond.group))
+        return (3, _arg_shape(u, cond.element), _arg_shape(u, cond.group))
     raise SerializationError(f"unknown condition type {type(cond).__name__}")
 
 
@@ -51,7 +51,7 @@ def _label_signatures(u: UDRS) -> dict[Label, tuple]:
     """Structural fingerprint per label, independent of label identity."""
     by_label: dict[Label, list] = {}
     for cond in u.conds:
-        by_label.setdefault(cond.label, []).append(_base_key(cond))
+        by_label.setdefault(cond.label, []).append(_base_key(u, cond))
     roles: dict[Label, list] = {}
     for c in u.subord:
         roles.setdefault(c.left, []).append((_KIND_ORDER[c.kind], "L"))
@@ -73,7 +73,7 @@ def _sorted_conditions(u: UDRS) -> list[Condition]:
         extra: tuple = ()
         if isinstance(cond, Quantifier):
             extra = (sigs[cond.res], sigs[cond.scope])
-        return (_base_key(cond), sigs[cond.label], extra, cond.label.uid)
+        return (_base_key(u, cond), sigs[cond.label], extra, cond.label.uid)
 
     return sorted(u.conds, key=key)
 
@@ -101,14 +101,14 @@ class _Namer:
         return self.refs[r]
 
 
-def _slot_doc(slot: ArgSlot, namer: _Namer) -> dict:
-    if slot.is_resolved:
-        return {"ref": namer.ref(slot.referent)}
-    key = slot.pending_key
-    if key is None:
+def _arg_doc(u: UDRS, arg: Arg, namer: _Namer) -> dict:
+    arg = u.resolve(arg)
+    if isinstance(arg, DiscourseReferent):
+        return {"ref": namer.ref(arg)}
+    if not isinstance(arg, PendingKey):
         raise SerializationError("cannot serialize an unlinked argument slot")
-    return {"pending": {"max": namer.label(key.np_l_max),
-                        "min": namer.label(key.np_l_min)}}
+    return {"pending": {"max": namer.label(arg.np_l_max),
+                        "min": namer.label(arg.np_l_min)}}
 
 
 def display_names(u: UDRS) -> dict[Label, str]:
@@ -131,15 +131,17 @@ def _walk(u: UDRS) -> tuple[_Namer, list[Condition]]:
             namer.ref(cond.dref)
         if isinstance(cond, Predicate):
             for a in cond.args:
-                if a.is_resolved:
-                    namer.ref(a.referent)
-                elif a.pending_key is not None:
-                    namer.label(a.pending_key.np_l_max)
-                    namer.label(a.pending_key.np_l_min)
+                a = u.resolve(a)
+                if isinstance(a, DiscourseReferent):
+                    namer.ref(a)
+                elif isinstance(a, PendingKey):
+                    namer.label(a.np_l_max)
+                    namer.label(a.np_l_min)
         if isinstance(cond, Membership):
             for a in (cond.element, cond.group):
-                if a.is_resolved:
-                    namer.ref(a.referent)
+                a = u.resolve(a)
+                if isinstance(a, DiscourseReferent):
+                    namer.ref(a)
     # leftover labels only mentioned by constraints (e.g. scope ceilings)
     def pre(c: SubordConstraint) -> tuple:
         def n(l: Label) -> tuple:
@@ -174,7 +176,7 @@ def to_json(u: UDRS) -> dict:
         elif isinstance(cond, Predicate):
             doc["type"] = "pred"
             doc["rel"] = cond.rel
-            doc["args"] = [_slot_doc(a, namer) for a in cond.args]
+            doc["args"] = [_arg_doc(u, a, namer) for a in cond.args]
         elif isinstance(cond, Quantifier):
             doc["type"] = "quant"
             doc["rel"] = _QUANT_NAMES[cond.rel]
@@ -182,8 +184,8 @@ def to_json(u: UDRS) -> dict:
             doc["scope"] = lname(cond.scope)
         elif isinstance(cond, Membership):
             doc["type"] = "member"
-            doc["element"] = _slot_doc(cond.element, namer)
-            doc["group"] = _slot_doc(cond.group, namer)
+            doc["element"] = _arg_doc(u, cond.element, namer)
+            doc["group"] = _arg_doc(u, cond.group, namer)
         cond_docs.append(doc)
 
     sub_docs = []
@@ -206,27 +208,28 @@ def to_json_str(u: UDRS) -> str:
     return json.dumps(to_json(u), indent=2, ensure_ascii=False) + "\n"
 
 
-def from_json(doc, registry: Optional[PendingRegistry] = None) -> UDRS:
+def from_json(doc) -> UDRS:
     """Rebuild a UDRS from its JSON document (dict or string).
 
-    Fresh internal identifiers are assigned; pending argument slots keep
-    their key labels and, when a registry is supplied, are registered so
-    that resolve_pending can still reach them.  A missing or ill-typed field
+    Fresh internal identifiers are assigned; a pending argument becomes a
+    fresh Slot bound to its key, so pl_dis_* can disambiguate the result
+    directly.  Text that is not JSON, or a missing or ill-typed field,
     raises SerializationError.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     try:
-        return _from_doc(doc, registry)
+        if isinstance(doc, str):
+            doc = json.loads(doc)
+        return _from_doc(doc)
     except KeyError as e:
         raise SerializationError(f"malformed UDRS document: missing field {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
         raise SerializationError(f"malformed UDRS document: {e}") from None
 
 
-def _from_doc(doc: dict, registry: Optional[PendingRegistry]) -> UDRS:
+def _from_doc(doc: dict) -> UDRS:
     labels: dict[str, Label] = {}
     refs: dict[str, DiscourseReferent] = {}
+    bindings: dict[Arg, Arg] = {}
     from . import core
 
     def label(name: str) -> Label:
@@ -239,12 +242,12 @@ def _from_doc(doc: dict, registry: Optional[PendingRegistry]) -> UDRS:
             refs[d["id"]] = core.fresh_referent(d["sort"])
         return refs[d["id"]]
 
-    def slot(d: dict) -> ArgSlot:
+    def arg(d: dict) -> Arg:
         if "ref" in d:
-            return ArgSlot(refs.setdefault(d["ref"], core.fresh_referent()))
-        s = ArgSlot()
-        s.pending_key = PendingKey(label(d["pending"]["max"]), label(d["pending"]["min"]))
-        return s
+            return refs.setdefault(d["ref"], core.fresh_referent())
+        slot = core.fresh_slot()
+        bindings[slot] = PendingKey(label(d["pending"]["max"]), label(d["pending"]["min"]))
+        return slot
 
     for cd in doc["conds"]:  # introductions first, so sorts are known at use sites
         if cd["type"] == "ref":
@@ -257,14 +260,14 @@ def _from_doc(doc: dict, registry: Optional[PendingRegistry]) -> UDRS:
         if cd["type"] == "ref":
             conds.append(ReferentIntro(l, ref(cd["dref"])))
         elif cd["type"] == "pred":
-            conds.append(Predicate(l, cd["rel"], tuple(slot(a) for a in cd["args"])))
+            conds.append(Predicate(l, cd["rel"], tuple(arg(a) for a in cd["args"])))
         elif cd["type"] == "quant":
             if cd["rel"] not in _QUANT_RELS:
                 raise SerializationError(f"unknown quantifier {cd['rel']!r}")
             conds.append(Quantifier(l, _QUANT_RELS[cd["rel"]],
                                     label(cd["res"]), label(cd["scope"])))
         elif cd["type"] == "member":
-            conds.append(Membership(l, slot(cd["element"]), slot(cd["group"])))
+            conds.append(Membership(l, arg(cd["element"]), arg(cd["group"])))
         else:
             raise SerializationError(f"unknown condition type {cd['type']!r}")
     subord = []
@@ -276,13 +279,7 @@ def _from_doc(doc: dict, registry: Optional[PendingRegistry]) -> UDRS:
             subord.append(_CONSTRUCTORS[sd["kind"]](label(sd["left"]), label(sd["right"])))
         else:
             raise SerializationError(f"unknown constraint kind {sd['kind']!r}")
-    u = make_udrs(ls, subord, conds)
-    if registry is not None:
-        for cond in conds:
-            for s in core.condition_slots(cond):
-                if not s.is_resolved and s.pending_key is not None:
-                    registry.adopt(s)
-    return u
+    return make_udrs(ls, subord, conds, bindings)
 
 
 # --- Rendering ---------------------------------------------------------------
@@ -290,16 +287,19 @@ def _from_doc(doc: dict, registry: Optional[PendingRegistry]) -> UDRS:
 _SYMBOL = {WEAK: ">=", STRICT: ">", IDENTITY: "="}
 
 
+def constraint_text(kind: str, left: str, right: str, antecedent=()) -> str:
+    """One constraint over label names, as text output shows it."""
+    if kind == CONDITIONAL:
+        a, b = antecedent
+        return f"({a} > {b} => {left} >= {right})"
+    return f"{left} {_SYMBOL[kind]} {right}"
+
+
 def render_text(u: UDRS) -> str:
     doc = to_json(u)
     lines = [f"LS      max={doc['ls']['max']} min={doc['ls']['min']}"]
-    parts = []
-    for c in doc["subord"]:
-        if c["kind"] == CONDITIONAL:
-            a, b = c["antecedent"]
-            parts.append(f"({a} > {b} => {c['left']} >= {c['right']})")
-        else:
-            parts.append(f"{c['left']} {_SYMBOL[c['kind']]} {c['right']}")
+    parts = [constraint_text(c["kind"], c["left"], c["right"], c.get("antecedent"))
+             for c in doc["subord"]]
     lines.append("SUBORD  {" + ", ".join(parts) + "}")
     lines.append("CONDS")
     for c in doc["conds"]:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import sys
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))  # for the oracle helper module
 
-from udrs import KnowledgeRules, Lexicon, make_udrs
+from udrs import KnowledgeRules, Lexicon
 from udrs.core import conditional, identity, strict, weak
 from udrs.cli import CorpusCase, Session, _read_corpus, build_session
 
@@ -65,4 +66,4 @@ def random_superset(u, rng: random.Random, max_extra: int = 3):
         else:
             c, d = rng.sample(labels, 2)
             extra.append(conditional(a, b, c, d))
-    return make_udrs(u.ls, u.subord | set(extra), u.conds)
+    return dataclasses.replace(u, subord=u.subord | set(extra))

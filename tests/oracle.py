@@ -104,9 +104,9 @@ def _build(u: UDRS, place: dict, pos: tuple) -> DRS:
         if isinstance(cond, ReferentIntro):
             refs.add(cond.dref)
         elif isinstance(cond, Predicate):
-            preds.add((cond.rel, tuple(a.referent for a in cond.args)))
+            preds.add((cond.rel, tuple(u.resolve(a) for a in cond.args)))
         elif isinstance(cond, Membership):
-            members.add((cond.element.referent, cond.group.referent))
+            members.add((u.resolve(cond.element), u.resolve(cond.group)))
         elif isinstance(cond, Quantifier):
             duplexes.add(DuplexCondition(
                 cond.rel,

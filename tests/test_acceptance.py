@@ -13,8 +13,8 @@ from contextlib import contextmanager
 from conftest import analyze, corpus_cases, golden_path, random_superset, session_for_case
 from oracle import oracle_count
 from udrs import (
-    GROUP, KnowledgeRules, Membership, Predicate, Quantifier, ReferentIntro,
-    check_udrs, closure,
+    GROUP, DiscourseReferent, KnowledgeRules, Membership, PendingKey, Predicate,
+    Quantifier, ReferentIntro, check_udrs, closure,
 )
 from udrs.cli import Session, build_session
 from udrs.plurals import (
@@ -65,14 +65,14 @@ def test_criterion_1_golden_fixture_11():
         preds = {c.rel: c for c in u.conds if isinstance(c, Predicate)}
         assert set(preds) == {"lawyer", "secretary", "hire"}
         hire = preds["hire"]
-        assert not hire.args[0].is_resolved        # subject slot pending
-        assert hire.args[1].is_resolved            # object resolved to y
+        assert isinstance(u.resolve(hire.args[0]), PendingKey)  # subject slot pending
+        assert isinstance(u.resolve(hire.args[1]), DiscourseReferent)  # object resolved to y
 
         lawyers_intro = next(c for c in u.conds if isinstance(c, ReferentIntro)
                              and c.dref.sort == GROUP)
         l1 = lawyers_intro.label
         assert preds["lawyer"].label == l1
-        l12 = hire.args[0].pending_key.np_l_min
+        l12 = u.resolve(hire.args[0]).np_l_min
         l2 = preds["secretary"].label
         l3 = hire.label
         top = next(l for l in u.labels() if l.is_top)
@@ -86,7 +86,7 @@ def test_criterion_2_collective_fixture_15():
         session = fixture_11_session()
         before = session.udrs
         target = plural_target(session)
-        after = pl_dis_collective(before, target, session.ctx.registry)
+        after = pl_dis_collective(before, target)
 
         assert to_json(after) == load_golden("udrs_15.json")
         assert after.conds == before.conds                  # nothing added
@@ -96,8 +96,8 @@ def test_criterion_2_collective_fixture_15():
             ("identity", target.l_max, target.l_min)]
         hire = next(c for c in after.conds
                     if isinstance(c, Predicate) and c.rel == "hire")
-        assert hire.args[0].referent == target.group
-        assert hire.args[1].is_resolved
+        assert after.resolve(hire.args[0]) == target.group
+        assert isinstance(after.resolve(hire.args[1]), DiscourseReferent)
 
 
 def test_criterion_3_distributive_fixture_16():
@@ -105,7 +105,7 @@ def test_criterion_3_distributive_fixture_16():
         session = fixture_11_session()
         before = session.udrs
         target = plural_target(session)
-        after = pl_dis_distributive(before, target, session.ctx.registry)
+        after = pl_dis_distributive(before, target)
 
         assert to_json(after) == load_golden("udrs_16.json")
         added_conds = after.conds - before.conds
@@ -117,7 +117,7 @@ def test_criterion_3_distributive_fixture_16():
         member = next(c for c in added_conds if isinstance(c, Membership))
         assert duplex.label == target.l_max and duplex.scope == target.l_min
         assert duplex.res == intro.label == member.label
-        assert member.group.referent == target.group
+        assert after.resolve(member.group) == target.group
 
         added_subord = after.subord - before.subord
         assert {(c.kind, c.left, c.right) for c in added_subord} == {
@@ -197,7 +197,7 @@ def test_criterion_5_monotonicity_over_corpus():
         for fn in (pl_dis_collective, pl_dis_distributive):
             session = fixture_11_session()
             before = session.udrs
-            after = fn(before, plural_target(session), session.ctx.registry)
+            after = fn(before, plural_target(session))
             assert after.conds >= before.conds
             assert after.subord >= before.subord
 

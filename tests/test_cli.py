@@ -85,6 +85,15 @@ class TestParseCommand:
             run(["frobnicate"])
         assert info.value.code == 2
 
+    def test_unreadable_file_exits_1(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"case: caf\xe9\ninput: John left.\n")
+        assert run(["parse", "John left.", "--rules", missing]) == 1
+        assert run(["corpus", missing]) == 1
+        assert run(["corpus", str(latin1)]) == 1
+        assert capsys.readouterr().err.count("error: ") == 3
+
     def test_no_input_exits_1(self, capsys):
         assert run(["parse"]) == 1
         assert "no input" in capsys.readouterr().err
@@ -143,3 +152,53 @@ class TestSession:
         from udrs import UDRSError
         with pytest.raises(UDRSError):
             session.disambiguate(2, "collective")
+
+
+class TestDirectives:
+    """``--disambiguate`` and corpus ``disambiguate:`` lines are rule overrides
+    applied during sequencing, ahead of every rule."""
+
+    RULE_CASE = "The lawyers hired a secretary. They shared an office."
+
+    def test_directive_wins_over_a_continuation_rule(self, capsys, corpus_rules):
+        argv = ["parse", self.RULE_CASE, "--disambiguate", "np1=distributive",
+                "--readings"]
+        assert run(argv + ["--rules", corpus_rules]) == 0
+        with_rules = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == with_rules  # the rule never fired
+        assert "18 reading(s)" in with_rules
+
+    def test_directed_reading_count_matches_the_oracle(self):
+        from conftest import analyze
+        from oracle import oracle_count
+        u = analyze(self.RULE_CASE, disambiguate=((1, "distributive"),)).udrs
+        assert oracle_count(u) == 18
+
+    def test_directive_against_the_verb_fails_with_display_names(self, capsys):
+        assert run(["parse", "The lawyers gathered.", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {"kind": "identity", "left": "l1", "right": "l4"} in doc["subord"]
+        assert run(["parse", "The lawyers gathered.",
+                    "--disambiguate", "np1=distributive"]) == 1
+        assert capsys.readouterr().err == "error: l1/l4 already classified\n"
+
+    def test_directive_agreeing_with_the_verb_is_accepted(self, capsys):
+        assert run(["parse", "The lawyers gathered."]) == 0
+        plain = capsys.readouterr().out
+        assert run(["parse", "The lawyers gathered.",
+                    "--disambiguate", "np1=collective"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_conflicting_directives_rejected(self, capsys):
+        assert run(["parse", "The lawyers hired a secretary.",
+                    "--disambiguate", "np1=collective",
+                    "--disambiguate", "np1=distributive"]) == 1
+        assert "conflicting directives for np1" in capsys.readouterr().err
+
+    def test_corpus_directive_wins_over_a_rule(self, tmp_path, capsys, corpus_rules):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"case: directed\ninput: {self.RULE_CASE}\n"
+                          "disambiguate: np1=distributive\nexpect-readings: 18\n")
+        assert run(["corpus", str(corpus), "--rules", corpus_rules]) == 0
+        assert capsys.readouterr().out == "PASS directed\n"

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from udrs.core import (
-    CycleError, LS, Predicate, ArgSlot, check_udrs, closure, conditional,
+    CycleError, LS, Predicate, check_udrs, closure, conditional,
     fresh_label, fresh_referent, identity, make_udrs, merge, strict, top_label,
     weak,
 )
@@ -144,7 +144,7 @@ class TestCheckUdrs:
         t, a, orphan = top_label(), fresh_label(), fresh_label()
         x = fresh_referent()
         u = make_udrs(LS(t, a), [weak(t, a)],
-                      [Predicate(orphan, "p", (ArgSlot(x),))])
+                      [Predicate(orphan, "p", (x,))])
         assert any(v.kind == "orphan" for v in check_udrs(u))
 
 
@@ -153,29 +153,30 @@ class TestMerge:
         t = top_label()
         a = fresh_label()
         x = fresh_referent()
-        u = make_udrs(LS(t, a), [weak(t, a)], [Predicate(a, "p", (ArgSlot(x),))])
+        u = make_udrs(LS(t, a), [weak(t, a)], [Predicate(a, "p", (x,))])
         empty = make_udrs(LS(t, t))
-        subord, conds = merge(u, empty)
+        subord, conds, bindings = merge(u, empty)
         assert subord == u.subord
         assert conds == u.conds
+        assert bindings == u.bindings
 
     def test_union_bounds(self):
         def mk():
             a, b = fresh_label(), fresh_label()
             return make_udrs(LS(a, b), [weak(a, b)],
-                             [Predicate(b, "p", (ArgSlot(fresh_referent()),))])
+                             [Predicate(b, "p", (fresh_referent(),))])
         u1, u2 = mk(), mk()
-        subord, conds = merge(u1, u2)
+        subord, conds, _ = merge(u1, u2)
         assert len(conds) == len(u1.conds) + len(u2.conds)  # label-disjoint
         assert len(subord) <= len(u1.subord) + len(u2.subord)
         merged_self = merge(u1, u1)
-        assert merged_self == (u1.subord, u1.conds)
+        assert merged_self == (u1.subord, u1.conds, u1.bindings)
 
     def test_merge_is_monotone(self):
         a, b = fresh_label(), fresh_label()
         u1 = make_udrs(LS(a, a), [weak(a, b)])
         u2 = make_udrs(LS(b, b), [strict(a, b)])
-        subord, conds = merge(u1, u2)
+        subord, conds, _ = merge(u1, u2)
         assert subord >= u1.subord and subord >= u2.subord
         assert conds >= u1.conds and conds >= u2.conds
 
@@ -184,7 +185,7 @@ class TestMerge:
         from udrs.lexicon import Lexicon
         lex = Lexicon.default()
         verb, det = lex.sign("hired"), lex.sign("every")
-        subord, conds = merge(verb.udrs, det.udrs)
+        subord, conds, _ = merge(verb.udrs, det.udrs)
         rels = {c.rel for c in conds if isinstance(c, Predicate)}
         assert "hire" in rels
         assert any(isinstance(c, Quantifier) for c in conds)

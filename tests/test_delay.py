@@ -2,13 +2,11 @@ import pytest
 
 from conftest import analyze
 from udrs import (
-    LS, ArgSlot, ReferentIntro, fresh_label, fresh_referent, make_udrs,
+    LS, Predicate, ReferentIntro, fresh_label, fresh_referent, make_udrs,
 )
-from udrs.delay import (
-    PENDING, ConflictingResolution, MalformedNP, PendingKey, PendingRegistry,
-    UnknownKey, dref_res,
-)
+from udrs.delay import PENDING, MalformedNP, PendingKey, PendingRegistry, dref_res
 from udrs.lexicon import Lexicon
+from udrs.plurals import pl_dis_collective, target_for
 from udrs.principles import Derivation, combine_head_comp
 
 
@@ -63,59 +61,49 @@ class TestDrefRes:
             dref_res(u)
 
 
-class TestRegistry:
-    def test_link_resolves_immediately_for_indefinite(self, lex):
-        registry = PendingRegistry()
-        np = saturated_np(lex, "a", "secretary")
-        slot = ArgSlot()
-        outcome = registry.link(slot, np.udrs)
-        assert slot.is_resolved
-        assert outcome == slot.referent
-        assert registry.unresolved() == []
+def link_object(lex, det_word, noun_word):
+    """hired + det noun: the derivation, the NP and the linked VP's UDRS."""
+    ctx = Derivation.new(lex)
+    obj = combine_head_comp(lex.sign(det_word), lex.sign(noun_word), ctx).sign
+    vp = combine_head_comp(lex.sign("hired"), obj, ctx).sign
+    hire = next(c for c in vp.udrs.conds if isinstance(c, Predicate) and c.rel == "hire")
+    return ctx, obj, vp.udrs, hire.args[1]
+
+
+class TestLinking:
+    def test_link_binds_indefinite_to_its_referent(self, lex):
+        ctx, obj, u, arg = link_object(lex, "a", "secretary")
+        intro = next(c for c in obj.udrs.conds if isinstance(c, ReferentIntro))
+        assert u.resolve(arg) == intro.dref
+        assert ctx.registry.all_keys() == []
 
     def test_link_registers_plural(self, lex):
-        registry = PendingRegistry()
-        np = saturated_np(lex, "the", "lawyers")
-        slot = ArgSlot()
-        key = registry.link(slot, np.udrs)
-        assert isinstance(key, PendingKey)
-        assert not slot.is_resolved
-        assert registry.unresolved() == [key]
+        ctx, obj, u, arg = link_object(lex, "the", "lawyers")
+        key = u.resolve(arg)
+        assert key == PendingKey(obj.udrs.ls.l_max, obj.udrs.ls.l_min)
+        assert ctx.registry.all_keys() == [key]
+        assert key in u.pending_slots()   # beside the still unlinked subject
 
-    def test_resolve_pending_fills_slot(self, lex):
-        registry = PendingRegistry()
-        np = saturated_np(lex, "the", "lawyers")
-        slot = ArgSlot()
-        key = registry.link(slot, np.udrs)
-        x = fresh_referent()
-        registry.resolve_pending(key, x)
-        assert slot.referent == x
-        assert registry.unresolved() == []
+    def test_binding_the_key_resolves_the_argument(self, lex):
+        ctx, obj, u, arg = link_object(lex, "the", "lawyers")
+        key = u.resolve(arg)
+        after = pl_dis_collective(u, target_for(u, key.np_l_max, key.np_l_min))
+        group = next(c for c in obj.udrs.conds if isinstance(c, ReferentIntro)).dref
+        assert after.resolve(arg) == group
+        assert key in after.bindings and key not in u.bindings
+        assert u.resolve(arg) == key          # the earlier value is unchanged
 
-    def test_resolution_is_idempotent(self, lex):
+    def test_register_keeps_first_order_once(self):
         registry = PendingRegistry()
-        np = saturated_np(lex, "the", "lawyers")
-        slot = ArgSlot()
-        key = registry.link(slot, np.udrs)
-        x = fresh_referent()
-        registry.resolve_pending(key, x)
-        registry.resolve_pending(key, x)  # no-op
-        assert slot.referent == x
-
-    def test_conflicting_resolution_rejected(self, lex):
-        registry = PendingRegistry()
-        np = saturated_np(lex, "the", "lawyers")
-        slot = ArgSlot()
-        key = registry.link(slot, np.udrs)
-        registry.resolve_pending(key, fresh_referent())
-        with pytest.raises(ConflictingResolution):
-            registry.resolve_pending(key, fresh_referent())
-
-    def test_unknown_key(self):
-        registry = PendingRegistry()
-        key = PendingKey(fresh_label(), fresh_label())
-        with pytest.raises(UnknownKey):
-            registry.resolve_pending(key, fresh_referent())
+        k1 = PendingKey(fresh_label(), fresh_label())
+        k2 = PendingKey(fresh_label(), fresh_label())
+        for key in (k1, k2, k1):
+            registry.register(key)
+        assert registry.all_keys() == [k1, k2]
+        assert registry.unresolved() == [k1, k2]
+        registry.discourse = make_udrs(LS(k1.np_l_max, k1.np_l_min),
+                                       bindings={k2: fresh_referent()})
+        assert registry.unresolved() == [k1]
 
 
 def test_final_udrs_pending_iff_undisambiguated_plural():

@@ -1,6 +1,6 @@
 import pytest
 
-from udrs import GROUP, INDIVIDUAL, Predicate, Quantifier, ReferentIntro, closure
+from udrs import GROUP, INDIVIDUAL, Predicate, Quantifier, ReferentIntro, Slot, closure
 from udrs.lexicon import (
     INDEF, NAME, PLURAL, QUANT, Lexicon, UnknownWord, entry_complementizer,
     entry_noun, np_pattern,
@@ -23,7 +23,7 @@ class TestVerbEntries:
         assert len(sign.udrs.conds) == 1
         assert preds[0].rel == "hire"
         assert len(preds[0].args) == 2
-        assert all(not a.is_resolved for a in preds[0].args)
+        assert all(isinstance(sign.udrs.resolve(a), Slot) for a in preds[0].args)
         assert sign.udrs.subord == frozenset()
         assert preds[0].label == sign.udrs.ls.l_min
 
@@ -100,7 +100,7 @@ class TestNounsAndNames:
         sign = entry_noun("clerk", label=l, dref=x)
         (pred,) = conds_by_type(sign, Predicate)
         assert pred.label == l
-        assert pred.args[0].referent == x
+        assert sign.udrs.resolve(pred.args[0]) == x
 
     def test_name_shape(self, lex):
         sign = lex.sign("john")

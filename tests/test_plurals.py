@@ -2,14 +2,15 @@ import pytest
 
 from conftest import analyze
 from udrs import (
-    DISTRIBUTION, GROUP, Membership, Predicate, Quantifier, ReferentIntro,
+    DISTRIBUTION, GROUP, DiscourseReferent, Membership, Predicate, Quantifier, ReferentIntro,
     closure, count_readings,
 )
 from udrs.plurals import (
     COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
-    NotPlural, decide, pl_dis_collective, pl_dis_distributive, pl_dis_trivial,
-    target_for,
+    NotPlural, decide, pl_dis_collective, pl_dis_distributive, target_for,
 )
+from udrs.delay import PendingKey
+from udrs.serialize import display_names
 
 
 def fixture_11():
@@ -28,42 +29,44 @@ class TestCollective:
     def test_structure_15(self):
         session, target = fixture_11()
         before = session.udrs
-        after = pl_dis_collective(before, target, session.ctx.registry)
+        after = pl_dis_collective(before, target)
         assert after.conds == before.conds
         assert after.subord > before.subord
         added = after.subord - before.subord
         assert len(added) == 1
         (c,) = added
         assert c.kind == "identity" and (c.left, c.right) == (target.l_max, target.l_min)
-        assert hire_pred(after).args[0].referent == target.group
+        assert after.resolve(hire_pred(after).args[0]) == target.group
         assert target.group.sort == GROUP
 
     def test_monotone(self):
         session, target = fixture_11()
         before = session.udrs
-        after = pl_dis_collective(before, target, session.ctx.registry)
+        after = pl_dis_collective(before, target)
         assert after.subord >= before.subord
         assert after.conds >= before.conds
 
     def test_single_reading_remains(self):
         session, target = fixture_11()
-        after = pl_dis_collective(session.udrs, target, session.ctx.registry)
+        after = pl_dis_collective(session.udrs, target)
         assert count_readings(after) == 1
 
     def test_reapplication_rejected(self):
         session, target = fixture_11()
-        after = pl_dis_collective(session.udrs, target, session.ctx.registry)
+        after = pl_dis_collective(session.udrs, target)
+        names = display_names(after)
+        message = f"{names[target.l_max]}/{names[target.l_min]} already classified"
+        with pytest.raises(AlreadyDisambiguated, match=f"^{message}$"):
+            pl_dis_collective(after, target)
         with pytest.raises(AlreadyDisambiguated):
-            pl_dis_collective(after, target, session.ctx.registry)
-        with pytest.raises(AlreadyDisambiguated):
-            pl_dis_distributive(after, target, session.ctx.registry)
+            pl_dis_distributive(after, target)
 
 
 class TestDistributive:
     def test_structure_16(self):
         session, target = fixture_11()
         before = session.udrs
-        after = pl_dis_distributive(before, target, session.ctx.registry)
+        after = pl_dis_distributive(before, target)
 
         added_conds = after.conds - before.conds
         assert len(added_conds) == 3
@@ -74,8 +77,8 @@ class TestDistributive:
         assert duplex.label == target.l_max
         assert duplex.scope == target.l_min
         assert duplex.res == intro.label == member.label
-        assert member.element.referent == intro.dref
-        assert member.group.referent == target.group
+        assert after.resolve(member.element) == intro.dref
+        assert after.resolve(member.group) == target.group
 
         added_subord = after.subord - before.subord
         assert {c.kind for c in added_subord} == {"strict"}
@@ -83,35 +86,25 @@ class TestDistributive:
         assert {(c.left, c.right) for c in added_subord} == {
             (target.l_max, duplex.res), (target.l_max, target.l_min)}
 
-        assert hire_pred(after).args[0].referent == intro.dref
+        assert after.resolve(hire_pred(after).args[0]) == intro.dref
 
     def test_two_readings(self):
         session, target = fixture_11()
-        after = pl_dis_distributive(session.udrs, target, session.ctx.registry)
+        after = pl_dis_distributive(session.udrs, target)
         assert count_readings(after) == 2
 
     def test_activates_scope_ceiling(self):
         session, target = fixture_11()
-        after = pl_dis_distributive(session.udrs, target, session.ctx.registry)
+        after = pl_dis_distributive(session.udrs, target)
         derived = closure(after.subord)
         assert len(derived.activated) == 1
 
     def test_reapplication_rejected(self):
         session, target = fixture_11()
-        after = pl_dis_distributive(session.udrs, target, session.ctx.registry)
+        after = pl_dis_distributive(session.udrs, target)
         for fn in (pl_dis_collective, pl_dis_distributive):
             with pytest.raises(AlreadyDisambiguated):
-                fn(after, target, session.ctx.registry)
-
-
-class TestTrivial:
-    def test_identity_on_fixture(self):
-        session, _ = fixture_11()
-        assert pl_dis_trivial(session.udrs) is session.udrs
-
-    def test_identity_on_anything(self):
-        u = analyze("John left.").udrs
-        assert pl_dis_trivial(u) == u
+                fn(after, target)
 
 
 class TestErrors:
@@ -121,8 +114,10 @@ class TestErrors:
         u = session.udrs
         sec = next(c for c in u.conds
                    if isinstance(c, Predicate) and c.rel == "secretary")
-        with pytest.raises(NotPlural):
+        names = display_names(u)
+        with pytest.raises(NotPlural) as info:
             target_for(u, sec.label, sec.label)
+        assert str(info.value) == f"no group referent introduced at {names[sec.label]}"
 
     def test_not_plural_when_no_weak_relation(self):
         from udrs.core import LS, fresh_label, make_udrs
@@ -153,8 +148,8 @@ class TestDecide:
     def test_override_wins(self):
         session, target = fixture_11()
         rules = KnowledgeRules()
-        rules.set_override(target, DISTRIBUTIVE)
-        assert decide(session.udrs, target, rules).verdict == DISTRIBUTIVE
+        rules.set_override(1, DISTRIBUTIVE)
+        assert decide(session.udrs, target, rules, index=1).verdict == DISTRIBUTIVE
 
     def test_subject_rule_matches_only_the_verbs_subject(self):
         rules = KnowledgeRules()
@@ -182,12 +177,13 @@ class TestDiscourseDisambiguation:
             rules_path=corpus_rules)
         u = session.udrs
         hire = hire_pred(u)
-        assert hire.args[0].is_resolved
-        assert hire.args[0].referent.sort == GROUP
+        assert isinstance(u.resolve(hire.args[0]), DiscourseReferent)
+        assert u.resolve(hire.args[0]).sort == GROUP
         assert session.ctx.registry.unresolved() == []
         assert count_readings(u) == 1
 
     def test_neutral_continuation_stays_underspecified(self):
         session = analyze("The lawyers hired a secretary. John left.")
         assert len(session.ctx.registry.unresolved()) == 1
-        assert not hire_pred(session.udrs).args[0].is_resolved
+        u = session.udrs
+        assert isinstance(u.resolve(hire_pred(u).args[0]), PendingKey)

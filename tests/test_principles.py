@@ -2,8 +2,8 @@ import pytest
 
 from conftest import analyze
 from udrs import (
-    CONDITIONAL, GROUP, WEAK, Predicate, Quantifier, ReferentIntro,
-    check_udrs, closure,
+    CONDITIONAL, GROUP, WEAK, DiscourseReferent, PendingKey, Predicate,
+    Quantifier, ReferentIntro, check_udrs, closure,
 )
 from udrs.grammar import parse, tokenize
 from udrs.lexicon import Lexicon
@@ -34,7 +34,7 @@ class TestHeadComp:
         pred = the_pred(every_lawyer, "lawyer")
         assert pred.label == quant.res
         intro = every_lawyer.udrs.find_intro(quant.res)
-        assert pred.args[0].referent == intro.dref
+        assert every_lawyer.udrs.resolve(pred.args[0]) == intro.dref
 
     def test_det_noun_indefinite_shares_label(self, ctx):
         a_secretary = np(ctx, "a", "secretary")
@@ -42,7 +42,7 @@ class TestHeadComp:
         intro = next(c for c in a_secretary.udrs.conds if isinstance(c, ReferentIntro))
         c = closure(a_secretary.udrs.subord)
         assert c.identical(pred.label, intro.label)
-        assert pred.args[0].referent == intro.dref
+        assert a_secretary.udrs.resolve(pred.args[0]) == intro.dref
 
     def test_det_noun_plural_shares_label_directly(self, ctx):
         the_lawyers = np(ctx, "the", "lawyers")
@@ -68,7 +68,7 @@ class TestHeadComp:
         pred = the_pred(result.sign, "hire")
         restrictor_ref = next(c for c in every_secretary.udrs.conds
                               if isinstance(c, ReferentIntro)).dref
-        assert pred.args[1].referent == restrictor_ref
+        assert result.sign.udrs.resolve(pred.args[1]) == restrictor_ref
         cond = next(c for c in result.introduced_constraints
                     if c.kind == CONDITIONAL)
         assert cond.antecedent == (every_secretary.udrs.ls.l_max,
@@ -82,7 +82,7 @@ class TestHeadComp:
         kinds = sorted(c.kind for c in result.introduced_constraints)
         assert kinds == [CONDITIONAL, WEAK]
         pred = the_pred(result.sign, "hire")
-        assert not pred.args[1].is_resolved
+        assert isinstance(result.sign.udrs.resolve(pred.args[1]), PendingKey)
 
     def test_conditions_and_constraints_union(self, ctx):
         hired = ctx.lexicon.sign("hired")
@@ -114,7 +114,7 @@ class TestHeadSubj:
         pred = the_pred(s, "hire")
         restrictor_ref = next(c for c in subj.udrs.conds
                               if isinstance(c, ReferentIntro)).dref
-        assert pred.args[0].referent == restrictor_ref
+        assert s.udrs.resolve(pred.args[0]) == restrictor_ref
 
     def test_name_subject_resolves_directly(self, ctx):
         vp = ctx.lexicon.sign("left")
@@ -123,7 +123,7 @@ class TestHeadSubj:
         pred = the_pred(s, "leave")
         john_ref = next(c for c in john.udrs.conds
                         if isinstance(c, ReferentIntro)).dref
-        assert pred.args[0].referent == john_ref
+        assert s.udrs.resolve(pred.args[0]) == john_ref
 
     def test_collective_only_verb_forces_group_subject(self, ctx):
         gathered = ctx.lexicon.sign("gathered")
@@ -132,7 +132,7 @@ class TestHeadSubj:
         pred = the_pred(s, "gather")
         group = next(c for c in subj.udrs.conds
                      if isinstance(c, ReferentIntro)).dref
-        assert pred.args[0].referent == group
+        assert s.udrs.resolve(pred.args[0]) == group
         c = closure(s.udrs.subord)
         assert c.identical(subj.udrs.ls.l_max, subj.udrs.ls.l_min)
 
@@ -171,16 +171,6 @@ class TestFunctional:
         assert c.weakly(believe.label, embedded_quant.label)
 
 
-def test_head_filler_inherits_from_head_only(ctx):
-    from udrs.principles import combine_head_filler
-    vp = combine_head_comp(ctx.lexicon.sign("hired"),
-                           np(ctx, "a", "secretary"), ctx).sign
-    filler = np(ctx, "every", "lawyer")
-    result = combine_head_filler(vp, filler)
-    assert result.sign.udrs == vp.udrs
-    assert result.introduced_constraints == frozenset()
-
-
 class TestCoord:
     def test_two_singulars_union_unchanged(self, ctx):
         (deriv,) = parse(tokenize("John left. Mary left."), ctx.lexicon)
@@ -205,9 +195,9 @@ class TestInterpret:
         preds = {c.rel: c for c in u.conds if isinstance(c, Predicate)}
         assert set(preds) == {"lawyer", "secretary", "hire"}
         hire = preds["hire"]
-        assert not hire.args[0].is_resolved          # subject delayed
+        assert isinstance(u.resolve(hire.args[0]), PendingKey)  # subject delayed
         secretary_intro = next(c for c in u.conds if isinstance(c, ReferentIntro)
-                               and c.dref == hire.args[1].referent)
+                               and c.dref == u.resolve(hire.args[1]))
         assert secretary_intro is not None
         lawyers_intro = next(c for c in u.conds if isinstance(c, ReferentIntro)
                              and c.dref.sort == GROUP)
@@ -215,7 +205,7 @@ class TestInterpret:
         c = closure(u.subord)
         top = next(l for l in u.labels() if l.is_top)
         l1 = lawyers_intro.label
-        l12 = hire.args[0].pending_key.np_l_min
+        l12 = u.resolve(hire.args[0]).np_l_min
         l2 = preds["secretary"].label
         l3 = hire.label
         assert c.weakly(top, l1) and c.weakly(top, l2)
@@ -229,7 +219,7 @@ class TestInterpret:
         quants = [c for c in u.conds if isinstance(c, Quantifier)]
         assert len(quants) == 1
         hire = next(c for c in u.conds if isinstance(c, Predicate) and c.rel == "hire")
-        assert hire.args[0].is_resolved and hire.args[1].is_resolved
+        assert all(isinstance(u.resolve(a), DiscourseReferent) for a in hire.args)
 
     def test_john_left_collapses_to_top_chain(self):
         u = analyze("John left.").udrs

@@ -90,7 +90,7 @@ class TestSoundness:
         for scoping in enumerate_scopings(u):
             verb_pos = scoping.position(hire.label)
             for arg in hire.args:
-                intro_pos = scoping.position(intros[arg.referent])
+                intro_pos = scoping.position(intros[u.resolve(arg)])
                 bound = res_to_scope.get(intro_pos, intro_pos)
                 assert scoping.inside_or_equal(verb_pos, bound)
 

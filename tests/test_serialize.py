@@ -5,10 +5,10 @@ import pytest
 
 from conftest import analyze, golden_path
 from udrs import (
-    GROUP, LS, ArgSlot, Predicate, ReferentIntro, fresh_label, fresh_referent,
+    GROUP, LS, Predicate, ReferentIntro, fresh_label, fresh_referent,
     make_udrs, top_label, weak,
 )
-from udrs.delay import PendingRegistry
+from udrs.delay import PendingKey
 from udrs.serialize import (
     SerializationError, from_json, to_dot, to_json, to_json_str,
 )
@@ -25,7 +25,7 @@ def test_roundtrip_simple():
     t, a = top_label(), fresh_label()
     x = fresh_referent()
     u = make_udrs(LS(t, a), [weak(t, a)],
-                  [ReferentIntro(a, x), Predicate(a, "sleep", (ArgSlot(x),))])
+                  [ReferentIntro(a, x), Predicate(a, "sleep", (x,))])
     doc = roundtrip(u)
     assert doc["ls"]["max"] == "l0"  # top is always l0
     assert {c["type"] for c in doc["conds"]} == {"ref", "pred"}
@@ -90,12 +90,12 @@ def test_malformed_documents_raise_serialization_error():
         from_json(bad_kind)
 
 
-def test_parsed_pending_slots_can_join_a_registry():
+def test_parsed_pending_slots_wait_on_their_keys():
     session = analyze("The lawyers hired a secretary.")
-    registry = PendingRegistry()
-    rebuilt = from_json(to_json(session.udrs), registry)
-    assert len(registry.unresolved()) == 1
-    assert len(rebuilt.pending_slots()) == 1
+    rebuilt = from_json(to_json(session.udrs))
+    (key,) = rebuilt.pending_slots()
+    assert isinstance(key, PendingKey)
+    assert rebuilt.find_intro(key.np_l_max).dref.sort == GROUP
 
 
 def test_alpha_equivalent_structures_serialize_identically():
@@ -139,3 +139,8 @@ def test_dot_output_shape():
     assert dot.count("style=dashed") == 1
     solid = [c for c in doc["subord"] if c["kind"] != "conditional"]
     assert dot.count("->") == len(solid) + 1
+
+
+def test_text_that_is_not_json_raises_serialization_error():
+    with pytest.raises(SerializationError, match="malformed UDRS document"):
+        from_json("not json")
