@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .core import UDRS, UDRSError
+from .core import UDRS, UDRSError, read_text
 from .grammar import COORD, DerivationNode, ParseFailure, bracketed, parse, tokenize
 from .lexicon import Lexicon, Sign
 from .plurals import (
@@ -225,34 +225,33 @@ class CorpusCase:
 def _read_corpus(path: str) -> list[CorpusCase]:
     cases: list[CorpusCase] = []
     current: Optional[CorpusCase] = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                current = None
-                continue
-            if ":" not in line:
-                raise UDRSError(f"{path}:{lineno}: expected 'field: value'")
-            key, value = (s.strip() for s in line.split(":", 1))
-            if current is None:
-                current = CorpusCase(name=f"case-{len(cases) + 1}", lineno=lineno)
-                cases.append(current)
-            if key == "case":
-                current.name = value
-            elif key == "input":
-                current.input = value
-            elif key == "disambiguate":
-                current.disambiguate.extend(value.split())
-            elif key == "expect-readings":
-                try:
-                    current.expect_readings = int(value)
-                except ValueError:
-                    raise UDRSError(f"{path}:{lineno}: expect-readings needs a "
-                                    f"count, got {value!r}") from None
-            elif key == "expect-udrs":
-                current.expect_udrs = value
-            else:
-                raise UDRSError(f"{path}:{lineno}: unknown field {key!r}")
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            current = None
+            continue
+        if ":" not in line:
+            raise UDRSError(f"{path}:{lineno}: expected 'field: value'")
+        key, value = (s.strip() for s in line.split(":", 1))
+        if current is None:
+            current = CorpusCase(name=f"case-{len(cases) + 1}", lineno=lineno)
+            cases.append(current)
+        if key == "case":
+            current.name = value
+        elif key == "input":
+            current.input = value
+        elif key == "disambiguate":
+            current.disambiguate.extend(value.split())
+        elif key == "expect-readings":
+            try:
+                current.expect_readings = int(value)
+            except ValueError:
+                raise UDRSError(f"{path}:{lineno}: expect-readings needs a "
+                                f"count, got {value!r}") from None
+        elif key == "expect-udrs":
+            current.expect_udrs = value
+        else:
+            raise UDRSError(f"{path}:{lineno}: unknown field {key!r}")
     for case in cases:
         if not case.input:
             raise UDRSError(f"{path}:{case.lineno}: case {case.name!r} has no input")
@@ -270,8 +269,7 @@ def run_corpus(path: str, lexicon: Optional[Lexicon] = None,
             session, _ = build_directed_session(case.input, case.disambiguate,
                                                 lexicon, rules)
             if case.expect_udrs is not None:
-                with open(os.path.join(base, case.expect_udrs), encoding="utf-8") as fh:
-                    expected = json.load(fh)
+                expected = json.loads(read_text(os.path.join(base, case.expect_udrs)))
                 got = to_json(session.udrs)
                 if got != expected:
                     problems.append("udrs mismatch")
@@ -333,7 +331,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UDRSError, OSError, UnicodeDecodeError) as e:  # unreadable input files
+    except (UDRSError, OSError) as e:  # unreadable input files
         print(f"error: {e}", file=sys.stderr)
         return 1
 

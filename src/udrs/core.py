@@ -24,6 +24,20 @@ class UDRSError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class EncodingError(UDRSError):
+    """An input file that is not UTF-8 text."""
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; EncodingError naming the path otherwise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise EncodingError(
+            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 class CycleError(UDRSError):
     """A label became strictly subordinate to itself."""
 

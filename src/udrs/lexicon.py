@@ -16,7 +16,7 @@ from typing import Optional
 from .core import (
     GROUP, DiscourseReferent, Label, LS, Predicate, Quantifier, ReferentIntro,
     Slot, UDRS, UDRSError, closure, fresh_label, fresh_referent, fresh_slot,
-    identity, make_udrs, strict, weak, EVERY,
+    identity, make_udrs, read_text, strict, weak, EVERY,
 )
 
 
@@ -217,8 +217,7 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "Lexicon":
-        with open(path, encoding="utf-8") as fh:
-            return cls(_parse_lex(fh.read(), path))
+        return cls(_parse_lex(read_text(path), path))
 
     @classmethod
     @functools.cache

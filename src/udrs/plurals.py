@@ -22,7 +22,7 @@ from typing import Optional
 from .core import (
     DISTRIBUTION, GROUP, Condition, DiscourseReferent, Label, Membership,
     Predicate, Quantifier, ReferentIntro, SubordConstraint, UDRS, UDRSError,
-    fresh_label, fresh_referent, identity, make_udrs, strict,
+    fresh_label, fresh_referent, identity, make_udrs, read_text, strict,
 )
 from .delay import PendingKey, PendingRegistry
 from .serialize import display_names
@@ -154,21 +154,20 @@ class KnowledgeRules:
     @classmethod
     def from_file(cls, path: str) -> "KnowledgeRules":
         rules = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                fields = line.split()
-                if (len(fields) == 4 and fields[0] == "verb"
-                        and fields[2] == "subject"
-                        and fields[3] in (COLLECTIVE, DISTRIBUTIVE)):
-                    rules.subject_rules[fields[1]] = fields[3]
-                elif (len(fields) == 3 and fields[0] == "continuation"
-                        and fields[2] in (COLLECTIVE, DISTRIBUTIVE)):
-                    rules.continuation_rules[fields[1]] = fields[2]
-                else:
-                    raise UDRSError(f"{path}:{lineno}: cannot parse rule {line!r}")
+        for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            fields = line.split()
+            if (len(fields) == 4 and fields[0] == "verb"
+                    and fields[2] == "subject"
+                    and fields[3] in (COLLECTIVE, DISTRIBUTIVE)):
+                rules.subject_rules[fields[1]] = fields[3]
+            elif (len(fields) == 3 and fields[0] == "continuation"
+                    and fields[2] in (COLLECTIVE, DISTRIBUTIVE)):
+                rules.continuation_rules[fields[1]] = fields[2]
+            else:
+                raise UDRSError(f"{path}:{lineno}: cannot parse rule {line!r}")
         return rules
 
 

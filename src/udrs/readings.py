@@ -12,18 +12,23 @@ small ints.  Each check is filed under the class whose placement completes
 it, the derived relations of the Closure narrow every class's candidate
 boxes before the search, and once the box forest is fixed "inside or
 equal" is one lookup in a box's ancestor set.
+
+Two scoped DRSs are the same reading when a renaming of referents maps one
+onto the other.  canonical_form is the least shape over all numberings of
+the referents, and render_drs and drs_to_json name referents x<i>/X<i> by
+the numbering that gives it; both come from one labelling search, in
+canonical.py.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    CONDITIONAL, IDENTITY, STRICT, WEAK, Arg, CycleError, DiscourseReferent,
-    Label, Membership, Predicate, Quantifier, ReferentIntro, SubordConstraint,
-    UDRS, UDRSError, closure, strict,
+    CONDITIONAL, GROUP, IDENTITY, STRICT, WEAK, Arg, CycleError,
+    DiscourseReferent, Label, Membership, Predicate, Quantifier, ReferentIntro,
+    SubordConstraint, UDRS, UDRSError, closure, strict,
 )
 from .delay import PendingKey
 from . import plurals
@@ -314,55 +319,16 @@ def _ground(u: UDRS, arg: Arg) -> DiscourseReferent:
 
 # --- Reading identity ----------------------------------------------------------
 
-def _all_referents(d: DRS) -> set[DiscourseReferent]:
-    out = set(d.referents)
-    for rel, args in d.predicates:
-        out.update(args)
-    for e, g in d.memberships:
-        out.update((e, g))
-    for dup in d.duplexes:
-        out |= _all_referents(dup.res) | _all_referents(dup.scope)
-    return out
-
-
-def _shape(d: DRS, naming: dict[DiscourseReferent, int]) -> tuple:
-    return (
-        tuple(sorted(naming[r] for r in d.referents)),
-        tuple(sorted((rel, tuple(naming[a] for a in args))
-                     for rel, args in d.predicates)),
-        tuple(sorted((naming[e], naming[g]) for e, g in d.memberships)),
-        tuple(sorted((dup.rel, _shape(dup.res, naming), _shape(dup.scope, naming))
-                     for dup in d.duplexes)),
-    )
-
-
 def canonical_form(d: DRS) -> tuple:
-    """Reading identity: minimal shape over all referent renamings."""
-    refs = sorted(_all_referents(d), key=lambda r: r.uid)
-    if not refs:
-        return _shape(d, {})
-    best = None
-    for perm in itertools.permutations(range(len(refs))):
-        naming = {r: perm[i] for i, r in enumerate(refs)}
-        shape = _shape(d, naming)
-        if best is None or shape < best:
-            best = shape
-    return best
+    """Reading identity: the least shape over all renamings of referents.
 
-
-def canonical_referent_names(d: DRS) -> dict[DiscourseReferent, str]:
-    """Stable display names derived from the canonical renaming."""
-    refs = sorted(_all_referents(d), key=lambda r: r.uid)
-    if not refs:
-        return {}
-    best, best_perm = None, None
-    for perm in itertools.permutations(range(len(refs))):
-        naming = {r: perm[i] for i, r in enumerate(refs)}
-        shape = _shape(d, naming)
-        if best is None or shape < best:
-            best, best_perm = shape, naming
-    return {r: (f"X{i}" if r.sort == "group" else f"x{i}")
-            for r, i in best_perm.items()}
+    Two DRSs have the same canonical form exactly when a renaming of
+    referents maps one onto the other.
+    """
+    # Imported on first use: without cached bytecode every start compiles
+    # what it imports, and building or serializing a UDRS needs no labelling.
+    from .canonical import canonical_labelling
+    return canonical_labelling(d)[0]
 
 
 # --- Public operations ----------------------------------------------------------
@@ -435,35 +401,38 @@ def check_binding(d: DRS) -> list[str]:
 
 # --- Rendering -------------------------------------------------------------------
 
-def _named_shape(d: DRS, names: dict[DiscourseReferent, str]) -> tuple:
+def _display_names(d: DRS) -> dict[DiscourseReferent, str]:
+    """x<i> or X<i> (groups), i the referent's canonical number."""
+    from .canonical import canonical_labelling  # on first use, as in canonical_form
+    return {r: (f"X{i}" if r.sort == GROUP else f"x{i}")
+            for r, i in canonical_labelling(d)[1].items()}
+
+
+def _named(d: DRS, names: dict[DiscourseReferent, str]) -> tuple:
+    """The box with display names, each part sorted as it is printed:
+    (universe, predicates, memberships, duplexes as (rel, res, scope))."""
     return (
         tuple(sorted(names[r] for r in d.referents)),
         tuple(sorted((rel, tuple(names[a] for a in args))
                      for rel, args in d.predicates)),
         tuple(sorted((names[e], names[g]) for e, g in d.memberships)),
-        tuple(sorted((dup.rel, _named_shape(dup.res, names), _named_shape(dup.scope, names))
+        tuple(sorted((dup.rel, _named(dup.res, names), _named(dup.scope, names))
                      for dup in d.duplexes)),
     )
 
 
 def render_drs(d: DRS) -> str:
-    names = canonical_referent_names(d)
-    return "\n".join(_box_lines(d, names))
+    return "\n".join(_box_lines(_named(d, _display_names(d))))
 
 
-def _box_lines(d: DRS, names: dict[DiscourseReferent, str]) -> list[str]:
-    header = " ".join(sorted(names[r] for r in d.referents))
-    body: list[list[str]] = []
-    for rel, args in sorted(d.predicates, key=lambda p: (p[0], [names[a] for a in p[1]])):
-        body.append([f"{rel}({', '.join(names[a] for a in args)})"])
-    for e, g in sorted(d.memberships, key=lambda m: (names[m[0]], names[m[1]])):
-        body.append([f"{names[e]} in {names[g]}"])
-    for dup in sorted(d.duplexes, key=lambda x: (x.rel, _named_shape(x.res, names),
-                                                 _named_shape(x.scope, names))):
-        res_lines = _box_lines(dup.res, names)
-        scope_lines = _box_lines(dup.scope, names)
-        rel = _REL_DISPLAY.get(dup.rel, dup.rel)
-        body.append(_join_duplex(res_lines, f"={rel}=>", scope_lines))
+def _box_lines(box: tuple) -> list[str]:
+    universe, preds, members, duplexes = box
+    header = " ".join(universe)
+    body: list[list[str]] = [[f"{rel}({', '.join(args)})"] for rel, args in preds]
+    body += [[f"{e} in {g}"] for e, g in members]
+    for rel, res, scope in duplexes:
+        connector = f"={_REL_DISPLAY.get(rel, rel)}=>"
+        body.append(_join_duplex(_box_lines(res), connector, _box_lines(scope)))
 
     width = max([len(header)] + [len(l) for block in body for l in block] + [1])
     top = "+" + "-" * (width + 2) + "+"
@@ -488,20 +457,13 @@ def _join_duplex(res: list[str], connector: str, scope: list[str]) -> list[str]:
 
 
 def drs_to_json(d: DRS) -> dict:
-    names = canonical_referent_names(d)
+    def box(b: tuple) -> dict:
+        universe, preds, members, duplexes = b
+        conds: list[dict] = [{"type": "pred", "rel": rel, "args": list(args)}
+                             for rel, args in preds]
+        conds += [{"type": "member", "element": e, "group": g} for e, g in members]
+        conds += [{"type": "duplex", "rel": _REL_DISPLAY.get(rel, rel),
+                   "res": box(res), "scope": box(scope)} for rel, res, scope in duplexes]
+        return {"referents": list(universe), "conditions": conds}
 
-    def box(b: DRS) -> dict:
-        conds: list[dict] = []
-        for rel, args in sorted(b.predicates, key=lambda p: (p[0], [names[a] for a in p[1]])):
-            conds.append({"type": "pred", "rel": rel,
-                          "args": [names[a] for a in args]})
-        for e, g in sorted(b.memberships, key=lambda m: (names[m[0]], names[m[1]])):
-            conds.append({"type": "member", "element": names[e], "group": names[g]})
-        for dup in sorted(b.duplexes, key=lambda x: (x.rel, _named_shape(x.res, names),
-                                                     _named_shape(x.scope, names))):
-            conds.append({"type": "duplex", "rel": _REL_DISPLAY.get(dup.rel, dup.rel),
-                          "res": box(dup.res), "scope": box(dup.scope)})
-        return {"referents": sorted(names[r] for r in b.referents),
-                "conditions": conds}
-
-    return box(d)
+    return box(_named(d, _display_names(d)))

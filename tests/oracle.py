@@ -10,6 +10,14 @@ obvious, which is the point.
 ``reference_scopings`` is a second, narrower oracle: the library's first,
 plain backtracking scope search, kept verbatim so that the indexed search
 can be held to the same scopings in the same order.
+
+``reference_canonical`` is the library's first reading identity: the least
+shape over every permutation of the referents (n!), with the first
+permutation that reaches it as the display numbering.
+``reference_render`` and ``reference_json`` are the first reading printers,
+given the display names ``reference_names`` makes from that numbering.
+They are kept verbatim so that the canonical labelling can be held to the
+same forms, names and bytes.
 """
 
 from __future__ import annotations
@@ -18,12 +26,12 @@ import itertools
 from typing import Optional
 
 from udrs.core import (
-    CONDITIONAL, IDENTITY, STRICT, WEAK, CycleError, Label, Membership,
-    Predicate, Quantifier, ReferentIntro, UDRS, closure,
+    CONDITIONAL, IDENTITY, STRICT, WEAK, CycleError, DiscourseReferent, Label,
+    Membership, Predicate, Quantifier, ReferentIntro, UDRS, closure,
 )
 from udrs.readings import (
     DRS, TOP_BOX, DuplexCondition, InconsistentConstraints, Scoping,
-    canonical_form, check_binding,
+    check_binding,
 )
 
 TOP = ("top",)
@@ -142,7 +150,7 @@ def oracle_readings(u: UDRS) -> list[DRS]:
             drs = _build(u, place, TOP)
             if check_binding(drs):
                 continue
-            readings.setdefault(canonical_form(drs), drs)
+            readings.setdefault(reference_canonical(drs)[0], drs)
     return list(readings.values())
 
 
@@ -258,3 +266,116 @@ def reference_scopings(u: UDRS) -> list[Scoping]:
 
     assign_duplexes(list(duplex_reps))
     return results
+
+
+def all_referents(d: DRS) -> set[DiscourseReferent]:
+    out = set(d.referents)
+    for rel, args in d.predicates:
+        out.update(args)
+    for e, g in d.memberships:
+        out.update((e, g))
+    for dup in d.duplexes:
+        out |= all_referents(dup.res) | all_referents(dup.scope)
+    return out
+
+
+def _shape(d: DRS, naming: dict[DiscourseReferent, int]) -> tuple:
+    return (
+        tuple(sorted(naming[r] for r in d.referents)),
+        tuple(sorted((rel, tuple(naming[a] for a in args))
+                     for rel, args in d.predicates)),
+        tuple(sorted((naming[e], naming[g]) for e, g in d.memberships)),
+        tuple(sorted((dup.rel, _shape(dup.res, naming), _shape(dup.scope, naming))
+                     for dup in d.duplexes)),
+    )
+
+
+def reference_canonical(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
+    """The least shape over all referent renamings, and the first renaming
+    (in permutation order over referents sorted by uid) that gives it."""
+    refs = sorted(all_referents(d), key=lambda r: r.uid)
+    if not refs:
+        return _shape(d, {}), {}
+    best, best_perm = None, None
+    for perm in itertools.permutations(range(len(refs))):
+        naming = {r: perm[i] for i, r in enumerate(refs)}
+        shape = _shape(d, naming)
+        if best is None or shape < best:
+            best, best_perm = shape, naming
+    return best, best_perm
+
+
+def reference_names(naming: dict[DiscourseReferent, int]) -> dict[DiscourseReferent, str]:
+    return {r: (f"X{i}" if r.sort == "group" else f"x{i}") for r, i in naming.items()}
+
+
+_REL_DISPLAY = {"distribution": "dist"}
+
+
+def _named_shape(d: DRS, names: dict[DiscourseReferent, str]) -> tuple:
+    return (
+        tuple(sorted(names[r] for r in d.referents)),
+        tuple(sorted((rel, tuple(names[a] for a in args))
+                     for rel, args in d.predicates)),
+        tuple(sorted((names[e], names[g]) for e, g in d.memberships)),
+        tuple(sorted((dup.rel, _named_shape(dup.res, names), _named_shape(dup.scope, names))
+                     for dup in d.duplexes)),
+    )
+
+
+def reference_render(d: DRS, names: dict[DiscourseReferent, str]) -> str:
+    return "\n".join(_box_lines(d, names))
+
+
+def _box_lines(d: DRS, names: dict[DiscourseReferent, str]) -> list[str]:
+    header = " ".join(sorted(names[r] for r in d.referents))
+    body: list[list[str]] = []
+    for rel, args in sorted(d.predicates, key=lambda p: (p[0], [names[a] for a in p[1]])):
+        body.append([f"{rel}({', '.join(names[a] for a in args)})"])
+    for e, g in sorted(d.memberships, key=lambda m: (names[m[0]], names[m[1]])):
+        body.append([f"{names[e]} in {names[g]}"])
+    for dup in sorted(d.duplexes, key=lambda x: (x.rel, _named_shape(x.res, names),
+                                                 _named_shape(x.scope, names))):
+        res_lines = _box_lines(dup.res, names)
+        scope_lines = _box_lines(dup.scope, names)
+        rel = _REL_DISPLAY.get(dup.rel, dup.rel)
+        body.append(_join_duplex(res_lines, f"={rel}=>", scope_lines))
+
+    width = max([len(header)] + [len(l) for block in body for l in block] + [1])
+    top = "+" + "-" * (width + 2) + "+"
+    out = [top, f"| {header.ljust(width)} |", "+" + "-" * (width + 2) + "+"]
+    for block in body:
+        for line in block:
+            out.append(f"| {line.ljust(width)} |")
+    out.append(top)
+    return out
+
+
+def _join_duplex(res: list[str], connector: str, scope: list[str]) -> list[str]:
+    height = max(len(res), len(scope))
+    res += [" " * len(res[0])] * (height - len(res))
+    scope += [" " * len(scope[0])] * (height - len(scope))
+    mid = height // 2
+    lines = []
+    for i in range(height):
+        joint = connector if i == mid else " " * len(connector)
+        lines.append(f"{res[i]} {joint} {scope[i]}")
+    return lines
+
+
+def reference_json(d: DRS, names: dict[DiscourseReferent, str]) -> dict:
+    def box(b: DRS) -> dict:
+        conds: list[dict] = []
+        for rel, args in sorted(b.predicates, key=lambda p: (p[0], [names[a] for a in p[1]])):
+            conds.append({"type": "pred", "rel": rel,
+                          "args": [names[a] for a in args]})
+        for e, g in sorted(b.memberships, key=lambda m: (names[m[0]], names[m[1]])):
+            conds.append({"type": "member", "element": names[e], "group": names[g]})
+        for dup in sorted(b.duplexes, key=lambda x: (x.rel, _named_shape(x.res, names),
+                                                     _named_shape(x.scope, names))):
+            conds.append({"type": "duplex", "rel": _REL_DISPLAY.get(dup.rel, dup.rel),
+                          "res": box(dup.res), "scope": box(dup.scope)})
+        return {"referents": sorted(names[r] for r in b.referents),
+                "conditions": conds}
+
+    return box(d)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import golden_path
-from udrs.cli import Session, build_session, run
+from udrs.cli import Session, _read_corpus, build_session, run
 
 
 def read_golden(name):
@@ -93,6 +93,13 @@ class TestParseCommand:
         assert run(["corpus", missing]) == 1
         assert run(["corpus", str(latin1)]) == 1
         assert capsys.readouterr().err.count("error: ") == 3
+
+    def test_corpus_reader_rejects_non_utf8(self, tmp_path):
+        from udrs.core import EncodingError
+        corpus = tmp_path / "latin1.txt"
+        corpus.write_bytes(b"case: c\ninput: John left.\xff\n")
+        with pytest.raises(EncodingError, match="latin1.txt: not UTF-8"):
+            _read_corpus(str(corpus))
 
     def test_no_input_exits_1(self, capsys):
         assert run(["parse"]) == 1

@@ -1,6 +1,7 @@
 """Bad input fails with a UDRSError, never another exception.
 
-Each reader gets arbitrary input and must either succeed or raise UDRSError.
+Each reader gets arbitrary input and must either succeed or raise UDRSError;
+the file readers also get arbitrary bytes, most of them not UTF-8.
 """
 
 import json
@@ -10,7 +11,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from udrs import UDRSError, from_json, parse, tokenize
+from udrs import Lexicon, UDRSError, from_json, parse, tokenize
 from udrs.cli import _read_corpus, build_session
 from udrs.plurals import KnowledgeRules
 
@@ -67,10 +68,14 @@ def accepts_or_raises_udrs_error(fn, *args):
 
 
 def from_file_text(reader, text):
+    from_file_bytes(reader, text.encode("utf-8"))
+
+
+def from_file_bytes(reader, data):
     fd, path = tempfile.mkstemp(suffix=".txt")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         accepts_or_raises_udrs_error(reader, path)
     finally:
         os.unlink(path)
@@ -118,6 +123,26 @@ CORPUS_LINES = st.lists(
 @given(CORPUS_LINES)
 def test_corpus_reader(text):
     from_file_text(_read_corpus, text)
+
+
+LEXICON_LINES = st.lists(
+    st.sampled_from(["# comment", "foo noun foo", "foos noun foo pl",
+                     "bar verb-intrans bar collective-only", "baz verb-trans baz",
+                     "qux name qux", "word whatpos rel", "noun", ""])
+    | TEXT, max_size=6).map("\n".join)
+
+
+@FUZZ
+@given(LEXICON_LINES)
+def test_lexicon_reader(text):
+    from_file_text(Lexicon.from_file, text)
+
+
+@FUZZ
+@given(st.binary(max_size=200))
+def test_file_readers_on_any_bytes(data):
+    for reader in (Lexicon.from_file, KnowledgeRules.from_file, _read_corpus):
+        from_file_bytes(reader, data)
 
 
 @FUZZ

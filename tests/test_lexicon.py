@@ -166,3 +166,11 @@ def test_lexicon_file_errors(tmp_path):
     bad.write_text("word whatpos rel\n")
     with pytest.raises(LexiconError):
         Lexicon.from_file(str(bad))
+
+
+def test_lexicon_file_not_utf8(tmp_path):
+    from udrs.core import EncodingError
+    bad = tmp_path / "latin1.lex"
+    bad.write_bytes(b"caf\xe9 noun cafe\n\xff\n")
+    with pytest.raises(EncodingError, match="latin1.lex: not UTF-8"):
+        Lexicon.from_file(str(bad))

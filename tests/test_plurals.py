@@ -169,6 +169,13 @@ class TestDecide:
         with pytest.raises(UDRSError):
             KnowledgeRules.from_file(str(bad))
 
+    def test_rules_file_not_utf8(self, tmp_path):
+        from udrs.core import EncodingError
+        bad = tmp_path / "latin1.rules"
+        bad.write_bytes(b"verb gather subject collective # caf\xe9\n")
+        with pytest.raises(EncodingError, match="latin1.rules: not UTF-8"):
+            KnowledgeRules.from_file(str(bad))
+
 
 class TestDiscourseDisambiguation:
     def test_continuation_rule_yields_structure_15(self, corpus_rules):
