@@ -43,6 +43,7 @@ class Session:
         self.sentence_signs: list[Sign] = []
         self.coord_deltas: list[tuple] = []
         self.coord_cond_deltas: list[tuple] = []
+        self.parses = 1  # of the input text; build_session keeps the first
 
     @property
     def udrs(self) -> UDRS:
@@ -92,10 +93,9 @@ def build_session(text: str, lexicon: Optional[Lexicon] = None,
     derivations = parse(tokenize(text), lexicon or Lexicon.default())
     if not derivations:
         raise ParseFailure(0, "no input")
-    if len(derivations) > 1:
-        print(f"note: {len(derivations)} parses; using the first", file=sys.stderr)
     roots = sentence_roots(derivations[0])
     session = Session(lexicon, rules)
+    session.parses = len(derivations)
     for root in roots:
         session.add(root)
     return session, roots
@@ -170,6 +170,11 @@ def _trace_semantics(session: Session, roots: list[DerivationNode]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _note_parses(session: Session) -> None:
+    if session.parses > 1:
+        print(f"note: {session.parses} parses; using the first", file=sys.stderr)
+
+
 def cmd_parse(args: argparse.Namespace) -> int:
     lexicon = Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon.default()
     rules = KnowledgeRules.from_file(args.rules) if args.rules else None
@@ -179,6 +184,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         raise UDRSError("no input: give a sentence or --corpus FILE")
     session, roots = build_directed_session(args.text, args.disambiguate or [],
                                             lexicon, rules)
+    _note_parses(session)
     u = session.udrs
 
     if args.trace_syntax:
@@ -268,6 +274,7 @@ def run_corpus(path: str, lexicon: Optional[Lexicon] = None,
         try:
             session, _ = build_directed_session(case.input, case.disambiguate,
                                                 lexicon, rules)
+            _note_parses(session)
             if case.expect_udrs is not None:
                 expected = json.loads(read_text(os.path.join(base, case.expect_udrs)))
                 got = to_json(session.udrs)
@@ -280,6 +287,8 @@ def run_corpus(path: str, lexicon: Optional[Lexicon] = None,
                                     f"expected {case.expect_readings}")
         except UDRSError as e:
             problems.append(str(e))
+        except json.JSONDecodeError as e:
+            problems.append(f"expect-udrs {case.expect_udrs} is not JSON: {e}")
         if problems:
             failures += 1
             print(f"FAIL {case.name}: {'; '.join(problems)}", file=out)

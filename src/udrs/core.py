@@ -297,132 +297,118 @@ class Closure:
     and >, interchange of identity-related labels, strict∘weak = strict, and
     fixpoint activation of conditional constraints whose antecedent's strict
     relation became derivable.
+
+    Identity constraints merge labels into classes (union-find), numbered in
+    uid order of their least-uid labels, the representatives.  Bit j of
+    class i's weak row is set when i >= j, bit i always; a bit-parallel
+    Warshall closes the rows, ORing row k into every row that has bit k.
+    Class i's strict row ORs the weak rows of the targets of the strict
+    edges that leave the classes in i's weak row.  A conditional fires on a
+    bit of a strict row: its consequent a >= b ORs row b into every row with
+    bit a, which keeps the rows closed, and the strict rows are derived
+    again until none fires.  ``activated`` lists the fired conditionals in
+    firing order, each round's in the order the constraint set iterates.
+
+    A round that derives a strict cycle raises CycleError.  It names the
+    least-uid representative of a class strictly subordinate to itself,
+    that is, of a class on a cycle with a strict edge.
     """
 
     def __init__(self, constraints: Iterable[SubordConstraint]):
         self.constraints = frozenset(constraints)
-        self._parent: dict[Label, Label] = {}
-        self.domain: set[Label] = set()
-        for c in self.constraints:
-            self.domain.update((c.left, c.right))
-            if c.antecedent:
-                self.domain.update(c.antecedent)
-        for l in self.domain:
-            self._parent[l] = l
-        for c in self.constraints:
+        index: dict[Label, int] = {}  # labels as ints, in order of first mention
+        ends = [[index.setdefault(l, len(index))
+                 for l in (c.left, c.right, *(c.antecedent or ()))]
+                for c in self.constraints]
+        self.domain: set[Label] = set(index)
+        labels = list(index)
+        parent = list(range(len(labels)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            return i
+
+        for c, (i, j, *_) in zip(self.constraints, ends):
             if c.kind == IDENTITY:
-                self._union(c.left, c.right)
+                parent[find(i)] = find(j)
+        self._reps: list[Label] = []
+        number: dict[int, int] = {}  # union-find root -> class
+        cls = [0] * len(labels)
+        for i in sorted(range(len(labels)), key=lambda i: labels[i].uid):
+            cls[i] = number.setdefault(find(i), len(number))
+            if cls[i] == len(self._reps):
+                self._reps.append(labels[i])
+        self._class = dict(zip(labels, cls))
+
+        rows = self._weak = [1 << k for k in range(len(self._reps))]
+        strict_edges, pending = [], []
+        for c, ints in zip(self.constraints, ends):
+            if c.kind == CONDITIONAL:
+                pending.append((c, *[cls[i] for i in ints]))
+            elif c.kind != IDENTITY:
+                a, b = cls[ints[0]], cls[ints[1]]
+                rows[a] |= 1 << b
+                if c.kind == STRICT:
+                    strict_edges.append((a, b))
+        for k, row in enumerate(rows):
+            if row != 1 << k:
+                rows[:] = [r | row if r >> k & 1 else r for r in rows]
         self.activated: list[SubordConstraint] = []
-        self._rel: dict[tuple[Label, Label], int] = {}  # rep pair -> 1 weak / 2 strict
-        self._solve()
-
-    # union-find over identity constraints
-    def _find(self, l: Label) -> Label:
-        p = self._parent
-        while p[l] != l:
-            p[l] = p[p[l]]
-            l = p[l]
-        return l
-
-    def _union(self, a: Label, b: Label) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def _solve(self) -> None:
-        active = [c for c in self.constraints if c.kind in (WEAK, STRICT)]
-        pending = [c for c in self.constraints if c.kind == CONDITIONAL]
         while True:
-            self._close(active)
-            fired = [c for c in pending
-                     if self._rel.get((self._find(c.antecedent[0]),
-                                       self._find(c.antecedent[1]))) == 2]
+            via = [0] * len(rows)  # via[a]: what a's strict successors dominate
+            for a, b in strict_edges:
+                via[a] |= rows[b]
+            self._strict = [0] * len(rows)
+            for a, below in enumerate(via):
+                if below:
+                    self._strict = [s | below if r >> a & 1 else s
+                                    for r, s in zip(rows, self._strict)]
+            cyclic = [i for i, s in enumerate(self._strict) if s >> i & 1]
+            if cyclic:
+                raise CycleError(self._reps[cyclic[0]])
+            fired = [p for p in pending if self._strict[p[3]] >> p[4] & 1]
             if not fired:
                 break
-            for c in fired:
-                pending.remove(c)
+            pending = [p for p in pending if p not in fired]
+            for c, a, b, _, _ in fired:
                 self.activated.append(c)
-                active.append(weak(c.left, c.right))
-
-    def _close(self, active: list[SubordConstraint]) -> None:
-        reps = sorted({self._find(l) for l in self.domain}, key=lambda l: l.uid)
-        rel = {(r, r): 1 for r in reps}
-        for c in active:
-            a, b = self._find(c.left), self._find(c.right)
-            strength = 2 if c.kind == STRICT else 1
-            rel[(a, b)] = max(rel.get((a, b), 0), strength)
-        for k in reps:
-            for i in reps:
-                ik = rel.get((i, k))
-                if not ik:
-                    continue
-                for j in reps:
-                    kj = rel.get((k, j))
-                    if not kj:
-                        continue
-                    composed = max(ik, kj)  # any strict step makes the path strict
-                    if composed > rel.get((i, j), 0):
-                        rel[(i, j)] = composed
-        for r in reps:
-            if rel.get((r, r)) == 2:
-                raise CycleError(r)
-        self._rel = rel
+                below = rows[b]  # whatever has bit a gains row b: still closed
+                rows[:] = [r | below if r >> a & 1 else r for r in rows]
 
     # queries -----------------------------------------------------------
 
     def identical(self, a: Label, b: Label) -> bool:
-        if a == b:
-            return True
-        if a not in self._parent or b not in self._parent:
-            return False
-        return self._find(a) == self._find(b)
+        i = self._class.get(a)
+        return a == b or (i is not None and i == self._class.get(b))
 
     def strictly(self, a: Label, b: Label) -> bool:
         """a > b derivable."""
-        if a not in self._parent or b not in self._parent:
-            return False
-        return self._rel.get((self._find(a), self._find(b))) == 2
+        i, j = self._class.get(a), self._class.get(b)
+        return i is not None and j is not None and self._strict[i] >> j & 1 == 1
 
     def weakly(self, a: Label, b: Label) -> bool:
         """a >= b derivable (identity and strict both imply it)."""
-        if a == b:
-            return True
-        if a not in self._parent or b not in self._parent:
-            return False
-        return self._rel.get((self._find(a), self._find(b)), 0) >= 1
+        i, j = self._class.get(a), self._class.get(b)
+        return a == b or (i is not None and j is not None and self._weak[i] >> j & 1 == 1)
 
     def representative(self, l: Label) -> Label:
         """The label that stands for l's identity class in derived_pairs()."""
-        return self._find(l) if l in self._parent else l
+        return self._reps[self._class[l]] if l in self._class else l
 
     def derived_pairs(self) -> Iterator[tuple[Label, Label, bool]]:
         """Every derived a >= b between distinct class representatives.
 
         The flag is True when a > b is derivable.
         """
-        for (a, b), strength in self._rel.items():
-            if a != b:
-                yield a, b, strength == 2
+        for i, (a, row, strict_row) in enumerate(zip(self._reps, self._weak, self._strict)):
+            for j, b in enumerate(self._reps):
+                if j != i and row >> j & 1:
+                    yield a, b, strict_row >> j & 1 == 1
 
     def eq_class(self, l: Label) -> set[Label]:
-        if l not in self._parent:
-            return {l}
-        r = self._find(l)
-        return {m for m in self.domain if self._find(m) == r}
-
-    def relations(self) -> Iterator[tuple[str, Label, Label]]:
-        """The full derived relation set over the domain."""
-        for a in self.domain:
-            for b in self.domain:
-                if self.identical(a, b):
-                    yield (IDENTITY, a, b)
-                elif self.strictly(a, b):
-                    yield (STRICT, a, b)
-                elif self.weakly(a, b):
-                    yield (WEAK, a, b)
-
-    def to_constraints(self) -> frozenset[SubordConstraint]:
-        return frozenset(SubordConstraint(k, a, b) for k, a, b in self.relations())
+        i = self._class.get(l)
+        return {l} if i is None else {m for m, k in self._class.items() if k == i}
 
 
 def closure(constraints: Iterable[SubordConstraint]) -> Closure:

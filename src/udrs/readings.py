@@ -17,12 +17,13 @@ Two scoped DRSs are the same reading when a renaming of referents maps one
 onto the other.  canonical_form is the least shape over all numberings of
 the referents, and render_drs and drs_to_json name referents x<i>/X<i> by
 the numbering that gives it; both come from one labelling search, in
-canonical.py.
+canonical.py, that each DRS value runs at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -54,6 +55,14 @@ class DRS:
     predicates: frozenset[tuple[str, tuple[DiscourseReferent, ...]]]
     memberships: frozenset[tuple[DiscourseReferent, DiscourseReferent]]
     duplexes: frozenset["DuplexCondition"]
+
+    @cached_property
+    def labelling(self) -> tuple[tuple, dict[DiscourseReferent, int]]:
+        """(shape, numbering) from canonical_labelling, found once per DRS."""
+        # Imported on first use: without cached bytecode every start compiles
+        # what it imports, and building or serializing a UDRS needs no labelling.
+        from .canonical import canonical_labelling
+        return canonical_labelling(self)
 
 
 @dataclass(frozen=True)
@@ -325,10 +334,7 @@ def canonical_form(d: DRS) -> tuple:
     Two DRSs have the same canonical form exactly when a renaming of
     referents maps one onto the other.
     """
-    # Imported on first use: without cached bytecode every start compiles
-    # what it imports, and building or serializing a UDRS needs no labelling.
-    from .canonical import canonical_labelling
-    return canonical_labelling(d)[0]
+    return d.labelling[0]
 
 
 # --- Public operations ----------------------------------------------------------
@@ -403,9 +409,8 @@ def check_binding(d: DRS) -> list[str]:
 
 def _display_names(d: DRS) -> dict[DiscourseReferent, str]:
     """x<i> or X<i> (groups), i the referent's canonical number."""
-    from .canonical import canonical_labelling  # on first use, as in canonical_form
     return {r: (f"X{i}" if r.sort == GROUP else f"x{i}")
-            for r, i in canonical_labelling(d)[1].items()}
+            for r, i in d.labelling[1].items()}
 
 
 def _named(d: DRS, names: dict[DiscourseReferent, str]) -> tuple:

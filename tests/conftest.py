@@ -8,7 +8,10 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))  # for the oracle helper module
 
 from udrs import KnowledgeRules, Lexicon
-from udrs.core import conditional, identity, strict, weak
+from udrs.core import (
+    IDENTITY, STRICT, WEAK, SubordConstraint, conditional, identity, strict,
+    weak,
+)
 from udrs.cli import CorpusCase, Session, _read_corpus, build_session
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -67,3 +70,20 @@ def random_superset(u, rng: random.Random, max_extra: int = 3):
             c, d = rng.sample(labels, 2)
             extra.append(conditional(a, b, c, d))
     return dataclasses.replace(u, subord=u.subord | set(extra))
+
+
+def relations(c):
+    """The full derived relation set over a closure's domain."""
+    for a in c.domain:
+        for b in c.domain:
+            if c.identical(a, b):
+                yield (IDENTITY, a, b)
+            elif c.strictly(a, b):
+                yield (STRICT, a, b)
+            elif c.weakly(a, b):
+                yield (WEAK, a, b)
+
+
+def to_constraints(c) -> frozenset:
+    """The derived relations of a closure as a constraint set."""
+    return frozenset(SubordConstraint(k, a, b) for k, a, b in relations(c))

@@ -9,7 +9,11 @@ obvious, which is the point.
 
 ``reference_scopings`` is a second, narrower oracle: the library's first,
 plain backtracking scope search, kept verbatim so that the indexed search
-can be held to the same scopings in the same order.
+can be held to the same scopings in the same order.  It derives its
+relations with ``ReferenceClosure``, the library's first closure
+(Floyd-Warshall over a dict of label pairs), kept verbatim so that the
+bit-parallel closure can be held to the same relations; its two test-only
+methods, ``relations`` and ``to_constraints``, are functions in conftest.
 
 ``reference_canonical`` is the library's first reading identity: the least
 shape over every permutation of the referents (n!), with the first
@@ -23,11 +27,12 @@ same forms, names and bytes.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from udrs.core import (
     CONDITIONAL, IDENTITY, STRICT, WEAK, CycleError, DiscourseReferent, Label,
-    Membership, Predicate, Quantifier, ReferentIntro, UDRS, closure,
+    Membership, Predicate, Quantifier, ReferentIntro, SubordConstraint, UDRS,
+    weak,
 )
 from udrs.readings import (
     DRS, TOP_BOX, DuplexCondition, InconsistentConstraints, Scoping,
@@ -158,6 +163,127 @@ def oracle_count(u: UDRS) -> int:
     return len(oracle_readings(u))
 
 
+class ReferenceClosure:
+    """Derived subordination relations of a constraint set.
+
+    The least relation closed under reflexivity of >=, transitivity of >=
+    and >, interchange of identity-related labels, strict∘weak = strict, and
+    fixpoint activation of conditional constraints whose antecedent's strict
+    relation became derivable.
+    """
+
+    def __init__(self, constraints: Iterable[SubordConstraint]):
+        self.constraints = frozenset(constraints)
+        self._parent: dict[Label, Label] = {}
+        self.domain: set[Label] = set()
+        for c in self.constraints:
+            self.domain.update((c.left, c.right))
+            if c.antecedent:
+                self.domain.update(c.antecedent)
+        for l in self.domain:
+            self._parent[l] = l
+        for c in self.constraints:
+            if c.kind == IDENTITY:
+                self._union(c.left, c.right)
+        self.activated: list[SubordConstraint] = []
+        self._rel: dict[tuple[Label, Label], int] = {}  # rep pair -> 1 weak / 2 strict
+        self._solve()
+
+    # union-find over identity constraints
+    def _find(self, l: Label) -> Label:
+        p = self._parent
+        while p[l] != l:
+            p[l] = p[p[l]]
+            l = p[l]
+        return l
+
+    def _union(self, a: Label, b: Label) -> None:
+        ra, rb = self._find(a), self._find(b)
+        if ra != rb:
+            self._parent[ra] = rb
+
+    def _solve(self) -> None:
+        active = [c for c in self.constraints if c.kind in (WEAK, STRICT)]
+        pending = [c for c in self.constraints if c.kind == CONDITIONAL]
+        while True:
+            self._close(active)
+            fired = [c for c in pending
+                     if self._rel.get((self._find(c.antecedent[0]),
+                                       self._find(c.antecedent[1]))) == 2]
+            if not fired:
+                break
+            for c in fired:
+                pending.remove(c)
+                self.activated.append(c)
+                active.append(weak(c.left, c.right))
+
+    def _close(self, active: list[SubordConstraint]) -> None:
+        reps = sorted({self._find(l) for l in self.domain}, key=lambda l: l.uid)
+        rel = {(r, r): 1 for r in reps}
+        for c in active:
+            a, b = self._find(c.left), self._find(c.right)
+            strength = 2 if c.kind == STRICT else 1
+            rel[(a, b)] = max(rel.get((a, b), 0), strength)
+        for k in reps:
+            for i in reps:
+                ik = rel.get((i, k))
+                if not ik:
+                    continue
+                for j in reps:
+                    kj = rel.get((k, j))
+                    if not kj:
+                        continue
+                    composed = max(ik, kj)  # any strict step makes the path strict
+                    if composed > rel.get((i, j), 0):
+                        rel[(i, j)] = composed
+        for r in reps:
+            if rel.get((r, r)) == 2:
+                raise CycleError(r)
+        self._rel = rel
+
+    # queries -----------------------------------------------------------
+
+    def identical(self, a: Label, b: Label) -> bool:
+        if a == b:
+            return True
+        if a not in self._parent or b not in self._parent:
+            return False
+        return self._find(a) == self._find(b)
+
+    def strictly(self, a: Label, b: Label) -> bool:
+        """a > b derivable."""
+        if a not in self._parent or b not in self._parent:
+            return False
+        return self._rel.get((self._find(a), self._find(b))) == 2
+
+    def weakly(self, a: Label, b: Label) -> bool:
+        """a >= b derivable (identity and strict both imply it)."""
+        if a == b:
+            return True
+        if a not in self._parent or b not in self._parent:
+            return False
+        return self._rel.get((self._find(a), self._find(b)), 0) >= 1
+
+    def representative(self, l: Label) -> Label:
+        """The label that stands for l's identity class in derived_pairs()."""
+        return self._find(l) if l in self._parent else l
+
+    def derived_pairs(self) -> Iterator[tuple[Label, Label, bool]]:
+        """Every derived a >= b between distinct class representatives.
+
+        The flag is True when a > b is derivable.
+        """
+        for (a, b), strength in self._rel.items():
+            if a != b:
+                yield a, b, strength == 2
+
+    def eq_class(self, l: Label) -> set[Label]:
+        if l not in self._parent:
+            return {l}
+        r = self._find(l)
+        return {m for m in self.domain if self._find(m) == r}
+
+
 def reference_scopings(u: UDRS) -> list[Scoping]:
     """The plain backtracking search the library's scope search must match.
 
@@ -166,7 +292,7 @@ def reference_scopings(u: UDRS) -> list[Scoping]:
     readings.enumerate_scopings, only slower.
     """
     try:
-        c = closure(u.subord)
+        c = ReferenceClosure(u.subord)
     except CycleError as e:
         raise InconsistentConstraints(str(e)) from None
 

@@ -223,3 +223,20 @@ def test_symmetric_discourse_within_a_second(text, shape):
     header = text_out.splitlines()[1].strip("| ").split()
     assert header == sorted(f"x{i}" for i in shape[0])
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+def test_each_reading_is_labelled_once(monkeypatch):
+    import udrs.canonical
+    from udrs.readings import enumerate_readings
+    calls = []
+    labelling = udrs.canonical.canonical_labelling
+    monkeypatch.setattr(udrs.canonical, "canonical_labelling",
+                        lambda d: calls.append(d) or labelling(d))
+    readings = enumerate_readings(analyze("Every lawyer hired a secretary.").udrs)
+    labelled = len(calls)
+    assert len(readings) == 2 and labelled >= 2
+    for d in readings:
+        render_drs(d)
+        drs_to_json(d)
+        canonical_form(d)
+    assert len(calls) == labelled  # printing reads dedup's labelling

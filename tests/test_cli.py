@@ -135,6 +135,19 @@ class TestCorpusCommand:
         assert run(["corpus", str(corpus)]) == 1
         assert "udrs mismatch" in capsys.readouterr().out
 
+    def test_expected_udrs_not_json_fails_the_case(self, tmp_path, capsys):
+        (tmp_path / "expected.json").write_text("not json")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("case: bad-expectation\ninput: John left.\n"
+                          "expect-udrs: expected.json\n\n"
+                          "case: fine\ninput: John left.\nexpect-readings: 1\n")
+        assert run(["corpus", str(corpus)]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            "FAIL bad-expectation: expect-udrs expected.json is not JSON: "
+            "Expecting value: line 1 column 1 (char 0)",
+            "PASS fine"]
+
     def test_malformed_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("case: no-input\nexpect-readings: 1\n")
@@ -153,6 +166,16 @@ class TestSession:
         session, _ = build_session("John left. Mary left.")
         tops = [l for l in session.udrs.labels() if l.is_top]
         assert len(tops) == 1
+
+    def test_parse_count_noted_by_the_cli_only(self, monkeypatch, capsys):
+        import udrs.cli
+        real_parse = udrs.cli.parse
+        monkeypatch.setattr(udrs.cli, "parse", lambda *a: real_parse(*a) * 2)
+        session, _ = build_session("John left.")
+        assert session.parses == 2
+        assert capsys.readouterr().err == ""
+        assert run(["parse", "John left."]) == 0
+        assert capsys.readouterr().err == "note: 2 parses; using the first\n"
 
     def test_disambiguate_unknown_index(self):
         session, _ = build_session("The lawyers hired a secretary.")

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import analyze, corpus_cases, random_superset, session_for_case
+from conftest import (
+    analyze, corpus_cases, random_superset, relations, session_for_case,
+)
 from oracle import oracle_count, oracle_readings
 from udrs import (
     LS, SubordConstraint, closure, fresh_label, make_udrs, strict,
@@ -69,7 +71,7 @@ class TestSoundness:
             scopings = enumerate_scopings(u)
             assert scopings
             for scoping in scopings:
-                for kind, a, b in derived.relations():
+                for kind, a, b in relations(derived):
                     if a == b:
                         continue
                     assert scoping.satisfies(SubordConstraint(kind, a, b)), (
