@@ -207,7 +207,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         else:
             doc = {"udrs": to_json(u),
                    "readings": [drs_to_json(d) for d in readings]}
-            print(json.dumps(doc, indent=2))
+            print(json.dumps(doc, indent=2, ensure_ascii=False))
     else:
         print(render_text(u), end="")
         if readings is not None:

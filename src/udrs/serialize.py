@@ -1,24 +1,38 @@
 """Canonical JSON serialization of UDRSs, plus DOT and plain-text rendering.
 
-Label ids render as stable strings assigned in first-mention order of a
-canonical traversal; the top label is always "l0".  Because the traversal
-depends only on the structure, alpha-equivalent UDRSs serialize to identical
-documents and serialize ∘ parse is the identity on documents.
+Labels are named "l1", "l2", ... and referents "x0", "x1", ... in order of
+first mention: the distinguished labels, then the conditions sorted by
+structure, then the labels only constraints mention; the top label is
+always "l0".  serialize ∘ parse is the identity on documents.  The sort
+falls back on ``Label.uid`` when structural keys tie, so two alpha-equivalent
+UDRSs serialize identically only when no such tie is left.  One tie that
+is: the collective reading of the UDRS rebuilt from ``udrs_11.json`` names
+``l5`` and ``l6`` the other way round from ``udrs_15.json`` (ROADMAP item 9).
+
+``to_json_str`` writes one fixed layout: keys in a fixed order, a 2-space
+indent, and text other than ASCII written as UTF-8, not escaped; that is the
+text ``json.dumps(doc, indent=2, ensure_ascii=False)`` gives, plus a newline.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
+from operator import itemgetter
 
 from .core import (
     CONDITIONAL, DISTRIBUTION, EVERY, IDENTITY, STRICT, WEAK,
     Arg, Condition, DiscourseReferent, Label, LS, Membership, Predicate,
-    Quantifier, ReferentIntro, SubordConstraint, UDRS, UDRSError,
+    Quantifier, ReferentIntro, UDRS, UDRSError,
     conditional, identity, make_udrs, strict, weak,
 )
 from .delay import PendingKey
 
 _KIND_ORDER = {WEAK: 0, STRICT: 1, IDENTITY: 2, CONDITIONAL: 3}
+# A label's roles in one constraint, as its signature records them.
+_ROLES = {kind: ((order, "L"), (order, "R")) for kind, order in _KIND_ORDER.items()}
+_ANTECEDENT_ROLE = (3, "A")
+_PENDING_SHAPE = ("p",)
 _QUANT_NAMES = {EVERY: "every", DISTRIBUTION: "dist"}
 _QUANT_RELS = {v: k for k, v in _QUANT_NAMES.items()}
 _CONSTRUCTORS = {WEAK: weak, STRICT: strict, IDENTITY: identity}
@@ -28,184 +42,209 @@ class SerializationError(UDRSError):
     pass
 
 
-def _arg_shape(u: UDRS, arg: Arg) -> tuple:
-    arg = u.resolve(arg)
+def _arg_shape(arg: Arg) -> tuple:
+    """The sort key of a resolved argument."""
     if isinstance(arg, DiscourseReferent):
         return ("r", arg.sort)
-    return ("p",)
+    return _PENDING_SHAPE
 
 
-def _base_key(u: UDRS, cond: Condition) -> tuple:
-    if isinstance(cond, ReferentIntro):
-        return (0, cond.dref.sort)
-    if isinstance(cond, Predicate):
-        return (1, cond.rel, len(cond.args), tuple(_arg_shape(u, a) for a in cond.args))
-    if isinstance(cond, Quantifier):
-        return (2, cond.rel)
-    if isinstance(cond, Membership):
-        return (3, _arg_shape(u, cond.element), _arg_shape(u, cond.group))
-    raise SerializationError(f"unknown condition type {type(cond).__name__}")
+def _value(v, pad: str) -> str:
+    """A rel or sort as JSON text on a line indented by pad.  Only documents
+    written by hand give these fields values that are not strings."""
+    if type(v) is str:
+        return encode_basestring(v)
+    return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + pad)
 
 
-def _label_signatures(u: UDRS) -> dict[Label, tuple]:
-    """Structural fingerprint per label, independent of label identity."""
-    by_label: dict[Label, list] = {}
-    for cond in u.conds:
-        by_label.setdefault(cond.label, []).append(_base_key(u, cond))
-    roles: dict[Label, list] = {}
-    for c in u.subord:
-        roles.setdefault(c.left, []).append((_KIND_ORDER[c.kind], "L"))
-        roles.setdefault(c.right, []).append((_KIND_ORDER[c.kind], "R"))
-        if c.antecedent:
-            for l in c.antecedent:
-                roles.setdefault(l, []).append((3, "A"))
-    sigs = {}
-    for l in u.labels():
-        sigs[l] = (tuple(sorted(by_label.get(l, []))),
-                   tuple(sorted(roles.get(l, []))))
-    return sigs
+def _items(items: list[str], pad: str) -> str:
+    """A JSON list of item texts, closed at indentation pad."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
-def _sorted_conditions(u: UDRS) -> list[Condition]:
-    sigs = _label_signatures(u)
+class _Naming:
+    """One UDRS's label and referent numbers, and its conditions in
+    document order: each with its resolved arguments.
 
-    def key(cond: Condition) -> tuple:
-        extra: tuple = ()
-        if isinstance(cond, Quantifier):
-            extra = (sigs[cond.res], sigs[cond.scope])
-        return (_base_key(u, cond), sigs[cond.label], extra, cond.label.uid)
+    Conditions sort by their structural key, their label's signature, their
+    boxes' signatures (quantifiers) and then label uid.  A label's signature
+    is the sorted keys of its conditions and the sorted roles it plays in
+    constraints.  Labels are numbered in first mention: the distinguished
+    labels, the sorted conditions, then the constraints that still have an
+    unnumbered label, in order of their numbers so far (uid for the rest).
+    A pending key inside a membership numbers its labels only as the
+    document is written.
+    """
 
-    return sorted(u.conds, key=key)
-
-
-class _Namer:
     def __init__(self, u: UDRS):
-        self.labels: dict[Label, str] = {}
-        self.refs: dict[DiscourseReferent, str] = {}
-        self._next_label = 1
-        self._next_ref = 0
-        for l in u.labels():
-            if l.is_top:
-                self.labels[l] = "l0"
+        self.u = u
+        resolve = u.resolve
+        rows = []
+        by_label: dict[Label, list] = {}
+        boxes: list[Label] = []
+        for cond in u.conds:
+            if isinstance(cond, ReferentIntro):
+                args: tuple = ()
+                key: tuple = (0, cond.dref.sort)
+            elif isinstance(cond, Predicate):
+                args = tuple(map(resolve, cond.args))
+                key = (1, cond.rel, len(args), tuple(map(_arg_shape, args)))
+            elif isinstance(cond, Quantifier):
+                args = ()
+                key = (2, cond.rel)
+                boxes += (cond.res, cond.scope)
+            elif isinstance(cond, Membership):
+                args = (resolve(cond.element), resolve(cond.group))
+                key = (3, _arg_shape(args[0]), _arg_shape(args[1]))
+            else:
+                raise SerializationError(f"unknown condition type {type(cond).__name__}")
+            rows.append((cond, args, key))
+            by_label.setdefault(cond.label, []).append(key)
+        roles: dict[Label, list] = {}
+        for c in u.subord:
+            left, right = _ROLES[c.kind]
+            roles.setdefault(c.left, []).append(left)
+            roles.setdefault(c.right, []).append(right)
+            if c.antecedent:
+                for l in c.antecedent:
+                    roles.setdefault(l, []).append(_ANTECEDENT_ROLE)
 
-    def label(self, l: Label) -> str:
-        if l not in self.labels:
-            self.labels[l] = f"l{self._next_label}"
-            self._next_label += 1
-        return self.labels[l]
+        sigs: dict[Label, tuple] = {}
 
-    def ref(self, r: DiscourseReferent) -> str:
+        def sig(l: Label) -> tuple:
+            s = sigs.get(l)
+            if s is None:
+                s = sigs[l] = (tuple(sorted(by_label.get(l, ()))),
+                               tuple(sorted(roles.get(l, ()))))
+            return s
+
+        def order(row: tuple) -> tuple:
+            cond, _, key = row
+            extra = ((sig(cond.res), sig(cond.scope))
+                     if isinstance(cond, Quantifier) else ())
+            return (key, sig(cond.label), extra, cond.label.uid)
+
+        rows.sort(key=order)
+        self.rows = rows
+
+        self.labels = names = {l: 0 for l in (u.ls.l_max, u.ls.l_min, *roles,
+                                              *by_label, *boxes) if l.is_top}
+        self.refs: dict[DiscourseReferent, int] = {}
+        self._next = 1
+        name, ref = self.label, self.ref
+        name(u.ls.l_max)
+        name(u.ls.l_min)
+        for cond, args, _ in rows:
+            name(cond.label)
+            if isinstance(cond, ReferentIntro):
+                ref(cond.dref)
+            elif isinstance(cond, Quantifier):
+                name(cond.res)
+                name(cond.scope)
+            for a in args:
+                if isinstance(a, DiscourseReferent):
+                    ref(a)
+                elif isinstance(a, PendingKey) and isinstance(cond, Predicate):
+                    name(a.np_l_max)
+                    name(a.np_l_min)
+
+        # leftover labels only mentioned by constraints (e.g. scope ceilings)
+        def number(l: Label) -> tuple:
+            return (0, names[l]) if l in names else (1, l.uid)
+
+        loose = [c for c in u.subord
+                 if not (c.left in names and c.right in names
+                         and all(a in names for a in c.antecedent or ()))]
+        loose.sort(key=lambda c: (_KIND_ORDER[c.kind], number(c.left), number(c.right),
+                                  tuple(map(number, c.antecedent or ()))))
+        for c in loose:
+            name(c.left)
+            name(c.right)
+            for a in c.antecedent or ():
+                name(a)
+
+    def label(self, l: Label) -> int:
+        n = self.labels.get(l)
+        if n is None:
+            n = self.labels[l] = self._next
+            self._next += 1
+        return n
+
+    def ref(self, r: DiscourseReferent) -> None:
         if r not in self.refs:
-            self.refs[r] = f"x{self._next_ref}"
-            self._next_ref += 1
-        return self.refs[r]
+            self.refs[r] = len(self.refs)
 
+    def _arg(self, arg: Arg, pad: str) -> str:
+        if isinstance(arg, DiscourseReferent):
+            return f'{{\n{pad}  "ref": "x{self.refs[arg]}"\n{pad}}}'
+        if not isinstance(arg, PendingKey):
+            raise SerializationError("cannot serialize an unlinked argument slot")
+        return (f'{{\n{pad}  "pending": {{\n'
+                f'{pad}    "max": "l{self.label(arg.np_l_max)}",\n'
+                f'{pad}    "min": "l{self.label(arg.np_l_min)}"\n{pad}  }}\n{pad}}}')
 
-def _arg_doc(u: UDRS, arg: Arg, namer: _Namer) -> dict:
-    arg = u.resolve(arg)
-    if isinstance(arg, DiscourseReferent):
-        return {"ref": namer.ref(arg)}
-    if not isinstance(arg, PendingKey):
-        raise SerializationError("cannot serialize an unlinked argument slot")
-    return {"pending": {"max": namer.label(arg.np_l_max),
-                        "min": namer.label(arg.np_l_min)}}
+    def write(self) -> str:
+        names, refs = self.labels, self.refs
+        conds = []
+        for cond, args, _ in self.rows:
+            head = f'    {{\n      "label": "l{names[cond.label]}",\n      "type": '
+            if isinstance(cond, ReferentIntro):
+                conds.append(f'{head}"ref",\n      "dref": {{\n'
+                             f'        "id": "x{refs[cond.dref]}",\n'
+                             f'        "sort": {_value(cond.dref.sort, "        ")}\n'
+                             f'      }}\n    }}')
+            elif isinstance(cond, Predicate):
+                arg_items = ["        " + self._arg(a, "        ") for a in args]
+                conds.append(f'{head}"pred",\n'
+                             f'      "rel": {_value(cond.rel, "      ")},\n'
+                             f'      "args": {_items(arg_items, "      ")}\n    }}')
+            elif isinstance(cond, Quantifier):
+                conds.append(f'{head}"quant",\n'
+                             f'      "rel": "{_QUANT_NAMES[cond.rel]}",\n'
+                             f'      "res": "l{names[cond.res]}",\n'
+                             f'      "scope": "l{names[cond.scope]}"\n    }}')
+            else:
+                element, group = args
+                conds.append(f'{head}"member",\n'
+                             f'      "element": {self._arg(element, "      ")},\n'
+                             f'      "group": {self._arg(group, "      ")}\n    }}')
+
+        numbered = []
+        for c in self.u.subord:
+            ant = tuple(names[a] for a in c.antecedent or ())
+            numbered.append(((_KIND_ORDER[c.kind], names[c.left], names[c.right], ant), c))
+        numbered.sort(key=itemgetter(0))
+        subord = []
+        for (_, left, right, ant), c in numbered:
+            item = (f'    {{\n      "kind": "{c.kind}",\n'
+                    f'      "left": "l{left}",\n      "right": "l{right}"')
+            if ant:
+                ant_items = [f'        "l{a}"' for a in ant]
+                item += f',\n      "antecedent": {_items(ant_items, "      ")}'
+            subord.append(item + "\n    }")
+
+        ls = self.u.ls
+        return (f'{{\n  "ls": {{\n    "max": "l{names[ls.l_max]}",\n'
+                f'    "min": "l{names[ls.l_min]}"\n  }},\n'
+                f'  "subord": {_items(subord, "  ")},\n'
+                f'  "conds": {_items(conds, "  ")}\n}}\n')
 
 
 def display_names(u: UDRS) -> dict[Label, str]:
     """Canonical label names, e.g. for trace output."""
-    namer = _walk(u)[0]
-    return dict(namer.labels)
-
-
-def _walk(u: UDRS) -> tuple[_Namer, list[Condition]]:
-    namer = _Namer(u)
-    namer.label(u.ls.l_max)
-    namer.label(u.ls.l_min)
-    conds = _sorted_conditions(u)
-    for cond in conds:
-        namer.label(cond.label)
-        if isinstance(cond, Quantifier):
-            namer.label(cond.res)
-            namer.label(cond.scope)
-        if isinstance(cond, ReferentIntro):
-            namer.ref(cond.dref)
-        if isinstance(cond, Predicate):
-            for a in cond.args:
-                a = u.resolve(a)
-                if isinstance(a, DiscourseReferent):
-                    namer.ref(a)
-                elif isinstance(a, PendingKey):
-                    namer.label(a.np_l_max)
-                    namer.label(a.np_l_min)
-        if isinstance(cond, Membership):
-            for a in (cond.element, cond.group):
-                a = u.resolve(a)
-                if isinstance(a, DiscourseReferent):
-                    namer.ref(a)
-    # leftover labels only mentioned by constraints (e.g. scope ceilings)
-    def pre(c: SubordConstraint) -> tuple:
-        def n(l: Label) -> tuple:
-            return (0, int(namer.labels[l][1:])) if l in namer.labels else (1, l.uid)
-        ant = c.antecedent or ()
-        return (_KIND_ORDER[c.kind], n(c.left), n(c.right), tuple(n(a) for a in ant))
-
-    for c in sorted(u.subord, key=pre):
-        namer.label(c.left)
-        namer.label(c.right)
-        if c.antecedent:
-            for a in c.antecedent:
-                namer.label(a)
-    return namer, conds
-
-
-def to_json(u: UDRS) -> dict:
-    namer, conds = _walk(u)
-
-    def lname(l: Label) -> str:
-        return namer.labels[l]
-
-    def num(name: str) -> int:
-        return int(name[1:])
-
-    cond_docs = []
-    for cond in conds:
-        doc: dict = {"label": lname(cond.label)}
-        if isinstance(cond, ReferentIntro):
-            doc["type"] = "ref"
-            doc["dref"] = {"id": namer.ref(cond.dref), "sort": cond.dref.sort}
-        elif isinstance(cond, Predicate):
-            doc["type"] = "pred"
-            doc["rel"] = cond.rel
-            doc["args"] = [_arg_doc(u, a, namer) for a in cond.args]
-        elif isinstance(cond, Quantifier):
-            doc["type"] = "quant"
-            doc["rel"] = _QUANT_NAMES[cond.rel]
-            doc["res"] = lname(cond.res)
-            doc["scope"] = lname(cond.scope)
-        elif isinstance(cond, Membership):
-            doc["type"] = "member"
-            doc["element"] = _arg_doc(u, cond.element, namer)
-            doc["group"] = _arg_doc(u, cond.group, namer)
-        cond_docs.append(doc)
-
-    sub_docs = []
-    def skey(c: SubordConstraint) -> tuple:
-        ant = tuple(num(lname(a)) for a in (c.antecedent or ()))
-        return (_KIND_ORDER[c.kind], num(lname(c.left)), num(lname(c.right)), ant)
-
-    for c in sorted(u.subord, key=skey):
-        doc = {"kind": c.kind, "left": lname(c.left), "right": lname(c.right)}
-        if c.antecedent:
-            doc["antecedent"] = [lname(a) for a in c.antecedent]
-        sub_docs.append(doc)
-
-    return {"ls": {"max": lname(u.ls.l_max), "min": lname(u.ls.l_min)},
-            "subord": sub_docs,
-            "conds": cond_docs}
+    return {l: f"l{n}" for l, n in _Naming(u).labels.items()}
 
 
 def to_json_str(u: UDRS) -> str:
-    return json.dumps(to_json(u), indent=2, ensure_ascii=False) + "\n"
+    """The UDRS's canonical JSON document as text (see the module docstring)."""
+    return _Naming(u).write()
+
+
+def to_json(u: UDRS) -> dict:
+    """The UDRS's canonical JSON document."""
+    return json.loads(to_json_str(u))
 
 
 def from_json(doc) -> UDRS:

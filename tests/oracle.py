@@ -22,6 +22,12 @@ permutation that reaches it as the display numbering.
 given the display names ``reference_names`` makes from that numbering.
 They are kept verbatim so that the canonical labelling can be held to the
 same forms, names and bytes.
+
+``reference_to_json`` and ``reference_display_names`` are the library's
+first UDRS document writer and label namer: a naming walk over sorted
+conditions, nested dicts, then ``json.dumps``.  They are kept verbatim (but
+for names) so that the one-pass writer can be held to the same bytes and
+names.
 """
 
 from __future__ import annotations
@@ -30,10 +36,11 @@ import itertools
 from typing import Iterable, Iterator, Optional
 
 from udrs.core import (
-    CONDITIONAL, IDENTITY, STRICT, WEAK, CycleError, DiscourseReferent, Label,
-    Membership, Predicate, Quantifier, ReferentIntro, SubordConstraint, UDRS,
-    weak,
+    CONDITIONAL, DISTRIBUTION, EVERY, IDENTITY, STRICT, WEAK, Arg, Condition,
+    CycleError, DiscourseReferent, Label, Membership, Predicate, Quantifier,
+    ReferentIntro, SubordConstraint, UDRS, UDRSError, weak,
 )
+from udrs.delay import PendingKey
 from udrs.readings import (
     DRS, TOP_BOX, DuplexCondition, InconsistentConstraints, Scoping,
     check_binding,
@@ -505,3 +512,190 @@ def reference_json(d: DRS, names: dict[DiscourseReferent, str]) -> dict:
                 "conditions": conds}
 
     return box(d)
+
+
+# --- The first UDRS document writer -----------------------------------------
+
+
+class ReferenceSerializationError(UDRSError):
+    pass
+
+
+_KIND_ORDER = {WEAK: 0, STRICT: 1, IDENTITY: 2, CONDITIONAL: 3}
+_QUANT_NAMES = {EVERY: "every", DISTRIBUTION: "dist"}
+
+
+def _arg_shape(u: UDRS, arg: Arg) -> tuple:
+    arg = u.resolve(arg)
+    if isinstance(arg, DiscourseReferent):
+        return ("r", arg.sort)
+    return ("p",)
+
+
+def _base_key(u: UDRS, cond: Condition) -> tuple:
+    if isinstance(cond, ReferentIntro):
+        return (0, cond.dref.sort)
+    if isinstance(cond, Predicate):
+        return (1, cond.rel, len(cond.args), tuple(_arg_shape(u, a) for a in cond.args))
+    if isinstance(cond, Quantifier):
+        return (2, cond.rel)
+    if isinstance(cond, Membership):
+        return (3, _arg_shape(u, cond.element), _arg_shape(u, cond.group))
+    raise ReferenceSerializationError(f"unknown condition type {type(cond).__name__}")
+
+
+def _label_signatures(u: UDRS) -> dict[Label, tuple]:
+    """Structural fingerprint per label, independent of label identity."""
+    by_label: dict[Label, list] = {}
+    for cond in u.conds:
+        by_label.setdefault(cond.label, []).append(_base_key(u, cond))
+    roles: dict[Label, list] = {}
+    for c in u.subord:
+        roles.setdefault(c.left, []).append((_KIND_ORDER[c.kind], "L"))
+        roles.setdefault(c.right, []).append((_KIND_ORDER[c.kind], "R"))
+        if c.antecedent:
+            for l in c.antecedent:
+                roles.setdefault(l, []).append((3, "A"))
+    sigs = {}
+    for l in u.labels():
+        sigs[l] = (tuple(sorted(by_label.get(l, []))),
+                   tuple(sorted(roles.get(l, []))))
+    return sigs
+
+
+def _sorted_conditions(u: UDRS) -> list[Condition]:
+    sigs = _label_signatures(u)
+
+    def key(cond: Condition) -> tuple:
+        extra: tuple = ()
+        if isinstance(cond, Quantifier):
+            extra = (sigs[cond.res], sigs[cond.scope])
+        return (_base_key(u, cond), sigs[cond.label], extra, cond.label.uid)
+
+    return sorted(u.conds, key=key)
+
+
+class _Namer:
+    def __init__(self, u: UDRS):
+        self.labels: dict[Label, str] = {}
+        self.refs: dict[DiscourseReferent, str] = {}
+        self._next_label = 1
+        self._next_ref = 0
+        for l in u.labels():
+            if l.is_top:
+                self.labels[l] = "l0"
+
+    def label(self, l: Label) -> str:
+        if l not in self.labels:
+            self.labels[l] = f"l{self._next_label}"
+            self._next_label += 1
+        return self.labels[l]
+
+    def ref(self, r: DiscourseReferent) -> str:
+        if r not in self.refs:
+            self.refs[r] = f"x{self._next_ref}"
+            self._next_ref += 1
+        return self.refs[r]
+
+
+def _arg_doc(u: UDRS, arg: Arg, namer: _Namer) -> dict:
+    arg = u.resolve(arg)
+    if isinstance(arg, DiscourseReferent):
+        return {"ref": namer.ref(arg)}
+    if not isinstance(arg, PendingKey):
+        raise ReferenceSerializationError("cannot serialize an unlinked argument slot")
+    return {"pending": {"max": namer.label(arg.np_l_max),
+                        "min": namer.label(arg.np_l_min)}}
+
+
+def reference_display_names(u: UDRS) -> dict[Label, str]:
+    """Canonical label names, e.g. for trace output."""
+    namer = _walk(u)[0]
+    return dict(namer.labels)
+
+
+def _walk(u: UDRS) -> tuple[_Namer, list[Condition]]:
+    namer = _Namer(u)
+    namer.label(u.ls.l_max)
+    namer.label(u.ls.l_min)
+    conds = _sorted_conditions(u)
+    for cond in conds:
+        namer.label(cond.label)
+        if isinstance(cond, Quantifier):
+            namer.label(cond.res)
+            namer.label(cond.scope)
+        if isinstance(cond, ReferentIntro):
+            namer.ref(cond.dref)
+        if isinstance(cond, Predicate):
+            for a in cond.args:
+                a = u.resolve(a)
+                if isinstance(a, DiscourseReferent):
+                    namer.ref(a)
+                elif isinstance(a, PendingKey):
+                    namer.label(a.np_l_max)
+                    namer.label(a.np_l_min)
+        if isinstance(cond, Membership):
+            for a in (cond.element, cond.group):
+                a = u.resolve(a)
+                if isinstance(a, DiscourseReferent):
+                    namer.ref(a)
+    # leftover labels only mentioned by constraints (e.g. scope ceilings)
+    def pre(c: SubordConstraint) -> tuple:
+        def n(l: Label) -> tuple:
+            return (0, int(namer.labels[l][1:])) if l in namer.labels else (1, l.uid)
+        ant = c.antecedent or ()
+        return (_KIND_ORDER[c.kind], n(c.left), n(c.right), tuple(n(a) for a in ant))
+
+    for c in sorted(u.subord, key=pre):
+        namer.label(c.left)
+        namer.label(c.right)
+        if c.antecedent:
+            for a in c.antecedent:
+                namer.label(a)
+    return namer, conds
+
+
+def reference_to_json(u: UDRS) -> dict:
+    namer, conds = _walk(u)
+
+    def lname(l: Label) -> str:
+        return namer.labels[l]
+
+    def num(name: str) -> int:
+        return int(name[1:])
+
+    cond_docs = []
+    for cond in conds:
+        doc: dict = {"label": lname(cond.label)}
+        if isinstance(cond, ReferentIntro):
+            doc["type"] = "ref"
+            doc["dref"] = {"id": namer.ref(cond.dref), "sort": cond.dref.sort}
+        elif isinstance(cond, Predicate):
+            doc["type"] = "pred"
+            doc["rel"] = cond.rel
+            doc["args"] = [_arg_doc(u, a, namer) for a in cond.args]
+        elif isinstance(cond, Quantifier):
+            doc["type"] = "quant"
+            doc["rel"] = _QUANT_NAMES[cond.rel]
+            doc["res"] = lname(cond.res)
+            doc["scope"] = lname(cond.scope)
+        elif isinstance(cond, Membership):
+            doc["type"] = "member"
+            doc["element"] = _arg_doc(u, cond.element, namer)
+            doc["group"] = _arg_doc(u, cond.group, namer)
+        cond_docs.append(doc)
+
+    sub_docs = []
+    def skey(c: SubordConstraint) -> tuple:
+        ant = tuple(num(lname(a)) for a in (c.antecedent or ()))
+        return (_KIND_ORDER[c.kind], num(lname(c.left)), num(lname(c.right)), ant)
+
+    for c in sorted(u.subord, key=skey):
+        doc = {"kind": c.kind, "left": lname(c.left), "right": lname(c.right)}
+        if c.antecedent:
+            doc["antecedent"] = [lname(a) for a in c.antecedent]
+        sub_docs.append(doc)
+
+    return {"ls": {"max": lname(u.ls.l_max), "min": lname(u.ls.l_min)},
+            "subord": sub_docs,
+            "conds": cond_docs}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
 
 import pytest
 
+import udrs
 from conftest import golden_path
 from udrs.cli import Session, _read_corpus, build_session, run
 
@@ -37,6 +42,19 @@ class TestParseCommand:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"udrs", "readings"}
         assert len(doc["readings"]) == 2
+
+    def test_both_json_outputs_write_non_ascii_text_as_is(self, tmp_path, capsys):
+        lexicon = tmp_path / "cafe.lex"
+        fragment = resources.files("udrs.data").joinpath("fragment.lex").read_text("utf-8")
+        lexicon.write_text(fragment + "café noun café\n", encoding="utf-8")
+        args = ["parse", "John met a café.", "--lexicon", str(lexicon), "--json"]
+        assert run(args) == 0
+        alone = capsys.readouterr().out
+        assert run(args + ["--readings"]) == 0
+        wrapped = capsys.readouterr().out
+        for out in (alone, wrapped):
+            assert '"café"' in out and "\\u" not in out
+        assert json.loads(wrapped)["udrs"] == json.loads(alone)
 
     def test_dot_output(self, capsys):
         assert run(["parse", "The lawyers hired a secretary.", "--dot"]) == 0
@@ -232,3 +250,15 @@ class TestDirectives:
                           "disambiguate: np1=distributive\nexpect-readings: 18\n")
         assert run(["corpus", str(corpus), "--rules", corpus_rules]) == 0
         assert capsys.readouterr().out == "PASS directed\n"
+
+
+def test_python_dash_m_udrs_runs_the_command_line(capsys):
+    src = os.path.dirname(os.path.dirname(udrs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "udrs", "parse", "John left."],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert run(["parse", "John left."]) == 0
+    assert proc.stdout == capsys.readouterr().out
