@@ -10,8 +10,8 @@ from .core import (
     fresh_referent, fresh_slot, identity, make_udrs, merge, strict, top_label,
     weak,
 )
-from .delay import MalformedNP, PENDING, PendingKey, PendingRegistry, dref_res
-from .lexicon import Lexicon, Sign, SubcatSlot, UnknownWord, np_pattern
+from .delay import MalformedNP, PendingKey, PendingRegistry, dref_res
+from .lexicon import Lexicon, Sign, SubcatSlot, UnknownWord
 from .grammar import (
     SEP, DerivationNode, ParseFailure, parse, tokenize, yield_tokens,
 )
@@ -22,7 +22,7 @@ from .principles import (
 )
 from .plurals import (
     COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
-    NotPlural, PluralTarget, ReadingDecision, decide, pl_dis_collective,
+    NotPlural, PluralTarget, decide, pl_dis_collective,
     pl_dis_distributive, target_for,
 )
 from .readings import (

@@ -178,10 +178,8 @@ def _note_parses(session: Session) -> None:
 def cmd_parse(args: argparse.Namespace) -> int:
     lexicon = Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon.default()
     rules = KnowledgeRules.from_file(args.rules) if args.rules else None
-    if args.corpus:
-        return run_corpus(args.corpus, lexicon, rules)
     if args.text is None:
-        raise UDRSError("no input: give a sentence or --corpus FILE")
+        raise UDRSError("no input: give a sentence")
     session, roots = build_directed_session(args.text, args.disambiguate or [],
                                             lexicon, rules)
     _note_parses(session)
@@ -312,8 +310,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse text and print its UDRS")
     p.add_argument("text", nargs="?", help="sentence or discourse to analyze")
-    p.add_argument("--corpus", metavar="FILE",
-                   help="golden regression mode over a corpus file")
     p.add_argument("--json", action="store_true", help="print canonical JSON")
     p.add_argument("--dot", action="store_true", help="print Graphviz DOT")
     p.add_argument("--readings", action="store_true",

@@ -147,6 +147,7 @@ class Predicate(Condition):
 
 EVERY = "every"
 DISTRIBUTION = "distribution"
+QUANT_NAMES = {EVERY: "every", DISTRIBUTION: "dist"}  # as documents and readings show them
 
 
 @dataclass(eq=False, frozen=True)

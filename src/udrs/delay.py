@@ -5,7 +5,7 @@ argument NP's own subordination pattern classifies it: identity of its
 distinguished labels means not scope bearing (take the referent at l_max),
 strict subordination means scope bearing (take the restrictor referent), and
 a weak-only pattern means the NP is an underspecified plural, so resolution
-blocks until plural disambiguation supplies the referent.
+gives the NP's PendingKey instead.
 
 Linking binds the verb's argument Slot to the referent, or to the NP's
 PendingKey; disambiguation later binds the key.  Both bindings live in the
@@ -34,11 +34,8 @@ class PendingKey:
         return f"dref_res({self.np_l_max},{self.np_l_min})"
 
 
-PENDING = "pending"
-
-
-def dref_res(np_udrs: UDRS) -> Union[DiscourseReferent, str]:
-    """Resolve an argument NP's UDRS to a referent, or return PENDING.
+def dref_res(np_udrs: UDRS) -> Union[DiscourseReferent, PendingKey]:
+    """Resolve an argument NP's UDRS to a referent, or to its PendingKey.
 
     Works on the NP's own local constraint set, which later combination
     steps never touch, so the outcome is stable by construction.
@@ -62,7 +59,7 @@ def dref_res(np_udrs: UDRS) -> Union[DiscourseReferent, str]:
                 raise MalformedNP(f"no referent at restrictor {cond.res}")
         raise MalformedNP(f"strict NP without duplex at {l_max}")
     if c.weakly(l_max, l_min):
-        return PENDING
+        return PendingKey(l_max, l_min)
     raise MalformedNP(f"no subordination pattern between {l_max} and {l_min}")
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import (
     GROUP, DiscourseReferent, Label, LS, Predicate, Quantifier, ReferentIntro,
-    Slot, UDRS, UDRSError, closure, fresh_label, fresh_referent, fresh_slot,
+    Slot, UDRS, UDRSError, fresh_label, fresh_referent, fresh_slot,
     identity, make_udrs, read_text, strict, weak, EVERY,
 )
 
@@ -33,14 +33,13 @@ VERB, QUANT, PLURAL, INDEF, NOUN, NAME, COMP, COORD = (
     "verb", "quant", "plural", "indef", "noun", "name", "comp", "coord")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SubcatSlot:
     """One expected argument of a sign.
 
     ``expects`` is "np", "clause" or "noun".  NP slots carry the verb's
     argument Slot, which linking binds; a determiner's noun slot instead carries the label and
-    referent the noun's predicate must be bound to.  ``saturated_with``
-    records the argument's UDRS once the slot is filled.
+    referent the noun's predicate must be bound to.
     """
 
     role: str                 # "subj" | "comp"
@@ -50,15 +49,13 @@ class SubcatSlot:
     arg: Optional[Slot] = None
     bind_label: Optional[Label] = None
     bind_dref: Optional[DiscourseReferent] = None
-    saturated_with: Optional[UDRS] = None
-
-    @property
-    def saturated(self) -> bool:
-        return self.saturated_with is not None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Sign:
+    """A sign is a value: ``subcat`` holds its open slots only, and filling
+    one gives a new sign without it."""
+
     cat: str                  # det, n, np, v, vp, s, comp, cs, disc
     head_type: str
     subcat: tuple[SubcatSlot, ...]
@@ -69,31 +66,25 @@ class Sign:
 
     def next_comp_slot(self) -> Optional[SubcatSlot]:
         for slot in reversed(self.subcat):
-            if slot.role == "comp" and not slot.saturated:
+            if slot.role == "comp":
                 return slot
         return None
 
     def subj_slot(self) -> Optional[SubcatSlot]:
         for slot in self.subcat:
-            if slot.role == "subj" and not slot.saturated:
+            if slot.role == "subj":
                 return slot
         return None
 
     @property
     def saturated(self) -> bool:
-        return all(s.saturated for s in self.subcat)
+        return not self.subcat
 
-
-def np_pattern(u: UDRS) -> str:
-    """Classify an NP's own constraint set: identity, strict or weak."""
-    c = closure(u.subord)
-    if c.identical(u.ls.l_max, u.ls.l_min):
-        return "identity"
-    if c.strictly(u.ls.l_max, u.ls.l_min):
-        return "strict"
-    if c.weakly(u.ls.l_max, u.ls.l_min):
-        return "weak"
-    return "none"
+    def fill(self, slot: SubcatSlot, cat: str, udrs: UDRS) -> "Sign":
+        """A new sign: this one with slot filled, of category cat."""
+        # built directly: dataclasses.replace would double the cost of a fill
+        return Sign(cat, self.head_type, tuple(s for s in self.subcat if s is not slot),
+                    udrs, self.agr, self.word, self.collective_subject)
 
 
 # --- Entry constructors -------------------------------------------------------
@@ -123,12 +114,13 @@ def entry_intransitive_verb(rel: str, word: Optional[str] = None,
                       (subj,), word, collective_subject)
 
 
-def entry_clause_verb(rel: str, word: Optional[str] = None) -> Sign:
+def entry_clause_verb(rel: str, word: Optional[str] = None,
+                      collective_subject: bool = False) -> Sign:
     subj = fresh_slot()
     return _verb_sign(rel, [
         SubcatSlot("subj", "np", case="nom", arg=subj),
         SubcatSlot("comp", "clause"),
-    ], (subj,), word)
+    ], (subj,), word, collective_subject)
 
 
 def entry_quant_det(word: str = "every") -> Sign:
@@ -235,9 +227,6 @@ class Lexicon:
         except KeyError:
             raise UnknownWord(word) from None
 
-    def collective_only_rels(self) -> set[str]:
-        return {e.rel for e in self._entries.values() if e.collective_only and e.rel}
-
     def sign(self, word: str) -> Sign:
         """Instantiate a fresh sign for a word."""
         e = self.entry(word)
@@ -258,7 +247,7 @@ class Lexicon:
         if e.pos == "verb-intrans":
             return entry_intransitive_verb(e.rel, e.word, e.collective_only)
         if e.pos == "verb-clause":
-            return entry_clause_verb(e.rel, e.word)
+            return entry_clause_verb(e.rel, e.word, e.collective_only)
         if e.pos == "comp":
             return entry_complementizer(e.word)
         raise LexiconError(f"unhandled POS {e.pos!r}")

@@ -10,8 +10,10 @@ group, and binds the key to that individual.  A key is bound exactly when
 the plural is classified, so that check is a lookup.
 
 What counts as "enough information" is a pluggable rule registry: user
-directives, lexical directives and continuation rules, applied during
-discourse sequencing. Genuine pragmatic inference is out of scope.
+directives, subject rules and continuation rules, applied during discourse
+sequencing.  A lexical directive (a ``collective-only`` verb such as
+"gathered") is applied earlier, when the verb links its subject. Genuine
+pragmatic inference is out of scope.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ class PluralTarget:
     @property
     def key(self) -> PendingKey:
         return PendingKey(self.l_max, self.l_min)
-
-
-@dataclass(frozen=True)
-class ReadingDecision:
-    target: PluralTarget
-    verdict: str  # COLLECTIVE | DISTRIBUTIVE | UNKNOWN
 
 
 def _names(u: UDRS, *labels: Label) -> str:
@@ -126,7 +122,7 @@ class KnowledgeRules:
 
     Sources, in priority order: explicit directives keyed by the 1-based
     plural-NP index (``np<k>``, counted in the derivation's key log), subject
-    rules keyed by verb relation (lexical directives like "gathered"), and
+    rules keyed by verb relation (``verb gather subject collective``), and
     continuation rules that fire once a predicate appears anywhere in the
     accumulated discourse.
     """
@@ -135,13 +131,6 @@ class KnowledgeRules:
         self.subject_rules: dict[str, str] = {}
         self.continuation_rules: dict[str, str] = {}
         self.overrides: dict[int, str] = {}
-
-    def add_subject_rules(self, rels, verdict: str) -> None:
-        for rel in rels:
-            self.subject_rules.setdefault(rel, verdict)
-
-    def set_override(self, index: int, verdict: str) -> None:
-        self.overrides[index] = verdict
 
     def with_overrides(self, overrides: dict[int, str]) -> "KnowledgeRules":
         """A copy of these rules with the given directives added."""
@@ -173,17 +162,18 @@ class KnowledgeRules:
 
 def decide(context: UDRS, target: PluralTarget,
            rules: Optional[KnowledgeRules] = None,
-           index: Optional[int] = None) -> ReadingDecision:
-    """Consult the configured knowledge sources; default to UNKNOWN.
+           index: Optional[int] = None) -> str:
+    """The verdict of the configured knowledge sources: COLLECTIVE,
+    DISTRIBUTIVE, or UNKNOWN by default.
 
     ``index`` is the target's 1-based plural-NP number, which directives
     are keyed by.
     """
     if rules is None:
-        return ReadingDecision(target, UNKNOWN)
+        return UNKNOWN
     override = rules.overrides.get(index)
     if override:
-        return ReadingDecision(target, override)
+        return override
     key = target.key
     rels_present = set()
     for cond in context.conds:
@@ -192,11 +182,11 @@ def decide(context: UDRS, target: PluralTarget,
         rels_present.add(cond.rel)
         verdict = rules.subject_rules.get(cond.rel)
         if verdict and cond.args and context.resolve(cond.args[0]) == key:
-            return ReadingDecision(target, verdict)
+            return verdict
     for rel, verdict in sorted(rules.continuation_rules.items()):
         if rel in rels_present:
-            return ReadingDecision(target, verdict)
-    return ReadingDecision(target, UNKNOWN)
+            return verdict
+    return UNKNOWN
 
 
 def apply_pending_decisions(
@@ -204,33 +194,29 @@ def apply_pending_decisions(
 ) -> tuple[UDRS, set[SubordConstraint], set[Condition]]:
     """Disambiguate every pending plural the knowledge source can decide.
 
-    A directive on a plural that is already classified the other way (by
-    its verb, e.g. "gathered") is a conflict and raises.  Returns the
-    (possibly unchanged) UDRS plus the constraint and condition deltas, for
-    tracing and monotonicity checks.
+    One pass in key order decides all it can: disambiguating a plural binds
+    only its own key and adds no predicate, so it changes no other plural's
+    verdict.  A directive on a plural that is already classified the other
+    way (by its verb, e.g. "gathered") is a conflict and raises.  Returns
+    the (possibly unchanged) UDRS plus the constraint and condition deltas,
+    for tracing and monotonicity checks.
     """
     start = u
-    progress = True
-    while progress:
-        progress = False
-        waiting = set(u.bindings.values())
-        for index, key in enumerate(registry.all_keys(), 1):
-            if key not in waiting:
-                continue  # the plural's sentence is not part of this UDRS
-            if key in u.bindings:
-                directive = rules.overrides.get(index)
-                if directive:
-                    target = target_for(u, key.np_l_max, key.np_l_min)
-                    if directive != _classified(u, target):
-                        raise _already_classified(u, target)
-                continue
-            target = target_for(u, key.np_l_max, key.np_l_min)
-            verdict = decide(u, target, rules, index).verdict
-            if verdict == UNKNOWN:
-                continue
+    waiting = set(u.bindings.values())
+    for index, key in enumerate(registry.all_keys(), 1):
+        if key not in waiting:
+            continue  # the plural's sentence is not part of this UDRS
+        if key in u.bindings:
+            directive = rules.overrides.get(index)
+            if directive:
+                target = target_for(u, key.np_l_max, key.np_l_min)
+                if directive != _classified(u, target):
+                    raise _already_classified(u, target)
+            continue
+        target = target_for(u, key.np_l_max, key.np_l_min)
+        verdict = decide(u, target, rules, index)
+        if verdict != UNKNOWN:
             u = DISAMBIGUATE[verdict](u, target)
-            waiting = set(u.bindings.values())
-            progress = True
     return u, set(u.subord - start.subord), set(u.conds - start.conds)
 
 

@@ -5,19 +5,20 @@ add a bounded delta: one weak constraint tying the verb label below the
 argument's minimal label (the closed-formula step), and for scope-bearing
 or potentially scope-bearing arguments one conditional constraint capping
 them at the clause's ceiling label.  Everything is add-only; nothing is ever
-rewritten or removed.
+rewritten or removed, and signs are values: a combinator returns a new sign
+and leaves its daughters as they were.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     Condition, Label, LS, Predicate, SubordConstraint, UDRS, UDRSError,
     check_udrs, conditional, identity, make_udrs, merge, top_label, weak,
 )
-from .delay import PENDING, PendingKey, PendingRegistry, dref_res
+from .delay import PendingKey, PendingRegistry, dref_res
 from .grammar import (
     COORD, FUNCTIONAL, HEAD_COMP, HEAD_SUBJ, LEXICAL, SILENT, DerivationNode,
 )
@@ -48,10 +49,8 @@ class Derivation:
     @classmethod
     def new(cls, lexicon: Optional[Lexicon] = None,
             rules: Optional["plurals.KnowledgeRules"] = None) -> "Derivation":
-        lexicon = lexicon or Lexicon.default()
-        rules = rules or plurals.KnowledgeRules()
-        rules.add_subject_rules(lexicon.collective_only_rels(), plurals.COLLECTIVE)
-        return cls(lexicon, top_label(), PendingRegistry(), rules)
+        return cls(lexicon or Lexicon.default(), top_label(), PendingRegistry(),
+                   rules or plurals.KnowledgeRules())
 
 
 @dataclass
@@ -61,21 +60,17 @@ class CombinatorResult:
     introduced_conditions: frozenset[Condition] = frozenset()
 
 
-def _saturate(slot: SubcatSlot, arg: UDRS) -> None:
-    slot.saturated_with = arg
-
-
-def _result_cat(head: Sign) -> str:
-    if head.cat == "det":
-        return "np"
-    if head.cat == "v" and head.next_comp_slot() is None:
+def _comp_cat(head: Sign, slot: SubcatSlot) -> str:
+    """A head's category once slot, one of its complements, is filled."""
+    if head.cat == "v" and all(s.role != "comp" or s is slot for s in head.subcat):
         return "vp"
     return head.cat
 
 
-def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot,
+def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot, cat: str,
                       ctx: Derivation) -> CombinatorResult:
-    """Clauses I-V plus argument-slot linking, for one NP argument."""
+    """Clauses I-V plus argument-slot linking, for one NP argument; the
+    result is the head with slot filled, of category cat."""
     if comp.cat != "np" or not comp.saturated:
         raise SubcatMismatch(f"expected saturated NP, got {comp.cat}")
     if slot.agr and comp.agr and slot.agr != comp.agr:
@@ -89,10 +84,8 @@ def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot,
         delta.append(conditional(comp.udrs.ls.l_max, comp.udrs.ls.l_min,
                                  head.udrs.ls.l_max, comp.udrs.ls.l_max))
 
-    _saturate(slot, comp.udrs)
     outcome = dref_res(comp.udrs)                        # link the argument
-    if outcome is PENDING:
-        outcome = PendingKey(comp.udrs.ls.l_max, comp.udrs.ls.l_min)
+    if isinstance(outcome, PendingKey):
         ctx.registry.register(outcome)
     bindings[slot.arg] = outcome
     u = make_udrs(ls, subord | set(delta), conds, bindings)
@@ -105,12 +98,11 @@ def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot,
         u = plurals.pl_dis_collective(u, target)
         delta.extend(u.subord - before.subord)
 
-    sign = replace(head, cat=_result_cat(head), udrs=u)
-    return CombinatorResult(sign, frozenset(delta))
+    return CombinatorResult(head.fill(slot, cat, u), frozenset(delta))
 
 
 def combine_head_comp(head: Sign, comp: Sign, ctx: Derivation) -> CombinatorResult:
-    """Saturate the head's next complement slot with comp.
+    """Fill the head's next complement slot with comp.
 
     Determiner-noun combination only links the noun's predicate into the
     determiner's structure; verb-argument combination applies the full
@@ -130,11 +122,10 @@ def combine_head_comp(head: Sign, comp: Sign, ctx: Derivation) -> CombinatorResu
         subord, conds, bindings = merge(head.udrs, comp.udrs)
         cap = weak(head.udrs.ls.l_min, comp.udrs.ls.l_max)
         u = make_udrs(head.udrs.ls, subord | {cap}, conds, bindings)
-        _saturate(slot, comp.udrs)
-        return CombinatorResult(replace(head, cat=_result_cat(head), udrs=u),
+        return CombinatorResult(head.fill(slot, _comp_cat(head, slot), u),
                                 frozenset([cap]))
 
-    return _combine_argument(head, comp, slot, ctx)
+    return _combine_argument(head, comp, slot, _comp_cat(head, slot), ctx)
 
 
 def _combine_det_noun(det: Sign, noun: Sign, slot: SubcatSlot) -> CombinatorResult:
@@ -144,8 +135,7 @@ def _combine_det_noun(det: Sign, noun: Sign, slot: SubcatSlot) -> CombinatorResu
         raise SubcatMismatch(f"agreement mismatch: {slot.agr} det, {noun.agr} noun")
     noun = bind_noun(noun, slot)
     u = make_udrs(det.udrs.ls, *merge(det.udrs, noun.udrs))
-    _saturate(slot, noun.udrs)
-    return CombinatorResult(replace(det, cat="np", udrs=u), frozenset())
+    return CombinatorResult(det.fill(slot, "np", u), frozenset())
 
 
 def bind_noun(noun: Sign, slot: SubcatSlot) -> Sign:
@@ -163,9 +153,7 @@ def combine_head_subj(head: Sign, subj: Sign, ctx: Derivation) -> CombinatorResu
     slot = head.subj_slot()
     if slot is None:
         raise SubcatMismatch(f"{head.cat} sign has no open subject slot")
-    result = _combine_argument(head, subj, slot, ctx)
-    result.sign.cat = "s"
-    return result
+    return _combine_argument(head, subj, slot, "s", ctx)
 
 
 def combine_functional(func: Sign, comp: Sign, ctx: Derivation) -> CombinatorResult:
@@ -181,6 +169,8 @@ def combine_functional(func: Sign, comp: Sign, ctx: Derivation) -> CombinatorRes
     if comp.cat != "s":
         raise SubcatMismatch(f"complementizer expects a finite clause, got {comp.cat}")
     slot = func.next_comp_slot()
+    if slot is None:
+        raise SubcatMismatch("complementizer has no open complement slot")
     ceiling = comp.udrs.ls.l_max
     subord = set(comp.udrs.subord)
     delta = [weak(ceiling, comp.udrs.ls.l_min)]  # ceiling bounds the clause's min
@@ -193,9 +183,8 @@ def combine_functional(func: Sign, comp: Sign, ctx: Derivation) -> CombinatorRes
                 delta.append(weak(ctx.top, l))
     u = make_udrs(comp.udrs.ls, subord | set(delta), comp.udrs.conds,
                   comp.udrs.bindings)
-    _saturate(slot, comp.udrs)
-    sign = replace(func, cat="s" if is_root else "cs", udrs=u)
-    return CombinatorResult(sign, frozenset(delta))
+    return CombinatorResult(func.fill(slot, "s" if is_root else "cs", u),
+                            frozenset(delta))
 
 
 def combine_coord(left: Sign, right: Sign, ctx: Derivation) -> CombinatorResult:

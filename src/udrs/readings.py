@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (
-    CONDITIONAL, GROUP, IDENTITY, STRICT, WEAK, Arg, CycleError,
+    CONDITIONAL, GROUP, IDENTITY, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
     DiscourseReferent, Label, Membership, Predicate, Quantifier, ReferentIntro,
     SubordConstraint, UDRS, UDRSError, closure, strict,
 )
@@ -35,8 +35,6 @@ from .delay import PendingKey
 from . import plurals
 
 TOP_BOX = ("top",)
-
-_REL_DISPLAY = {"distribution": "dist"}
 
 
 class UnresolvedSlot(UDRSError):
@@ -436,7 +434,7 @@ def _box_lines(box: tuple) -> list[str]:
     body: list[list[str]] = [[f"{rel}({', '.join(args)})"] for rel, args in preds]
     body += [[f"{e} in {g}"] for e, g in members]
     for rel, res, scope in duplexes:
-        connector = f"={_REL_DISPLAY.get(rel, rel)}=>"
+        connector = f"={QUANT_NAMES.get(rel, rel)}=>"
         body.append(_join_duplex(_box_lines(res), connector, _box_lines(scope)))
 
     width = max([len(header)] + [len(l) for block in body for l in block] + [1])
@@ -467,7 +465,7 @@ def drs_to_json(d: DRS) -> dict:
         conds: list[dict] = [{"type": "pred", "rel": rel, "args": list(args)}
                              for rel, args in preds]
         conds += [{"type": "member", "element": e, "group": g} for e, g in members]
-        conds += [{"type": "duplex", "rel": _REL_DISPLAY.get(rel, rel),
+        conds += [{"type": "duplex", "rel": QUANT_NAMES.get(rel, rel),
                    "res": box(res), "scope": box(scope)} for rel, res, scope in duplexes]
         return {"referents": list(universe), "conditions": conds}
 

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring
 from operator import itemgetter
 
 from .core import (
-    CONDITIONAL, DISTRIBUTION, EVERY, IDENTITY, STRICT, WEAK,
+    CONDITIONAL, IDENTITY, QUANT_NAMES, STRICT, WEAK,
     Arg, Condition, DiscourseReferent, Label, LS, Membership, Predicate,
     Quantifier, ReferentIntro, UDRS, UDRSError,
     conditional, identity, make_udrs, strict, weak,
@@ -33,8 +33,7 @@ _KIND_ORDER = {WEAK: 0, STRICT: 1, IDENTITY: 2, CONDITIONAL: 3}
 _ROLES = {kind: ((order, "L"), (order, "R")) for kind, order in _KIND_ORDER.items()}
 _ANTECEDENT_ROLE = (3, "A")
 _PENDING_SHAPE = ("p",)
-_QUANT_NAMES = {EVERY: "every", DISTRIBUTION: "dist"}
-_QUANT_RELS = {v: k for k, v in _QUANT_NAMES.items()}
+_QUANT_RELS = {v: k for k, v in QUANT_NAMES.items()}
 _CONSTRUCTORS = {WEAK: weak, STRICT: strict, IDENTITY: identity}
 
 
@@ -47,14 +46,6 @@ def _arg_shape(arg: Arg) -> tuple:
     if isinstance(arg, DiscourseReferent):
         return ("r", arg.sort)
     return _PENDING_SHAPE
-
-
-def _value(v, pad: str) -> str:
-    """A rel or sort as JSON text on a line indented by pad.  Only documents
-    written by hand give these fields values that are not strings."""
-    if type(v) is str:
-        return encode_basestring(v)
-    return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + pad)
 
 
 def _items(items: list[str], pad: str) -> str:
@@ -193,16 +184,16 @@ class _Naming:
             if isinstance(cond, ReferentIntro):
                 conds.append(f'{head}"ref",\n      "dref": {{\n'
                              f'        "id": "x{refs[cond.dref]}",\n'
-                             f'        "sort": {_value(cond.dref.sort, "        ")}\n'
+                             f'        "sort": {encode_basestring(cond.dref.sort)}\n'
                              f'      }}\n    }}')
             elif isinstance(cond, Predicate):
                 arg_items = ["        " + self._arg(a, "        ") for a in args]
                 conds.append(f'{head}"pred",\n'
-                             f'      "rel": {_value(cond.rel, "      ")},\n'
+                             f'      "rel": {encode_basestring(cond.rel)},\n'
                              f'      "args": {_items(arg_items, "      ")}\n    }}')
             elif isinstance(cond, Quantifier):
                 conds.append(f'{head}"quant",\n'
-                             f'      "rel": "{_QUANT_NAMES[cond.rel]}",\n'
+                             f'      "rel": "{QUANT_NAMES[cond.rel]}",\n'
                              f'      "res": "l{names[cond.res]}",\n'
                              f'      "scope": "l{names[cond.scope]}"\n    }}')
             else:
@@ -276,9 +267,16 @@ def _from_doc(doc: dict) -> UDRS:
             labels[name] = core.top_label() if name == "l0" else core.fresh_label()
         return labels[name]
 
+    def text(d: dict, field: str) -> str:
+        if not isinstance(d[field], str):
+            raise SerializationError(f"malformed UDRS document: {field} {d[field]!r} "
+                                     "is not a string")
+        return d[field]
+
     def ref(d: dict) -> DiscourseReferent:
+        sort = text(d, "sort")
         if d["id"] not in refs:
-            refs[d["id"]] = core.fresh_referent(d["sort"])
+            refs[d["id"]] = core.fresh_referent(sort)
         return refs[d["id"]]
 
     def arg(d: dict) -> Arg:
@@ -299,7 +297,7 @@ def _from_doc(doc: dict) -> UDRS:
         if cd["type"] == "ref":
             conds.append(ReferentIntro(l, ref(cd["dref"])))
         elif cd["type"] == "pred":
-            conds.append(Predicate(l, cd["rel"], tuple(arg(a) for a in cd["args"])))
+            conds.append(Predicate(l, text(cd, "rel"), tuple(arg(a) for a in cd["args"])))
         elif cd["type"] == "quant":
             if cd["rel"] not in _QUANT_RELS:
                 raise SerializationError(f"unknown quantifier {cd['rel']!r}")

@@ -9,6 +9,7 @@ import pytest
 import udrs
 from conftest import golden_path
 from udrs.cli import Session, _read_corpus, build_session, run
+from udrs.plurals import KnowledgeRules
 
 
 def read_golden(name):
@@ -123,11 +124,10 @@ class TestParseCommand:
         assert run(["parse"]) == 1
         assert "no input" in capsys.readouterr().err
 
-    def test_corpus_flag_on_parse(self, capsys, corpus_rules):
-        status = run(["parse", "--corpus", golden_path("corpus.txt"),
-                      "--rules", corpus_rules])
-        assert status == 0
-        assert "FAIL" not in capsys.readouterr().out
+    def test_corpus_is_a_command_not_a_parse_option(self):
+        with pytest.raises(SystemExit) as info:
+            run(["parse", "--corpus", golden_path("corpus.txt")])
+        assert info.value.code == 2
 
 
 class TestCorpusCommand:
@@ -195,6 +195,11 @@ class TestSession:
         assert run(["parse", "John left."]) == 0
         assert capsys.readouterr().err == "note: 2 parses; using the first\n"
 
+    def test_session_leaves_the_callers_rules_alone(self):
+        rules = KnowledgeRules()
+        Session(None, rules)
+        assert rules.subject_rules == {}
+
     def test_disambiguate_unknown_index(self):
         session, _ = build_session("The lawyers hired a secretary.")
         from udrs import UDRSError
@@ -237,6 +242,18 @@ class TestDirectives:
         assert run(["parse", "The lawyers gathered.",
                     "--disambiguate", "np1=collective"]) == 0
         assert capsys.readouterr().out == plain
+
+    def test_collective_only_clause_verb_decides_at_linking(self, tmp_path, capsys):
+        fragment = resources.files("udrs.data").joinpath("fragment.lex").read_text("utf-8")
+        lexicon = tmp_path / "conspire.lex"
+        lexicon.write_text(fragment + "conspired verb-clause conspire collective-only\n")
+        argv = ["parse", "The lawyers conspired that John left.", "--lexicon", str(lexicon)]
+        assert run(argv + ["--trace-semantics"]) == 0
+        trace = capsys.readouterr().out
+        assert "    head_subj  +{(l1 > l8 => l5 >= l1), l1 = l8, l8 >= l3}\n" in trace
+        assert "discourse 1: +{l0 >= l5}\n" in trace
+        assert run(argv + ["--disambiguate", "np1=distributive"]) == 1
+        assert capsys.readouterr().err == "error: l1/l8 already classified\n"
 
     def test_conflicting_directives_rejected(self, capsys):
         assert run(["parse", "The lawyers hired a secretary.",

@@ -4,7 +4,7 @@ from conftest import analyze
 from udrs import (
     LS, Predicate, ReferentIntro, fresh_label, fresh_referent, make_udrs,
 )
-from udrs.delay import PENDING, MalformedNP, PendingKey, PendingRegistry, dref_res
+from udrs.delay import MalformedNP, PendingKey, PendingRegistry, dref_res
 from udrs.lexicon import Lexicon
 from udrs.plurals import pl_dis_collective, target_for
 from udrs.principles import Derivation, combine_head_comp
@@ -40,7 +40,7 @@ class TestDrefRes:
 
     def test_plural_is_pending(self, lex):
         np = saturated_np(lex, "the", "lawyers")
-        assert dref_res(np.udrs) is PENDING
+        assert dref_res(np.udrs) == PendingKey(np.udrs.ls.l_max, np.udrs.ls.l_min)
 
     def test_determinism(self, lex):
         np = saturated_np(lex, "every", "lawyer")

@@ -11,7 +11,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from udrs import Lexicon, UDRSError, from_json, parse, tokenize
+from udrs import Lexicon, UDRSError, from_json, parse, to_json_str, tokenize
 from udrs.cli import _read_corpus, build_session
 from udrs.plurals import KnowledgeRules
 
@@ -52,6 +52,34 @@ DOC = st.fixed_dictionaries({
     "conds": st.lists(COND, max_size=5) | JSON,
 })
 
+# DOC rarely gives a document from_json accepts with any condition in it;
+# these always do, with few names so that structural keys often tie.
+LABEL = st.sampled_from(["l0", "l1", "l2", "l3", "l4", "l5"])
+REF = st.sampled_from(["x0", "x1", "x2"])
+WELL_FORMED_ARG = st.fixed_dictionaries({"ref": REF}) | st.fixed_dictionaries(
+    {"pending": st.fixed_dictionaries({"max": LABEL, "min": LABEL})})
+WELL_FORMED_COND = st.one_of(
+    st.fixed_dictionaries({"type": st.just("ref"), "label": LABEL, "dref": st.fixed_dictionaries(
+        {"id": REF, "sort": st.sampled_from(["individual", "group"])})}),
+    st.fixed_dictionaries({"type": st.just("pred"), "label": LABEL,
+                           "rel": st.sampled_from(["hire", "meet", 'a"b', "café"]),
+                           "args": st.lists(WELL_FORMED_ARG, max_size=3)}),
+    st.fixed_dictionaries({"type": st.just("quant"), "label": LABEL,
+                           "rel": st.sampled_from(["every", "dist"]),
+                           "res": LABEL, "scope": LABEL}),
+    st.fixed_dictionaries({"type": st.just("member"), "label": LABEL,
+                           "element": WELL_FORMED_ARG, "group": WELL_FORMED_ARG}))
+WELL_FORMED_CONSTRAINT = st.fixed_dictionaries({
+    "kind": st.sampled_from(["weak", "strict", "identity"]),
+    "left": LABEL, "right": LABEL}) | st.fixed_dictionaries({
+        "kind": st.just("conditional"), "left": LABEL, "right": LABEL,
+        "antecedent": st.lists(LABEL, min_size=2, max_size=2)})
+WELL_FORMED_DOC = st.fixed_dictionaries({
+    "ls": st.fixed_dictionaries({"max": LABEL, "min": LABEL}),
+    "subord": st.lists(WELL_FORMED_CONSTRAINT, max_size=8),
+    "conds": st.lists(WELL_FORMED_COND, max_size=8),
+})
+
 WORDS = st.sampled_from([
     "every", "a", "an", "the", "that", "lawyer", "lawyers", "secretary",
     "clerks", "office", "john", "mary", "they", "hired", "met", "shared",
@@ -89,9 +117,13 @@ def test_from_json_on_any_json_value(value):
 
 
 @FUZZ
-@given(DOC)
+@given(DOC | WELL_FORMED_DOC)
 def test_from_json_on_document_shaped_values(doc):
-    accepts_or_raises_udrs_error(from_json, doc)
+    try:
+        u = from_json(doc)
+    except UDRSError:
+        return
+    accepts_or_raises_udrs_error(to_json_str, u)
 
 
 @FUZZ

@@ -17,11 +17,10 @@ from collections import Counter
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import analyze, corpus_cases, golden_path, session_for_case
 from oracle import reference_display_names, reference_to_json
-from test_fuzz import DOC, FUZZ
+from test_fuzz import DOC, FUZZ, WELL_FORMED_DOC
 from udrs import (
     GROUP, LS, Membership, Predicate, Quantifier, ReferentIntro, UDRSError,
     conditional, fresh_label, fresh_referent, fresh_slot, from_json,
@@ -225,35 +224,6 @@ def test_documents_from_any_document_shaped_value(doc):
     assert_same_outcome(doc)
 
 
-# DOC rarely gives a document from_json accepts with any condition in it;
-# these always do, with few names so that structural keys often tie.
-LABEL = st.sampled_from(["l0", "l1", "l2", "l3", "l4", "l5"])
-REF = st.sampled_from(["x0", "x1", "x2"])
-WELL_FORMED_ARG = st.fixed_dictionaries({"ref": REF}) | st.fixed_dictionaries(
-    {"pending": st.fixed_dictionaries({"max": LABEL, "min": LABEL})})
-WELL_FORMED_COND = st.one_of(
-    st.fixed_dictionaries({"type": st.just("ref"), "label": LABEL, "dref": st.fixed_dictionaries(
-        {"id": REF, "sort": st.sampled_from(["individual", "group"])})}),
-    st.fixed_dictionaries({"type": st.just("pred"), "label": LABEL,
-                           "rel": st.sampled_from(["hire", "meet", 'a"b', "café"]),
-                           "args": st.lists(WELL_FORMED_ARG, max_size=3)}),
-    st.fixed_dictionaries({"type": st.just("quant"), "label": LABEL,
-                           "rel": st.sampled_from(["every", "dist"]),
-                           "res": LABEL, "scope": LABEL}),
-    st.fixed_dictionaries({"type": st.just("member"), "label": LABEL,
-                           "element": WELL_FORMED_ARG, "group": WELL_FORMED_ARG}))
-WELL_FORMED_CONSTRAINT = st.fixed_dictionaries({
-    "kind": st.sampled_from(["weak", "strict", "identity"]),
-    "left": LABEL, "right": LABEL}) | st.fixed_dictionaries({
-        "kind": st.just("conditional"), "left": LABEL, "right": LABEL,
-        "antecedent": st.lists(LABEL, min_size=2, max_size=2)})
-WELL_FORMED_DOC = st.fixed_dictionaries({
-    "ls": st.fixed_dictionaries({"max": LABEL, "min": LABEL}),
-    "subord": st.lists(WELL_FORMED_CONSTRAINT, max_size=8),
-    "conds": st.lists(WELL_FORMED_COND, max_size=8),
-})
-
-
 @FUZZ
 @given(WELL_FORMED_DOC)
 def test_well_formed_documents(doc):
@@ -339,11 +309,16 @@ def test_unlinked_argument_raises_like_the_reference():
     assert display_names(u) == reference_display_names(u)
 
 
-def test_non_string_values_from_hand_written_documents():
+@pytest.mark.parametrize("field, value", [
+    ("rel", [1, {"é": None, "b": [2.5, True]}, []]), ("rel", 5), ("rel", None),
+    ("sort", 7), ("sort", [1]), ("sort", {"s": "group"})])
+def test_non_string_values_from_hand_written_documents(field, value):
     doc = json.loads(to_json_str(analyze("The lawyers hired a secretary.").udrs))
     for c in doc["conds"]:
-        if c["type"] == "pred":
-            c["rel"] = [1, {"é": None, "b": [2.5, True]}, []]
-        if c["type"] == "ref":
-            c["dref"]["sort"] = 7
-    assert_same_document(from_json(doc))
+        if field == "rel" and c["type"] == "pred":
+            c["rel"] = value
+        if field == "sort" and c["type"] == "ref":
+            c["dref"]["sort"] = value
+    with pytest.raises(SerializationError, match=f"^malformed UDRS document: {field} .* "
+                                                 "is not a string$"):
+        from_json(doc)

@@ -3,8 +3,14 @@ import pytest
 from udrs import GROUP, INDIVIDUAL, Predicate, Quantifier, ReferentIntro, Slot, closure
 from udrs.lexicon import (
     INDEF, NAME, PLURAL, QUANT, Lexicon, UnknownWord, entry_complementizer,
-    entry_noun, np_pattern,
+    entry_noun,
 )
+
+# How an NP's own constraints relate its l_max to its l_min, as
+# (identical, strictly, weakly): the pattern dref_res classifies.
+IDENTITY = (True, False, True)
+STRICT = (False, True, True)
+WEAK_ONLY = (False, False, True)
 
 
 @pytest.fixture(scope="module")
@@ -14,6 +20,12 @@ def lex():
 
 def conds_by_type(sign, cls):
     return [c for c in sign.udrs.conds if isinstance(c, cls)]
+
+
+def ls_relation(sign):
+    c = closure(sign.udrs.subord)
+    l_max, l_min = sign.udrs.ls.l_max, sign.udrs.ls.l_min
+    return c.identical(l_max, l_min), c.strictly(l_max, l_min), c.weakly(l_max, l_min)
 
 
 class TestVerbEntries:
@@ -57,7 +69,7 @@ class TestDeterminerEntries:
         assert c.strictly(sign.udrs.ls.l_max, q.res)
         assert c.strictly(sign.udrs.ls.l_max, q.scope)
         assert sign.udrs.ls.l_min == q.scope
-        assert np_pattern(sign.udrs) == "strict"
+        assert ls_relation(sign) == STRICT
 
     def test_indefinite_identity(self, lex):
         sign = lex.sign("a")
@@ -65,14 +77,14 @@ class TestDeterminerEntries:
         (intro,) = conds_by_type(sign, ReferentIntro)
         assert intro.dref.sort == INDIVIDUAL
         assert len(sign.udrs.conds) == 1
-        assert np_pattern(sign.udrs) == "identity"
+        assert ls_relation(sign) == IDENTITY
 
     def test_plural_weak_and_group_referent(self, lex):
         sign = lex.sign("the")
         assert sign.head_type == PLURAL
         (intro,) = conds_by_type(sign, ReferentIntro)
         assert intro.dref.sort == GROUP
-        assert np_pattern(sign.udrs) == "weak"
+        assert ls_relation(sign) == WEAK_ONLY
         assert sign.subcat[0].agr == "pl"
 
     def test_no_lexical_entry_has_conditional_constraints(self, lex):
@@ -108,11 +120,11 @@ class TestNounsAndNames:
         (intro,) = conds_by_type(sign, ReferentIntro)
         (pred,) = conds_by_type(sign, Predicate)
         assert pred.label == intro.label == sign.udrs.ls.l_max
-        assert np_pattern(sign.udrs) == "identity"
+        assert ls_relation(sign) == IDENTITY
 
     def test_pronoun_is_identity_classified(self, lex):
         sign = lex.sign("they")
-        assert np_pattern(sign.udrs) == "identity"
+        assert ls_relation(sign) == IDENTITY
         assert conds_by_type(sign, Predicate) == []
 
 
@@ -143,21 +155,22 @@ def test_freshness_across_entry_kinds(lex):
 
 
 def test_head_type_matches_subord_pattern(lex):
-    expectations = {"every": ("strict", QUANT), "a": ("identity", INDEF),
-                    "the": ("weak", PLURAL), "john": ("identity", NAME)}
+    expectations = {"every": (STRICT, QUANT), "a": (IDENTITY, INDEF),
+                    "the": (WEAK_ONLY, PLURAL), "john": (IDENTITY, NAME)}
     for word, (pattern, head_type) in expectations.items():
         sign = lex.sign(word)
-        assert np_pattern(sign.udrs) == pattern
+        assert ls_relation(sign) == pattern
         assert sign.head_type == head_type
 
 
 def test_lexicon_file_loading(tmp_path):
     path = tmp_path / "tiny.lex"
-    path.write_text("# tiny\nfoo noun foo\nbar verb-intrans bar collective-only\n")
+    path.write_text("# tiny\nfoo noun foo\nbar verb-intrans bar collective-only\n"
+                    "baz verb-clause baz collective-only\n")
     lex = Lexicon.from_file(str(path))
     assert "foo" in lex
     assert lex.sign("bar").collective_subject
-    assert lex.collective_only_rels() == {"bar"}
+    assert lex.sign("baz").collective_subject  # every verb kind takes the flag
 
 
 def test_lexicon_file_errors(tmp_path):

@@ -137,25 +137,22 @@ class TestDecide:
         # the directive already fired, so look at a fresh underspecified case
         session2, target = fixture_11()
         rules = session2.ctx.rules
-        assert rules.subject_rules["gather"] == COLLECTIVE
-        decision = decide(session2.udrs, target, rules)
-        assert decision.verdict == UNKNOWN  # "hire" carries no rule
+        assert decide(session2.udrs, target, rules) == UNKNOWN  # "hire" carries no rule
 
     def test_default_unknown(self):
         session, target = fixture_11()
-        assert decide(session.udrs, target, None).verdict == UNKNOWN
+        assert decide(session.udrs, target, None) == UNKNOWN
 
     def test_override_wins(self):
         session, target = fixture_11()
-        rules = KnowledgeRules()
-        rules.set_override(1, DISTRIBUTIVE)
-        assert decide(session.udrs, target, rules, index=1).verdict == DISTRIBUTIVE
+        rules = KnowledgeRules().with_overrides({1: DISTRIBUTIVE})
+        assert decide(session.udrs, target, rules, index=1) == DISTRIBUTIVE
 
     def test_subject_rule_matches_only_the_verbs_subject(self):
         rules = KnowledgeRules()
         rules.subject_rules["hire"] = COLLECTIVE
         session, target = fixture_11()
-        assert decide(session.udrs, target, rules).verdict == COLLECTIVE
+        assert decide(session.udrs, target, rules) == COLLECTIVE
 
     def test_rules_file_parsing(self, corpus_rules):
         rules = KnowledgeRules.from_file(corpus_rules)

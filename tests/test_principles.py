@@ -8,8 +8,8 @@ from udrs import (
 from udrs.grammar import parse, tokenize
 from udrs.lexicon import Lexicon
 from udrs.principles import (
-    Derivation, SubcatMismatch, combine_coord, combine_head_comp,
-    combine_head_subj, empty_discourse, interpret,
+    Derivation, SubcatMismatch, combine_coord, combine_functional,
+    combine_head_comp, combine_head_subj, empty_discourse, interpret,
 )
 
 
@@ -96,6 +96,18 @@ class TestHeadComp:
         result = combine_head_comp(hired, np(ctx, "a", "secretary"), ctx)
         assert result.sign.udrs.ls == hired.udrs.ls
 
+    def test_head_sign_is_reusable(self, ctx):
+        hired = ctx.lexicon.sign("hired")
+        slot = hired.next_comp_slot()
+        objects = [np(ctx, "a", "secretary"), np(ctx, "every", "clerk")]
+        vps = [combine_head_comp(hired, obj, ctx).sign for obj in objects]
+        for vp, obj in zip(vps, objects):
+            assert vp.cat == "vp" and vp.next_comp_slot() is None
+            obj_ref = next(c for c in obj.udrs.conds if isinstance(c, ReferentIntro)).dref
+            assert vp.udrs.resolve(the_pred(vp, "hire").args[1]) == obj_ref
+        assert hired.next_comp_slot() is slot      # filling made new signs
+        assert hired.cat == "v" and not hired.saturated
+
     def test_mismatch_rejected(self, ctx):
         with pytest.raises(SubcatMismatch):
             combine_head_comp(ctx.lexicon.sign("hired"),
@@ -156,6 +168,15 @@ class TestFunctional:
         interpret(deriv, ctx)
         s_node = deriv.nonhead
         assert deriv.sign.udrs.conds == s_node.sign.udrs.conds
+
+    def test_filled_complementizer_takes_no_second_clause(self, ctx):
+        clause = combine_head_subj(ctx.lexicon.sign("left"),
+                                   ctx.lexicon.sign("john"), ctx).sign
+        that = ctx.lexicon.sign("that")
+        cs = combine_functional(that, clause, ctx).sign
+        assert cs.cat == "cs" and cs.saturated and not that.saturated
+        with pytest.raises(SubcatMismatch):
+            combine_functional(cs, clause, ctx)
 
     def test_embedded_ceiling_capped_below_matrix_verb(self, ctx):
         (deriv,) = parse(tokenize("every lawyer believed that every clerk left"),
