@@ -1,57 +1,40 @@
 """Reading identity: the canonical numbering of a scoped DRS's referents.
 
 Two scoped DRSs are the same reading when a renaming of referents maps one
-onto the other.  Of all numberings of the referents by 0..n-1, the
-canonical ones are those under which _shape is least; that least shape is
-the reading's identity (readings.canonical_form), and the first canonical
-numbering names the referents when a reading is printed.
+onto the other.  Under a numbering of the referents by 0..n-1 a box's shape
+is (universe, predicates, memberships, duplexes), each part a sorted tuple
+of numbered items and a duplex (rel, restrictor shape, scope shape).  The
+canonical numberings are those under which the shape is least; that least
+shape is the reading's identity (readings.canonical_form), and the first
+canonical numbering names the referents when a reading is printed.
 
-The search builds the least shape element by element in the order _shape
-compares them: a box's universe, predicates, memberships, then duplexes
-(restrictor, then scope).  Numbers are committed through an ordered
+The DRS is first compiled into boxes over referent indices.  The search then
+emits the least shape token by token in the order shapes compare: a box's
+universe, predicates, memberships, then duplexes (restrictor, then scope),
+each list closed by _END.  Numbers are committed through an ordered
 partition lo: lo[i] is the first number of the cell referent i sits in, and
 it takes one number of that cell.  A universe moves its referents to the
 front of their cells; the least next item gives each of its referents the
 first number of its cell.  The search branches only on tied items, and
 drops a branch when an automorphism of the DRS maps a kept branch onto it:
 individualization and automorphism pruning after McKay & Piperno,
-"Practical graph isomorphism, II" (2014), cut down to DRS trees.
+"Practical graph isomorphism, II" (2014), cut down to DRS trees.  Every
+branch still alive has emitted the same tokens, so that one stream, folded
+back into nested tuples, is the least shape.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import replace
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional
 
 from .core import GROUP, DiscourseReferent
 
 if TYPE_CHECKING:
-    from .readings import DRS, DuplexCondition
+    from .readings import DRS
 
 _END = (0,)  # ends a list; less than every (1, element) token
-
-
-def _all_referents(d: DRS) -> set[DiscourseReferent]:
-    out = set(d.referents)
-    for rel, args in d.predicates:
-        out.update(args)
-    for e, g in d.memberships:
-        out.update((e, g))
-    for dup in d.duplexes:
-        out |= _all_referents(dup.res) | _all_referents(dup.scope)
-    return out
-
-
-def _shape(d: DRS, naming: dict[DiscourseReferent, int]) -> tuple:
-    return (
-        tuple(sorted(naming[r] for r in d.referents)),
-        tuple(sorted((rel, tuple(naming[a] for a in args))
-                     for rel, args in d.predicates)),
-        tuple(sorted((naming[e], naming[g]) for e, g in d.memberships)),
-        tuple(sorted((dup.rel, _shape(dup.res, naming), _shape(dup.scope, naming))
-                     for dup in d.duplexes)),
-    )
+_item = itemgetter(1)  # the element of a (1, element) token
 
 
 def canonical_labelling(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
@@ -65,46 +48,121 @@ def canonical_labelling(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
     """
     search = _Labelling(d)
     refs = search.refs
-    nu = _complete(search.run([0] * len(refs)))
+    lo, tokens = search.run([0] * len(refs))
+    nu = _complete(lo)
     if len({r.sort for r in refs}) == 2:
         col = search.colours([0] * len(refs))
         group_colours = {c for c, r in zip(col, refs) if r.sort == GROUP}
         if any(c in group_colours for c, r in zip(col, refs) if r.sort != GROUP):
             nu = search.first_numbering(nu, col)
-    naming = dict(zip(refs, nu))
-    return _shape(d, naming), naming
+    return _fold(tokens), dict(zip(refs, nu))
+
+
+def _fold(tokens: list) -> tuple:
+    """The shape a search's token stream spells, as nested tuples."""
+
+    def box(i: int) -> tuple[tuple, int]:
+        """The box whose universe token is at i; where its tokens end."""
+        j = tokens.index(_END, i + 1)  # closes the predicates
+        k = tokens.index(_END, j + 1)  # closes the memberships
+        dups, m = [], k + 1
+        while tokens[m] != _END:
+            res, after = box(m + 1)
+            scope, after = box(after)
+            dups.append((tokens[m][1], res, scope))
+            m = after
+        return (tokens[i], tuple(map(_item, tokens[i + 1:j])),
+                tuple(t[1][1] for t in tokens[j + 1:k]), tuple(dups)), m + 1
+
+    return box(0)[0]
 
 
 class _Box:
-    """A DRS box with referents as indices and its items in a fixed order."""
+    """A DRS box over referent indices.  lists[phase] holds its items in
+    the order the search tries them: 0 the universe, 1 the predicates (rel,
+    args) sorted, 2 the memberships (None, (element, group)) sorted, 3 the
+    duplexes (rel, res, scope) by rel and _low."""
 
-    __slots__ = ("drs", "universe", "preds", "mems", "dups", "low")
+    __slots__ = ("lists", "key")
 
-    def __init__(self, drs: DRS, index: dict[DiscourseReferent, int]):
-        self.drs = drs
-        self.universe = frozenset(index[r] for r in drs.referents)
-        # items as indices, each paired with the item itself
-        self.preds = sorted(((rel, tuple(index[a] for a in args)), (rel, args))
-                            for rel, args in drs.predicates)
-        self.mems = sorted(((index[e], index[g]), (e, g)) for e, g in drs.memberships)
-        dups = [(x.rel, _Box(x.res, index), _Box(x.scope, index), x) for x in drs.duplexes]
-        dups.sort(key=lambda t: (t[0], t[1].low, t[2].low))  # sets which tie is tried first
-        self.dups = dups
-        self.low = min([*self.universe, *(a for p in self.preds for a in p[0][1]),
-                        *(a for m in self.mems for a in m[0]),
-                        *(min(t[1].low, t[2].low) for t in dups)], default=-1)
 
-    def args(self, phase: int, i: int) -> tuple[int, ...]:
-        return self.preds[i][0][1] if phase == 1 else self.mems[i][0]
+class _Met(dict):
+    """Referent -> index, in the order the referents are first met."""
+
+    def __missing__(self, r: DiscourseReferent) -> int:
+        self[r] = i = len(self)
+        return i
+
+
+def _compile(d: DRS) -> tuple[list[DiscourseReferent], _Box]:
+    """The referents in uid order and the DRS as boxes over their indices.
+
+    One walk numbers the referents as it meets them; the numbers then move
+    to uid order and each box sorts its items, children before parents.
+    """
+    met = _Met()
+    num = met.__getitem__
+    boxes: list[_Box] = []  # children before parents
+
+    def walk(drs: DRS) -> _Box:
+        box = _Box()
+        box.lists = [tuple(map(num, drs.referents)),
+                     [(rel, tuple(map(num, args))) for rel, args in drs.predicates],
+                     [(None, (num(e), num(g))) for e, g in drs.memberships],
+                     [(x.rel, walk(x.res), walk(x.scope)) for x in drs.duplexes]]
+        box.key = None
+        boxes.append(box)
+        return box
+
+    top = walk(d)
+    refs = sorted(met, key=attrgetter("uid"))
+    to = [0] * len(refs)
+    for i, r in enumerate(refs):
+        to[met[r]] = i
+    moved = to != list(range(len(to)))
+    get = to.__getitem__
+    for box in boxes:
+        lists = box.lists
+        if moved:
+            lists[0] = tuple(map(get, lists[0]))
+            for phase in (1, 2):
+                lists[phase] = [(rel, tuple(map(get, args))) for rel, args in lists[phase]]
+        for items in lists[1:3]:
+            if len(items) > 1:
+                items.sort()
+        if len(lists[3]) > 1:  # the order sets which tie is tried first
+            lists[3].sort(key=lambda t: (t[0], _low(t[1]), _low(t[2])))
+    return refs, top
+
+
+def _low(box: _Box) -> int:
+    """The least index in the box, or -1 where a duplex has an empty box."""
+    universe, preds, mems, dups = box.lists
+    return min([*universe, *(a for _, args in preds + mems for a in args),
+                *(min(_low(res), _low(scope)) for _, res, scope in dups)], default=-1)
+
+
+def _key(box: _Box, tau) -> tuple:
+    """The box with each index a renamed tau[a], as a value: two boxes are
+    equal under renamings exactly when their keys are."""
+    universe, preds, mems, dups = box.lists
+    return (frozenset(tau[a] for a in universe), _items_key(preds, tau), _items_key(mems, tau),
+            frozenset((rel, _key(res, tau), _key(scope, tau)) for rel, res, scope in dups))
+
+
+def _items_key(items, tau) -> frozenset:
+    return frozenset((rel, tuple(tau[a] for a in args)) for rel, args in items)
 
 
 # A search entry is (lo, stack).  A stack frame is (box, phase, rem, queue,
-# rest): phase 0 = universe next, 1 = predicates, 2 = memberships,
-# 3 = duplexes; rem the positions of the phase's items not yet taken; queue
-# tokens still owed by items taken as a group; rest the frames below.
+# rest): phase indexes box.lists, the list being emitted; rem the positions
+# of its items not yet taken; queue tokens still owed by items taken as a
+# group; rest the frames below.
 
 def _greedy(lo: list[int], args: tuple[int, ...]) -> tuple[int, ...]:
     """The least numbers args can take, in order, under partition lo."""
+    if len(args) == 1:
+        return (lo[args[0]],)
     got: dict[int, int] = {}
     taken: dict[int, int] = {}
     for a in args:
@@ -120,20 +178,27 @@ def _individualize(lo: list[int], args: tuple[int, ...]) -> None:
     """Give each referent of args the first number of its cell."""
     for a in args:
         s = lo[a]
-        for j, t in enumerate(lo):
-            if t == s and j != a:
-                lo[j] = s + 1
+        if lo.count(s) > 1:
+            for j, t in enumerate(lo):
+                if t == s and j != a:
+                    lo[j] = s + 1
 
 
 def _refine(lo: list[int], front) -> tuple[int, ...]:
     """Move the referents in front to the front of their cells; their numbers."""
+    if not front:
+        return ()
     count: dict[int, int] = {}
     for a in front:
-        count[lo[a]] = count.get(lo[a], 0) + 1
+        s = lo[a]
+        count[s] = count.get(s, 0) + 1
     for j, s in enumerate(lo):
         if s in count and j not in front:
             lo[j] = s + count[s]
-    return tuple(sorted(v for s, c in count.items() for v in range(s, s + c)))
+    out: list[int] = []
+    for s in sorted(count):
+        out.extend(range(s, s + count[s]))
+    return tuple(out)
 
 
 def _complete(lo: list[int]) -> list[int]:
@@ -149,18 +214,15 @@ def _complete(lo: list[int]) -> list[int]:
 
 def _least(lo: list[int], box: _Box, phase: int, rem: tuple) -> list[tuple]:
     """The tied least next items of the phase, as [(token, position)]."""
+    items = box.lists[phase]
+    rel = items[rem[0]][0]  # rem is in rel order
     if phase == 3:
-        rel = box.dups[rem[0]][0]  # rem is in rel order
-        return [((1, rel), i) for i in rem if box.dups[i][0] == rel]
+        return [((1, rel), i) for i in rem if items[i][0] == rel]
     best, out = None, []
-    rel = box.preds[rem[0]][0][0] if phase == 1 else None
     for i in rem:
-        if phase == 1:
-            if box.preds[i][0][0] != rel:
-                break
-            tok = (1, (rel, _greedy(lo, box.preds[i][0][1])))
-        else:
-            tok = (1, _greedy(lo, box.mems[i][0]))
+        if items[i][0] != rel:
+            break
+        tok = (1, (rel, _greedy(lo, items[i][1])))
         if best is None or tok < best:
             best, out = tok, [(tok, i)]
         elif tok == best:
@@ -180,22 +242,23 @@ def _group(lo: list[int], box: _Box, phase: int, rem: tuple,
     """
     if phase == 3:
         return None
+    items = box.lists[phase]
     size: dict[int, int] = {}
     for s in lo:
         size[s] = size.get(s, 0) + 1
     free = []
     for _, i in ties:
-        open_ = {a for a in box.args(phase, i) if size[lo[a]] > 1}
+        open_ = {a for a in items[i][1] if size[lo[a]] > 1}
         if len(open_) != 1:
             return None
         free.append(open_.pop())
     cell = lo[free[0]]
     tied = {i for _, i in ties}
-    rel = box.preds[ties[0][1]][0][0] if phase == 1 else None
+    rel = items[ties[0][1]][0]
     for i in rem:
-        if phase == 1 and box.preds[i][0][0] != rel:
+        if items[i][0] != rel:
             break
-        if i not in tied and any(lo[a] == cell for a in box.args(phase, i)):
+        if i not in tied and any(lo[a] == cell for a in items[i][1]):
             return None
     return free
 
@@ -203,41 +266,37 @@ def _group(lo: list[int], box: _Box, phase: int, rem: tuple,
 def _take(lo: list[int], stack: tuple, i: int) -> tuple:
     """The stack after taking item i of the current phase; lo changes."""
     box, phase, rem, _, rest = stack
-    rem = tuple(j for j in rem if j != i)
+    rem = rem[1:] if rem[0] == i else tuple(j for j in rem if j != i)
     if phase == 3:
-        _, res, scope, _ = box.dups[i]
+        _, res, scope = box.lists[3][i]
         return (res, 0, (), (), (scope, 0, (), (), (box, 3, rem, (), rest)))
-    _individualize(lo, box.args(phase, i))
+    _individualize(lo, box.lists[phase][i][1])
     return (box, phase, rem, (), rest)
 
 
 def _take_group(lo: list[int], stack: tuple, ties: list[tuple], free: list[int]) -> tuple:
-    """The stack after taking every tied item at once; lo changes."""
+    """The stack after taking every tied item at once, owing the tokens of
+    all but the first; lo changes."""
     box, phase, rem, _, rest = stack
     tied = {i for _, i in ties}
     first = lo[free[0]]
     _refine(lo, free)
-    body = ties[0][0][1]
-    if phase == 1:
-        queue = tuple((1, (body[0], tuple(v + k if v == first else v for v in body[1])))
-                      for k in range(1, len(free)))
-    else:
-        queue = tuple((1, tuple(v + k if v == first else v for v in body))
-                      for k in range(1, len(free)))
+    rel, body = ties[0][0][1]
+    queue = tuple((1, (rel, tuple(v + k if v == first else v for v in body)))
+                  for k in range(1, len(free)))
     return (box, phase, tuple(j for j in rem if j not in tied), queue, rest)
 
 
 def _close(box: _Box, phase: int, rest: Optional[tuple]) -> Optional[tuple]:
     """The stack after the current phase's list has ended."""
-    if phase == 1:
-        return (box, 2, tuple(range(len(box.mems))), (), rest)
-    if phase == 2:
-        return (box, 3, tuple(range(len(box.dups))), (), rest)
-    return rest
+    if phase == 3:
+        return rest
+    return (box, phase + 1, tuple(range(len(box.lists[phase + 1]))), (), rest)
 
 
-def _advance(lo: list[int], stack: Optional[tuple]) -> tuple:
-    """Run one entry on in place while its next element is forced.
+def _advance(lo: list[int], stack: Optional[tuple], out: list) -> tuple:
+    """Run one entry on in place while its next token is forced, appending
+    the tokens to out.
 
     Returns the stack and the tied options at the first real choice, or
     (None, []) at the end.
@@ -245,33 +304,36 @@ def _advance(lo: list[int], stack: Optional[tuple]) -> tuple:
     while stack is not None:
         box, phase, rem, queue, rest = stack
         if phase == 0:
-            _refine(lo, box.universe)
-            stack = (box, 1, tuple(range(len(box.preds))), (), rest)
+            out.append(_refine(lo, box.lists[0]))
+            stack = _close(box, 0, rest)
         elif queue:
+            out.extend(queue)
             stack = (box, phase, rem, (), rest)
         elif not rem:
+            out.append(_END)
             stack = _close(box, phase, rest)
         else:
             ties = _least(lo, box, phase, rem)
             if len(ties) == 1:
                 stack = _take(lo, stack, ties[0][1])
-                continue
-            free = _group(lo, box, phase, rem, ties)
-            if free is None:
-                return stack, ties
-            stack = _take_group(lo, stack, ties, free)[:3] + ((), rest)
+            else:
+                free = _group(lo, box, phase, rem, ties)
+                if free is None:
+                    return stack, ties
+                stack = _take_group(lo, stack, ties, free)
+            out.append(ties[0][0])
     return None, []
 
 
-def _step(frontier: list[tuple]) -> list[tuple]:
-    """Advance every entry by one token; keep the entries with the least."""
+def _step(frontier: list[tuple]) -> tuple:
+    """Advance every entry by one token; the least token and the entries
+    that emit it."""
     best, chosen = None, []
     for lo, stack in frontier:
         box, phase, rem, queue, rest = stack
         if phase == 0:
             new = list(lo)
-            opts = [(_refine(new, box.universe),
-                     (new, (box, 1, tuple(range(len(box.preds))), (), rest)))]
+            opts = [(_refine(new, box.lists[0]), (new, _close(box, 0, rest)))]
         elif queue:
             opts = [(queue[0], (lo, (box, phase, rem, queue[1:], rest)))]
         elif not rem:
@@ -295,48 +357,41 @@ def _step(frontier: list[tuple]) -> list[tuple]:
             lo = list(e[0])
             e = (lo, _take(lo, e[1], e[2]))
         out.append(e)
-    return out
-
-
-def _rename(d: DRS, m: dict) -> DRS:
-    return replace(d, referents=frozenset(m[r] for r in d.referents),
-                   predicates=frozenset((rel, tuple(m[a] for a in args))
-                                        for rel, args in d.predicates),
-                   memberships=frozenset((m[e], m[g]) for e, g in d.memberships),
-                   duplexes=frozenset(_rename_duplex(x, m) for x in d.duplexes))
-
-
-def _rename_duplex(x: DuplexCondition, m: dict) -> DuplexCondition:
-    return replace(x, res=_rename(x.res, m), scope=_rename(x.scope, m))
+    return best, out
 
 
 class _Labelling:
     """The canonical-numbering search over one DRS."""
 
     def __init__(self, d: DRS):
-        self.refs = sorted(_all_referents(d), key=lambda r: r.uid)
-        self.top = _Box(d, {r: i for i, r in enumerate(self.refs)})
+        self.refs, self.top = _compile(d)
+        self.identity = range(len(self.refs))
         self.automorphic: dict[tuple, bool] = {}
         self._occurrences: Optional[list[list[tuple]]] = None
+        self._colours: dict[tuple, list[int]] = {}
 
-    def run(self, lo: list[int]) -> list[int]:
-        """The least-shape search from partition lo; a final partition."""
+    def run(self, lo: list[int]) -> tuple[list[int], list]:
+        """The least-shape search from partition lo: a final partition and
+        the tokens of the least shape."""
+        tokens: list = []
         frontier = [(list(lo), (self.top, 0, (), (), None))]
         while True:
             if len(frontier) == 1:
                 lo, stack = frontier[0]
-                stack, ties = _advance(lo, stack)
+                stack, ties = _advance(lo, stack, tokens)
                 if stack is None:
-                    return lo
+                    return lo, tokens
+                tokens.append(ties[0][0])
                 children = []
                 for _, i in ties:
                     child = list(lo)
                     children.append((child, _take(child, stack, i)))
                 branched = True
             else:
-                children = _step(frontier)
+                token, children = _step(frontier)
+                tokens.append(token)
                 if children[0][1] is None:
-                    return children[0][0]
+                    return children[0][0], tokens
                 branched = len(children) > len(frontier)
             frontier = self.prune(children, branched) if len(children) > 1 else children
 
@@ -365,6 +420,11 @@ class _Labelling:
             kept.append(e)
         return kept
 
+    def own_key(self, box: _Box) -> tuple:
+        if box.key is None:
+            box.key = _key(box, self.identity)
+        return box.key
+
     def maps_onto(self, tau: Optional[tuple], e1: tuple, e2: tuple) -> bool:
         """Whether tau (index -> index) is an automorphism taking e1 to e2."""
         if tau is None:
@@ -372,10 +432,8 @@ class _Labelling:
         (lo1, st1), (lo2, st2) = e1, e2
         if any(lo1[r] != lo2[t] for r, t in enumerate(tau)):
             return False
-        refs = self.refs
-        m = {refs[r]: refs[t] for r, t in enumerate(tau)}
         if tau not in self.automorphic:
-            self.automorphic[tau] = _rename(self.top.drs, m) == self.top.drs
+            self.automorphic[tau] = _key(self.top, tau) == self.own_key(self.top)
         if not self.automorphic[tau]:
             return False
         while st1 is not None and st2 is not None:
@@ -383,41 +441,43 @@ class _Labelling:
             b2, p2, rem2, q2, st2 = st2
             if p1 != p2 or q1 != q2 or len(rem1) != len(rem2):
                 return False
-            if b1 is not self.top and _rename(b1.drs, m) != b2.drs:
+            if b1 is not self.top and _key(b1, tau) != self.own_key(b2):
                 return False
-            if p1 == 1:
-                a = {(b1.preds[i][1][0], tuple(m[x] for x in b1.preds[i][1][1])) for i in rem1}
-                b = {b2.preds[i][1] for i in rem2}
-            elif p1 == 2:
-                a = {(m[b1.mems[i][1][0]], m[b1.mems[i][1][1]]) for i in rem1}
-                b = {b2.mems[i][1] for i in rem2}
-            elif p1 == 3:
-                a = {_rename_duplex(b1.dups[i][3], m) for i in rem1}
-                b = {b2.dups[i][3] for i in rem2}
-            else:
+            if p1 == 0:
                 continue
+            if p1 == 3:
+                a = {(rel, _key(res, tau), _key(scope, tau))
+                     for rel, res, scope in (b1.lists[3][i] for i in rem1)}
+                b = {(rel, self.own_key(res), self.own_key(scope))
+                     for rel, res, scope in (b2.lists[3][i] for i in rem2)}
+            else:
+                a = _items_key([b1.lists[p1][i] for i in rem1], tau)
+                b = {b2.lists[p1][i] for i in rem2}
             if a != b:
                 return False
         return st1 is st2
 
-    def dive(self, e: tuple) -> tuple[list[int], tuple]:
-        """Run entry e to a numbering, breaking ties by refined colours."""
+    def dive(self, e: tuple) -> tuple[list[int], list]:
+        """Run entry e to a numbering, breaking ties by refined colours; the
+        numbering and the tokens emitted on the way."""
         lo, stack = list(e[0]), e[1]
+        tokens: list = []
         while True:
-            stack, ties = _advance(lo, stack)
+            stack, ties = _advance(lo, stack, tokens)
             if stack is None:
                 break
             col = self.colours(lo)
             box, phase = stack[0], stack[1]
+            items = box.lists[phase]
             if phase == 3:
                 def key(i):
-                    return _box_colour(box.dups[i][1], col) + _box_colour(box.dups[i][2], col)
+                    return _box_colour(items[i][1], col) + _box_colour(items[i][2], col)
             else:
                 def key(i):
-                    return tuple(col[a] for a in box.args(phase, i))
+                    return tuple(col[a] for a in items[i][1])
+            tokens.append(ties[0][0])
             stack = _take(lo, stack, min((i for _, i in ties), key=key))
-        nu = _complete(lo)
-        return nu, _shape(self.top.drs, dict(zip(self.refs, nu)))
+        return _complete(lo), tokens
 
     def occurrences(self) -> list[list[tuple]]:
         """Per referent: (place, args) of each use, where place numbers the
@@ -430,14 +490,19 @@ class _Labelling:
     def colours(self, lo: list[int]) -> list[int]:
         """Colour refinement of the partition lo by where referents occur
         and with whom; an automorphism keeping lo keeps colours.  Colours
-        are hashes of multisets: a collision only merges two colours."""
+        are hashes of sorted multisets: a collision only merges two colours."""
+        key = tuple(lo)
+        if key in self._colours:
+            return self._colours[key]
         occurrences = self.occurrences()
         col, count = lo, len(set(lo))
         while True:
-            new = [hash((col[r], frozenset(Counter(
-                (place, tuple(col[a] for a in args)) for place, args in occ).items())))
-                for r, occ in enumerate(occurrences)]
+            get = col.__getitem__
+            new = [hash((col[r], tuple(sorted([(place, tuple(map(get, args)))
+                                               for place, args in occ]))))
+                   for r, occ in enumerate(occurrences)]
             if len(set(new)) <= count:
+                self._colours[key] = new
                 return new
             col, count = new, len(set(new))
 
@@ -451,11 +516,11 @@ class _Labelling:
         """
         n = len(nu)
 
-        def shape_fixing(order: list[int]) -> tuple:
+        def shape_fixing(order: list[int]) -> list:
             lo = [len(order)] * n
             for j, r in enumerate(order):
                 lo[r] = j
-            return _shape(self.top.drs, dict(zip(self.refs, _complete(self.run(lo)))))
+            return self.run(lo)[1]
 
         images: list[int] = []
         for i in range(n):
@@ -493,22 +558,22 @@ def _collect_occurrences(box: _Box, path: tuple, places: dict, out: list) -> Non
     def use(a: int, place: tuple, args: tuple) -> None:
         out[a].append((places.setdefault(place, len(places)), args))
 
-    for a in box.universe:
+    universe, preds, mems, dups = box.lists
+    for a in universe:
         use(a, (path, 0), ())
-    for (rel, args), _ in box.preds:
-        for j, a in enumerate(args):
-            use(a, (path, 1, rel, j), args)
-    for args, _ in box.mems:
-        for j, a in enumerate(args):
-            use(a, (path, 2, j), args)
-    for rel, res, scope, _ in box.dups:
+    for phase, items in ((1, preds), (2, mems)):
+        for rel, args in items:
+            for j, a in enumerate(args):
+                use(a, (path, phase, rel, j), args)
+    for rel, res, scope in dups:
         _collect_occurrences(res, path + ((rel, 0),), places, out)
         _collect_occurrences(scope, path + ((rel, 1),), places, out)
 
 
 def _box_colour(box: _Box, col: list[int]) -> tuple:
-    return (tuple(sorted(col[a] for a in box.universe)),
-            tuple(sorted((rel, tuple(col[a] for a in args)) for (rel, args), _ in box.preds)),
-            tuple(sorted(tuple(col[a] for a in args) for args, _ in box.mems)),
+    universe, preds, mems, dups = box.lists
+    return (tuple(sorted(col[a] for a in universe)),
+            *(tuple(sorted((rel, tuple(col[a] for a in args)) for rel, args in items))
+              for items in (preds, mems)),
             tuple(sorted((rel,) + _box_colour(res, col) + _box_colour(scope, col)
-                         for rel, res, scope, _ in box.dups)))
+                         for rel, res, scope in dups)))

@@ -174,6 +174,8 @@ def decide(context: UDRS, target: PluralTarget,
     override = rules.overrides.get(index)
     if override:
         return override
+    if not rules.subject_rules and not rules.continuation_rules:
+        return UNKNOWN  # directives only: the discourse cannot decide it
     key = target.key
     rels_present = set()
     for cond in context.conds:

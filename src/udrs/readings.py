@@ -294,12 +294,13 @@ def _closure_candidates(rel: list[list[int]], pin: list[Optional[int]],
 
 def build_drs(u: UDRS, scoping: Scoping) -> DRS:
     """Materialize the box tree a scoping describes."""
+    placed: dict[tuple, list] = {}  # position -> its conditions
+    for cond in u.conds:
+        placed.setdefault(scoping.placement[cond.label], []).append(cond)
 
     def box(pos: tuple) -> DRS:
         refs, preds, members, subs = set(), set(), set(), set()
-        for cond in u.conds:
-            if scoping.placement[cond.label] != pos:
-                continue
+        for cond in placed.get(pos, ()):
             if isinstance(cond, ReferentIntro):
                 refs.add(cond.dref)
             elif isinstance(cond, Predicate):
@@ -380,21 +381,24 @@ def check_binding(d: DRS) -> list[str]:
     """Verify every referent occurrence is accessible from its box.
 
     Accessible means: declared in the same box, an ancestor box, or, for a
-    duplex's scope, the duplex's restrictor.  Empty list means ok.
+    duplex's scope, the duplex's restrictor.  Empty list means ok.  Each
+    box's messages come in order of its predicates by (rel, uids), then of
+    its memberships by uids.
     """
     violations: list[str] = []
 
     def walk(box: DRS, accessible: frozenset[DiscourseReferent]) -> None:
         here = accessible | box.referents
-        for rel, args in sorted(box.predicates,
-                                key=lambda p: (p[0], [a.uid for a in p[1]])):
-            for a in args:
-                if a not in here:
-                    violations.append(f"{rel}: referent {a} not accessible")
-        for e, g in sorted(box.memberships, key=lambda m: (m[0].uid, m[1].uid)):
-            for a in (e, g):
-                if a not in here:
-                    violations.append(f"membership: referent {a} not accessible")
+        bad = [p for p in box.predicates if not here.issuperset(p[1])]
+        if bad:
+            for rel, args in sorted(bad, key=lambda p: (p[0], [a.uid for a in p[1]])):
+                violations.extend(f"{rel}: referent {a} not accessible"
+                                  for a in args if a not in here)
+        bad = [m for m in box.memberships if not here.issuperset(m)]
+        if bad:
+            for m in sorted(bad, key=lambda m: (m[0].uid, m[1].uid)):
+                violations.extend(f"membership: referent {a} not accessible"
+                                  for a in m if a not in here)
         for dup in box.duplexes:
             walk(dup.res, here)
             walk(dup.scope, here | dup.res.referents)

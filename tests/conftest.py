@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import random
 import sys
@@ -13,6 +14,7 @@ from udrs.core import (
     weak,
 )
 from udrs.cli import CorpusCase, Session, _read_corpus, build_session
+from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -87,3 +89,65 @@ def relations(c):
 def to_constraints(c) -> frozenset:
     """The derived relations of a closure as a constraint set."""
     return frozenset(SubordConstraint(k, a, b) for k, a, b in relations(c))
+
+
+# --- The benchmark input families, rebuilt from the built-in vocabulary ---
+
+NOUNS = ("lawyer", "secretary", "philosopher", "student", "clerk", "office")
+PLURALS = dict(zip(NOUNS, ("lawyers", "secretaries", "philosophers",
+                           "students", "clerks", "offices")))
+VERBS = ("hired", "admires", "met")
+NAMES = ("john", "mary")
+
+
+def noun_phrases(dets):
+    """One NP per determiner: a fresh noun each, names alternating."""
+    nps, nouns, names = [], iter(NOUNS), itertools.cycle(NAMES)
+    for det in dets:
+        nps.append(next(names) if det == "name" else f"{det} {next(nouns)}")
+    return nps
+
+
+def discourse(clauses) -> str:
+    return " ".join(c.capitalize() + "." for c in clauses)
+
+
+def that_chains():
+    """Depth 2-4 `that`-embeddings with at most three `every`."""
+    return [discourse([" believed that ".join(noun_phrases(dets)) + " left"])
+            for depth in (2, 3, 4)
+            for dets in itertools.product(("every", "a", "name"), repeat=depth)
+            if dets.count("every") <= 3]
+
+
+def wide_discourses():
+    """Name+indefinite discourses of 3 sentences, and of 2 plus an
+    intransitive; two-plural discourses under each pair of directives."""
+    out = []
+    for dets in itertools.product(("name", "a"), repeat=6):
+        nps = noun_phrases(dets)
+        out.append((discourse(f"{nps[2 * i]} {VERBS[i]} {nps[2 * i + 1]}"
+                              for i in range(3)), ()))
+    for dets in itertools.product(("name", "a"), repeat=5):
+        nps = noun_phrases(dets)
+        out.append((discourse([f"{nps[2 * i]} {VERBS[i]} {nps[2 * i + 1]}"
+                               for i in range(2)] + [f"{nps[4]} left"]), ()))
+    for text in ("The lawyers hired a clerk. The students met an office.",
+                 "The lawyers hired a clerk. The students left.",
+                 "The lawyers hired john. The clerks left."):
+        for verdicts in itertools.product((COLLECTIVE, DISTRIBUTIVE), repeat=2):
+            out.append((text, ((1, verdicts[0]), (2, verdicts[1]))))
+    return out
+
+
+def quantified_pairs():
+    """Two quantified transitive sentences, one or two `every` in the first."""
+    one_every = [("every", "a"), ("every", "name"), ("a", "every"), ("name", "every")]
+    pairs = list(itertools.product(one_every, repeat=2))
+    pairs += [(("every", "every"), other)
+              for other in (("a", "a"), ("a", "name"), ("name", "a"))]
+    out = []
+    for first, second in pairs:
+        a, b, c, d = noun_phrases(first + second)
+        out.append(discourse([f"{a} hired {b}", f"{c} met {d}"]))
+    return out

@@ -4,21 +4,28 @@
 what ``oracle.reference_canonical`` and the reference printers give: the
 same least shape (so dedup keeps the same readings) and byte-identical text
 and JSON.  Inputs: every scoped DRS with at most 7 referents of the golden
-corpus and of generated families (E: `that`-chains, Q: two quantified
+corpus, of generated families (E: `that`-chains, Q: two quantified
 sentences, S: name+indefinite discourses, P: plural discourses under every
-directive), symmetric discourses, and seeded random DRSs, which also put
-referents outside every universe or in several, and repeat one structure
-with group and individual referents swapped.  Symmetric inputs too large
-for the reference are held to their known form within a time bound.
+directive) and of the three reading-heavy benchmark families rebuilt from
+the built-in vocabulary, symmetric discourses, and seeded random DRSs, which
+also put referents outside every universe or in several, and repeat one
+structure with group and individual referents swapped.  Together they take
+every path of the search: a tie branch, a group take, automorphism pruning
+and the search for the first numbering.  Symmetric inputs too large for the
+reference are held to their known form within a time bound.
 """
 
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from conftest import analyze, corpus_cases, session_for_case
+from conftest import (
+    analyze, corpus_cases, quantified_pairs, session_for_case, that_chains,
+    wide_discourses,
+)
 from oracle import (
     all_referents, reference_canonical, reference_json, reference_names,
     reference_render,
@@ -26,6 +33,7 @@ from oracle import (
 from test_scope_search import CHAINS, DISCOURSES
 from udrs.core import GROUP, INDIVIDUAL, DiscourseReferent
 from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
+from udrs.canonical import canonical_labelling
 from udrs.readings import (
     DRS, DuplexCondition, build_drs, canonical_form, check_binding,
     count_readings, drs_to_json, enumerate_scopings, render_drs,
@@ -124,6 +132,21 @@ def test_symmetric(text, directives, readings):
     assert count_readings(u) == readings
 
 
+@pytest.mark.parametrize("text", that_chains())
+def test_bench_that_chains(text):
+    check_small(analyze(text).udrs)
+
+
+@pytest.mark.parametrize("text,directives", wide_discourses())
+def test_bench_wide_discourses(text, directives):
+    check_small(analyze(text, disambiguate=directives).udrs)
+
+
+@pytest.mark.parametrize("text", quantified_pairs())
+def test_bench_quantified_pairs(text):
+    check_small(analyze(text).udrs)
+
+
 # --- Seeded random DRSs ---------------------------------------------------------
 
 def random_box(rng: random.Random, refs: list, depth: int) -> DRS:
@@ -193,6 +216,47 @@ def test_group_and_individual_swapped_by_an_automorphism():
             a, b = (DiscourseReferent(uid, sort) for uid, sort in zip(uids, sorts))
             assert_matches_reference(DRS(frozenset({x}), frozenset({("p", (x,))}), empty,
                                          frozenset({duplex(a), duplex(b)})))
+
+
+def test_inputs_take_every_search_path(monkeypatch):
+    """The inputs above branch on a tie, take tied items as a group, prune a
+    branch by an automorphism and search for the first numbering, each at
+    least once, so the reference checks cover every path."""
+    import udrs.canonical as canonical
+    seen: Counter = Counter()
+    prune = canonical._Labelling.prune
+    take_group = canonical._take_group
+    first_numbering = canonical._Labelling.first_numbering
+
+    def counting_prune(self, frontier, branched):
+        kept = prune(self, frontier, branched)
+        seen["tie branch"] += 1  # the frontier holds two entries only after a tie
+        seen["automorphism pruning"] += len(frontier) - len(kept)
+        return kept
+
+    def counting_take_group(*args):
+        seen["group take"] += 1
+        return take_group(*args)
+
+    def counting_first_numbering(self, nu, col):
+        seen["first_numbering"] += 1
+        return first_numbering(self, nu, col)
+
+    monkeypatch.setattr(canonical._Labelling, "prune", counting_prune)
+    monkeypatch.setattr(canonical, "_take_group", counting_take_group)
+    monkeypatch.setattr(canonical._Labelling, "first_numbering", counting_first_numbering)
+    inputs = [(text, ()) for text in that_chains() + quantified_pairs() + CHAINS
+              + DISCOURSES + S_FAMILY]
+    inputs += wide_discourses() + P_FAMILY + [(text, dirs) for text, dirs, _ in SYMMETRIC]
+    for text, directives in inputs:
+        for d in scoped_drss(analyze(text, disambiguate=directives).udrs):
+            canonical_labelling(d)
+    for seed in range(12):
+        rng = random.Random(seed)
+        for _ in range(25):
+            canonical_labelling(random_drs(rng))
+    assert all(seen[path] for path in ("tie branch", "group take", "automorphism pruning",
+                                       "first_numbering")), dict(seen)
 
 
 # --- Symmetric inputs beyond the reference --------------------------------------
