@@ -369,6 +369,7 @@ class _Labelling:
         self.automorphic: dict[tuple, bool] = {}
         self._occurrences: Optional[list[list[tuple]]] = None
         self._colours: dict[tuple, list[int]] = {}
+        self._box_colours: dict[tuple, dict[_Box, tuple]] = {}
 
     def run(self, lo: list[int]) -> tuple[list[int], list]:
         """The least-shape search from partition lo: a final partition and
@@ -470,8 +471,11 @@ class _Labelling:
             box, phase = stack[0], stack[1]
             items = box.lists[phase]
             if phase == 3:
+                memo = self._box_colours.setdefault(tuple(lo), {})
+
                 def key(i):
-                    return _box_colour(items[i][1], col) + _box_colour(items[i][2], col)
+                    return (_box_colour(items[i][1], col, memo)
+                            + _box_colour(items[i][2], col, memo))
             else:
                 def key(i):
                     return tuple(col[a] for a in items[i][1])
@@ -570,10 +574,15 @@ def _collect_occurrences(box: _Box, path: tuple, places: dict, out: list) -> Non
         _collect_occurrences(scope, path + ((rel, 1),), places, out)
 
 
-def _box_colour(box: _Box, col: list[int]) -> tuple:
-    universe, preds, mems, dups = box.lists
-    return (tuple(sorted(col[a] for a in universe)),
+def _box_colour(box: _Box, col: list[int], memo: dict[_Box, tuple]) -> tuple:
+    """The box's items under col, sorted; memo holds the boxes done under col."""
+    c = memo.get(box)
+    if c is None:
+        universe, preds, mems, dups = box.lists
+        c = memo[box] = (
+            tuple(sorted(col[a] for a in universe)),
             *(tuple(sorted((rel, tuple(col[a] for a in args)) for rel, args in items))
               for items in (preds, mems)),
-            tuple(sorted((rel,) + _box_colour(res, col) + _box_colour(scope, col)
+            tuple(sorted((rel,) + _box_colour(res, col, memo) + _box_colour(scope, col, memo)
                          for rel, res, scope in dups)))
+    return c

@@ -287,6 +287,8 @@ def run_corpus(path: str, lexicon: Optional[Lexicon] = None,
             problems.append(str(e))
         except json.JSONDecodeError as e:
             problems.append(f"expect-udrs {case.expect_udrs} is not JSON: {e}")
+        except OSError as e:
+            problems.append(f"expect-udrs {case.expect_udrs} cannot be read: {e.strerror}")
         if problems:
             failures += 1
             print(f"FAIL {case.name}: {'; '.join(problems)}", file=out)

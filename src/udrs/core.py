@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping, Optional
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 
 class UDRSError(Exception):
@@ -59,8 +59,12 @@ IDENTITY = "identity"  # left = right
 CONDITIONAL = "conditional"
 
 
-@dataclass(frozen=True)
-class Label:
+# Labels, referents, slots and constraints are hashed at every step of
+# construction, so they are NamedTuples: hash and == are tuple's, in C.  Each
+# hashes as the tuple of its fields, which fixes the iteration order of the
+# sets and dicts that hold them, and so the order of every output.
+
+class Label(NamedTuple):
     """Opaque node identifier in the subordination semilattice."""
 
     uid: int
@@ -80,8 +84,7 @@ def top_label() -> Label:
     return Label(next(_ids), is_top=True)
 
 
-@dataclass(frozen=True)
-class DiscourseReferent:
+class DiscourseReferent(NamedTuple):
     uid: int
     sort: str = INDIVIDUAL  # INDIVIDUAL or GROUP
 
@@ -93,8 +96,7 @@ def fresh_referent(sort: str = INDIVIDUAL) -> DiscourseReferent:
     return DiscourseReferent(next(_ids), sort)
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """A verb's argument position, resolved through a UDRS's bindings."""
 
     uid: int
@@ -173,8 +175,14 @@ class Membership(Condition):
 
 # --- Subordination constraints ----------------------------------------------
 
-@dataclass(frozen=True)
-class SubordConstraint:
+class _Subord(NamedTuple):
+    kind: str
+    left: Label
+    right: Label
+    antecedent: Optional[tuple[Label, Label]] = None
+
+
+class SubordConstraint(_Subord):
     """A relation between two labels.
 
     kind WEAK means left >= right, STRICT left > right, IDENTITY left = right.
@@ -183,14 +191,13 @@ class SubordConstraint:
     then contributes its consequent left >= right.
     """
 
-    kind: str
-    left: Label
-    right: Label
-    antecedent: Optional[tuple[Label, Label]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.kind == CONDITIONAL) != (self.antecedent is not None):
+    def __new__(cls, kind: str, left: Label, right: Label,
+                antecedent: Optional[tuple[Label, Label]] = None):
+        if (kind == CONDITIONAL) != (antecedent is not None):
             raise ValueError("antecedent present iff kind is conditional")
+        return tuple.__new__(cls, (kind, left, right, antecedent))
 
     def __repr__(self) -> str:
         sym = {WEAK: "≥", STRICT: ">", IDENTITY: "="}

@@ -15,8 +15,7 @@ keys it met, which is also what ``np<k>`` counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import UDRS, DiscourseReferent, Label, Quantifier, UDRSError, closure
 
@@ -25,8 +24,7 @@ class MalformedNP(UDRSError):
     pass
 
 
-@dataclass(frozen=True)
-class PendingKey:
+class PendingKey(NamedTuple):
     np_l_max: Label
     np_l_min: Label
 

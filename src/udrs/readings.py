@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     CONDITIONAL, GROUP, IDENTITY, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
@@ -63,8 +63,7 @@ class DRS:
         return canonical_labelling(self)
 
 
-@dataclass(frozen=True)
-class DuplexCondition:
+class DuplexCondition(NamedTuple):
     rel: str
     res: DRS
     scope: DRS

@@ -60,7 +60,8 @@ def test_criterion_1_golden_fixture_11():
         elapsed = time.monotonic() - start
         assert elapsed < 1.0, f"parse took {elapsed:.3f}s"
 
-        assert to_json_str(u) == open(golden_path("udrs_11.json")).read()
+        with open(golden_path("udrs_11.json"), encoding="utf-8") as fh:
+            assert to_json_str(u) == fh.read()
 
         preds = {c.rel: c for c in u.conds if isinstance(c, Predicate)}
         assert set(preds) == {"lawyer", "secretary", "hire"}

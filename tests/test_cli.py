@@ -166,6 +166,19 @@ class TestCorpusCommand:
             "Expecting value: line 1 column 1 (char 0)",
             "PASS fine"]
 
+    def test_expected_udrs_unreadable_fails_the_case(self, tmp_path, capsys):
+        (tmp_path / "a-directory.json").mkdir()
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("case: missing\ninput: John left.\nexpect-udrs: missing.json\n\n"
+                          "case: directory\ninput: John left.\nexpect-udrs: a-directory.json\n\n"
+                          "case: fine\ninput: John left.\nexpect-readings: 1\n")
+        assert run(["corpus", str(corpus)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ("FAIL missing: expect-udrs missing.json cannot be read: "
+                          "No such file or directory")
+        assert out[1].startswith("FAIL directory: expect-udrs a-directory.json cannot be read: ")
+        assert out[2:] == ["PASS fine"]
+
     def test_malformed_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("case: no-input\nexpect-readings: 1\n")

@@ -4,10 +4,13 @@ import pytest
 
 from conftest import relations, to_constraints
 from udrs.core import (
-    CycleError, LS, Predicate, check_udrs, closure, conditional,
+    CONDITIONAL, GROUP, STRICT, WEAK, CycleError, DiscourseReferent, LS, Label,
+    Predicate, Slot, SubordConstraint, check_udrs, closure, conditional,
     fresh_label, fresh_referent, identity, make_udrs, merge, strict, top_label,
     weak,
 )
+from udrs.delay import PendingKey
+from udrs.readings import DRS, DuplexCondition
 
 
 def test_fresh_labels_distinct():
@@ -39,6 +42,53 @@ def test_concurrent_derivations_never_collide_on_identifiers():
         t.join()
     all_labels = [l for b in buckets for l in b]
     assert len(set(all_labels)) == len(all_labels)
+
+
+# --- Value types ------------------------------------------------------------
+
+_EMPTY_BOX = DRS(frozenset(), frozenset(), frozenset(), frozenset())
+VALUES = [
+    Label(5), Label(6, is_top=True), DiscourseReferent(5), DiscourseReferent(6, GROUP),
+    Slot(5), weak(Label(1), Label(2)), conditional(Label(1), Label(2), Label(3), Label(4)),
+    PendingKey(Label(1), Label(2)), DuplexCondition("every", _EMPTY_BOX, _EMPTY_BOX),
+]
+
+
+@pytest.mark.parametrize("v", VALUES, ids=lambda v: type(v).__name__)
+def test_value_types_hash_as_the_tuple_of_their_fields(v):
+    # Sets and dicts of these values, and so every output order, iterate as
+    # they did when each was a frozen dataclass hashing that same tuple.
+    assert hash(v) == hash(tuple(v)) == hash(tuple(getattr(v, f) for f in v._fields))
+    assert type(v).__hash__ is tuple.__hash__
+    assert type(v).__eq__ is tuple.__eq__
+    with pytest.raises(AttributeError):
+        setattr(v, v._fields[0], v[0])
+
+
+def test_value_reprs():
+    assert [repr(v) for v in VALUES[:8]] == [
+        "l5", "l⊤6", "x5", "X6", "?5", "(l1 ≥ l2)", "(l1 > l2 ⇒ l3 ≥ l4)",
+        "dref_res(l1,l2)"]
+
+
+def test_bindings_keys_and_values_never_collide():
+    # A bindings map holds Slots and PendingKeys as keys and referents and
+    # PendingKeys as values; labels share its uid counter.
+    values = [Slot(5), Label(5), DiscourseReferent(5), PendingKey(Label(5), Label(5))]
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            assert a != b
+
+
+def test_subord_constraint_antecedent_iff_conditional():
+    a, b = Label(1), Label(2)
+    with pytest.raises(ValueError, match="antecedent present iff kind is conditional"):
+        SubordConstraint(CONDITIONAL, a, b)
+    for kind in (WEAK, STRICT):
+        with pytest.raises(ValueError, match="antecedent present iff kind is conditional"):
+            SubordConstraint(kind, a, b, (a, b))
+    assert SubordConstraint(CONDITIONAL, a, b, (b, a)).antecedent == (b, a)
+    assert SubordConstraint(WEAK, a, b) == weak(a, b)
 
 
 class TestClosure:
