@@ -294,70 +294,25 @@ def _close(box: _Box, phase: int, rest: Optional[tuple]) -> Optional[tuple]:
     return (box, phase + 1, tuple(range(len(box.lists[phase + 1]))), (), rest)
 
 
-def _advance(lo: list[int], stack: Optional[tuple], out: list) -> tuple:
-    """Run one entry on in place while its next token is forced, appending
-    the tokens to out.
-
-    Returns the stack and the tied options at the first real choice, or
-    (None, []) at the end.
-    """
-    while stack is not None:
-        box, phase, rem, queue, rest = stack
-        if phase == 0:
-            out.append(_refine(lo, box.lists[0]))
-            stack = _close(box, 0, rest)
-        elif queue:
-            out.extend(queue)
-            stack = (box, phase, rem, (), rest)
-        elif not rem:
-            out.append(_END)
-            stack = _close(box, phase, rest)
-        else:
-            ties = _least(lo, box, phase, rem)
-            if len(ties) == 1:
-                stack = _take(lo, stack, ties[0][1])
-            else:
-                free = _group(lo, box, phase, rem, ties)
-                if free is None:
-                    return stack, ties
-                stack = _take_group(lo, stack, ties, free)
-            out.append(ties[0][0])
-    return None, []
-
-
-def _step(frontier: list[tuple]) -> tuple:
-    """Advance every entry by one token; the least token and the entries
-    that emit it."""
-    best, chosen = None, []
-    for lo, stack in frontier:
-        box, phase, rem, queue, rest = stack
-        if phase == 0:
-            new = list(lo)
-            opts = [(_refine(new, box.lists[0]), (new, _close(box, 0, rest)))]
-        elif queue:
-            opts = [(queue[0], (lo, (box, phase, rem, queue[1:], rest)))]
-        elif not rem:
-            opts = [(_END, (lo, _close(box, phase, rest)))]
-        else:
-            ties = _least(lo, box, phase, rem)
-            free = _group(lo, box, phase, rem, ties) if len(ties) > 1 else None
-            if free is None:
-                opts = [(tok, (lo, stack, i)) for tok, i in ties]
-            else:
-                new = list(lo)
-                opts = [(ties[0][0], (new, _take_group(new, stack, ties, free)))]
-        for tok, e in opts:
-            if best is None or tok < best:
-                best, chosen = tok, [e]
-            elif tok == best:
-                chosen.append(e)
-    out = []
-    for e in chosen:
-        if len(e) == 3:  # an item still to take, on a copy of the partition
-            lo = list(e[0])
-            e = (lo, _take(lo, e[1], e[2]))
-        out.append(e)
-    return best, out
+def _next(lo: list[int], stack: tuple) -> tuple:
+    """The entry's next token: (token, stack after it, None) when the token
+    is forced, with lo changed in place, or (token, stack, positions) when
+    several items tie for it, with lo and stack unchanged: taking any one of
+    the tied positions (_take) emits it."""
+    box, phase, rem, queue, rest = stack
+    if phase == 0:
+        return _refine(lo, box.lists[0]), _close(box, 0, rest), None
+    if queue:
+        return queue[0], (box, phase, rem, queue[1:], rest), None
+    if not rem:
+        return _END, _close(box, phase, rest), None
+    ties = _least(lo, box, phase, rem)
+    if len(ties) == 1:
+        return ties[0][0], _take(lo, stack, ties[0][1]), None
+    free = _group(lo, box, phase, rem, ties)
+    if free is None:
+        return ties[0][0], stack, [i for _, i in ties]
+    return ties[0][0], _take_group(lo, stack, ties, free), None
 
 
 class _Labelling:
@@ -373,27 +328,45 @@ class _Labelling:
 
     def run(self, lo: list[int]) -> tuple[list[int], list]:
         """The least-shape search from partition lo: a final partition and
-        the tokens of the least shape."""
+        the tokens of the least shape.
+
+        A lone entry runs on in place to its next tie.  Several entries step
+        in lockstep, and only those that emit the least token stay.  An
+        entry at a tie splits into one child per tied item, each on its own
+        copy of the partition, and the children are pruned.
+        """
         tokens: list = []
         frontier = [(list(lo), (self.top, 0, (), (), None))]
         while True:
             if len(frontier) == 1:
                 lo, stack = frontier[0]
-                stack, ties = _advance(lo, stack, tokens)
-                if stack is None:
-                    return lo, tokens
-                tokens.append(ties[0][0])
-                children = []
-                for _, i in ties:
+                ties = None
+                while ties is None:
+                    if stack is None:
+                        return lo, tokens
+                    token, stack, ties = _next(lo, stack)
+                    tokens.append(token)
+                stepped = [(lo, stack, ties)]
+            else:
+                best = None
+                for lo, stack in frontier:
+                    token, stack, ties = _next(lo, stack)
+                    if best is None or token < best:
+                        best, stepped = token, [(lo, stack, ties)]
+                    elif token == best:
+                        stepped.append((lo, stack, ties))
+                tokens.append(best)
+                if stepped[0][1] is None:
+                    return stepped[0][0], tokens
+            children = []
+            for lo, stack, ties in stepped:
+                if ties is None:
+                    children.append((lo, stack))
+                    continue
+                for i in ties:
                     child = list(lo)
                     children.append((child, _take(child, stack, i)))
-                branched = True
-            else:
-                token, children = _step(frontier)
-                tokens.append(token)
-                if children[0][1] is None:
-                    return children[0][0], tokens
-                branched = len(children) > len(frontier)
+            branched = len(children) > len(frontier)
             frontier = self.prune(children, branched) if len(children) > 1 else children
 
     def prune(self, frontier: list[tuple], branched: bool) -> list[tuple]:
@@ -459,14 +432,16 @@ class _Labelling:
         return st1 is st2
 
     def dive(self, e: tuple) -> tuple[list[int], list]:
-        """Run entry e to a numbering, breaking ties by refined colours; the
-        numbering and the tokens emitted on the way."""
+        """Run entry e to a numbering, taking at each tie the item whose
+        referents have the least refined colours; the numbering and the
+        tokens emitted on the way."""
         lo, stack = list(e[0]), e[1]
         tokens: list = []
-        while True:
-            stack, ties = _advance(lo, stack, tokens)
-            if stack is None:
-                break
+        while stack is not None:
+            token, stack, ties = _next(lo, stack)
+            tokens.append(token)
+            if ties is None:
+                continue
             col = self.colours(lo)
             box, phase = stack[0], stack[1]
             items = box.lists[phase]
@@ -479,8 +454,7 @@ class _Labelling:
             else:
                 def key(i):
                     return tuple(col[a] for a in items[i][1])
-            tokens.append(ties[0][0])
-            stack = _take(lo, stack, min((i for _, i in ties), key=key))
+            stack = _take(lo, stack, min(ties, key=key))
         return _complete(lo), tokens
 
     def occurrences(self) -> list[list[tuple]]:

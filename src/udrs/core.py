@@ -179,7 +179,7 @@ class _Subord(NamedTuple):
     kind: str
     left: Label
     right: Label
-    antecedent: Optional[tuple[Label, Label]] = None
+    antecedent: tuple[Label, ...] = ()
 
 
 class SubordConstraint(_Subord):
@@ -188,14 +188,15 @@ class SubordConstraint(_Subord):
     kind WEAK means left >= right, STRICT left > right, IDENTITY left = right.
     A CONDITIONAL constraint carries an antecedent pair (a, b) read as the
     strict relation a > b; it is inert until that relation is derivable, and
-    then contributes its consequent left >= right.
+    then contributes its consequent left >= right.  Every other kind holds
+    () there, which hashes alike in every process, as None does not before
+    Python 3.12.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, left: Label, right: Label,
-                antecedent: Optional[tuple[Label, Label]] = None):
-        if (kind == CONDITIONAL) != (antecedent is not None):
+    def __new__(cls, kind: str, left: Label, right: Label, antecedent: tuple[Label, ...] = ()):
+        if (kind == CONDITIONAL) != bool(antecedent):
             raise ValueError("antecedent present iff kind is conditional")
         return tuple.__new__(cls, (kind, left, right, antecedent))
 

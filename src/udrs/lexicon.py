@@ -190,6 +190,7 @@ def entry_complementizer(word: Optional[str] = None) -> Sign:
 
 _POS_TAGS = {"det-quant", "det-indef", "det-pl", "noun", "name", "pron",
              "verb-trans", "verb-intrans", "verb-clause", "comp"}
+_NO_REL_TAGS = {"det-quant", "det-indef", "det-pl", "pron", "comp"}  # may have rel '-'
 
 
 @dataclass(frozen=True)
@@ -268,6 +269,8 @@ def _parse_lex(text: str, origin: str) -> list[VocabEntry]:
         bad = set(flags) - {"pl", "collective-only"}
         if bad:
             raise LexiconError(f"{origin}:{lineno}: unknown flags {sorted(bad)}")
+        if rel == "-" and pos not in _NO_REL_TAGS:
+            raise LexiconError(f"{origin}:{lineno}: a {pos} entry needs a rel, not '-'")
         entries.append(VocabEntry(
             word=word.lower(), pos=pos,
             rel=None if rel == "-" else rel,

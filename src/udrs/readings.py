@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     CONDITIONAL, GROUP, IDENTITY, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
@@ -338,38 +338,40 @@ def canonical_form(d: DRS) -> tuple:
 # --- Public operations ----------------------------------------------------------
 
 def enumerate_readings(u: UDRS, expand_pending: bool = False) -> list[DRS]:
-    """Every fully scoped DRS the UDRS stands for.
+    """Every fully scoped DRS the UDRS stands for, one per reading.
 
-    Pending argument slots are rejected unless expand_pending is set, in
-    which case each undisambiguated plural branches into its collective and
+    Of the licensed DRSs with the same canonical form the first is kept, so
+    readings come in the order of their first scoping.  Pending argument
+    slots are rejected unless expand_pending is set, in which case each
+    undisambiguated plural branches into its collective and then its
     distributive readings.
     """
-    pending = u.pending_slots()
-    if pending:
-        if not expand_pending:
-            raise UnresolvedSlot(
-                f"{len(pending)} unresolved argument slot(s); disambiguate first")
-        return _expand_and_enumerate(u, pending)
     readings: dict[tuple, DRS] = {}
-    for scoping in enumerate_scopings(u):
-        drs = build_drs(u, scoping)
-        if check_binding(drs):
-            continue  # unbound referent occurrences: not a licensed reading
+    for drs in _licensed(u, expand_pending):
         readings.setdefault(canonical_form(drs), drs)
     return list(readings.values())
 
 
-def _expand_and_enumerate(u: UDRS, pending: list) -> list[DRS]:
+def _licensed(u: UDRS, expand_pending: bool) -> Iterator[DRS]:
+    """The DRS of each scoping whose referent occurrences are all bound,
+    branch by branch where a plural is pending."""
+    pending = u.pending_slots()
+    if not pending:
+        for scoping in enumerate_scopings(u):
+            drs = build_drs(u, scoping)
+            if not check_binding(drs):
+                yield drs
+        return
+    if not expand_pending:
+        raise UnresolvedSlot(
+            f"{len(pending)} unresolved argument slot(s); disambiguate first")
     keys = [k for k in pending if isinstance(k, PendingKey)]
     if not keys:
         raise UnresolvedSlot("pending slot carries no key; cannot expand")
     key = min(keys, key=lambda k: k.np_l_max.uid)
     target = plurals.target_for(u, key.np_l_max, key.np_l_min)
-    readings: dict[tuple, DRS] = {}
     for branch in (plurals.pl_dis_collective, plurals.pl_dis_distributive):
-        for drs in enumerate_readings(branch(u, target), expand_pending=True):
-            readings.setdefault(canonical_form(drs), drs)
-    return list(readings.values())
+        yield from _licensed(branch(u, target), True)
 
 
 def count_readings(u: UDRS, expand_pending: bool = False) -> int:

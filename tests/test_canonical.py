@@ -10,9 +10,10 @@ directive) and of the three reading-heavy benchmark families rebuilt from
 the built-in vocabulary, symmetric discourses, and seeded random DRSs, which
 also put referents outside every universe or in several, and repeat one
 structure with group and individual referents swapped.  Together they take
-every path of the search: a tie branch, a group take, automorphism pruning
-and the search for the first numbering.  Symmetric inputs too large for the
-reference are held to their known form within a time bound.
+every path of the search: a tie branch, a group take, automorphism pruning,
+a lockstep step, a group token owed in lockstep, a dive and the search for
+the first numbering.  Symmetric inputs too large for the reference are held
+to their known form within a time bound.
 """
 
 import itertools
@@ -218,15 +219,47 @@ def test_group_and_individual_swapped_by_an_automorphism():
                                          frozenset({duplex(a), duplex(b)})))
 
 
+def two_copies_owing_a_group_token() -> DRS:
+    """random_drs(Random(22)), 7th draw: two copies of one universe-less
+    box, sorts swapped.  Its search steps several entries in lockstep while
+    they still owe the tokens of items taken as a group."""
+    a, b = DiscourseReferent(5401, GROUP), DiscourseReferent(7872)
+    c, d = DiscourseReferent(15401, GROUP), DiscourseReferent(17872)
+    preds = {("p", (a,)), ("r", (a, a)), ("p", (b,)), ("r", (b,)),
+             ("p", (c,)), ("r", (c, c)), ("p", (d,)), ("r", (d,))}
+    return DRS(frozenset(), frozenset(preds), frozenset({(a, b), (c, d)}), frozenset())
+
+
+def test_group_token_owed_in_lockstep():
+    assert_matches_reference(two_copies_owing_a_group_token())
+
+
 def test_inputs_take_every_search_path(monkeypatch):
     """The inputs above branch on a tie, take tied items as a group, prune a
-    branch by an automorphism and search for the first numbering, each at
-    least once, so the reference checks cover every path."""
+    branch by an automorphism, step several entries in lockstep, drain a
+    queued group token there, dive to a leaf and search for the first
+    numbering, each at least once, so the reference checks cover every
+    path."""
+    import sys
     import udrs.canonical as canonical
     seen: Counter = Counter()
     prune = canonical._Labelling.prune
     take_group = canonical._take_group
     first_numbering = canonical._Labelling.first_numbering
+    dive = canonical._Labelling.dive
+    next_token = canonical._next
+
+    def counting_next(lo, stack):
+        caller = sys._getframe(1)  # from run while its frontier holds several: lockstep
+        if caller.f_code.co_name == "run" and len(caller.f_locals["frontier"]) > 1:
+            seen["lockstep step"] += 1
+            if stack[3]:
+                seen["queued token in lockstep"] += 1
+        return next_token(lo, stack)
+
+    def counting_dive(self, e):
+        seen["dive"] += 1
+        return dive(self, e)
 
     def counting_prune(self, frontier, branched):
         kept = prune(self, frontier, branched)
@@ -245,6 +278,8 @@ def test_inputs_take_every_search_path(monkeypatch):
     monkeypatch.setattr(canonical._Labelling, "prune", counting_prune)
     monkeypatch.setattr(canonical, "_take_group", counting_take_group)
     monkeypatch.setattr(canonical._Labelling, "first_numbering", counting_first_numbering)
+    monkeypatch.setattr(canonical._Labelling, "dive", counting_dive)
+    monkeypatch.setattr(canonical, "_next", counting_next)
     inputs = [(text, ()) for text in that_chains() + quantified_pairs() + CHAINS
               + DISCOURSES + S_FAMILY]
     inputs += wide_discourses() + P_FAMILY + [(text, dirs) for text, dirs, _ in SYMMETRIC]
@@ -255,7 +290,9 @@ def test_inputs_take_every_search_path(monkeypatch):
         rng = random.Random(seed)
         for _ in range(25):
             canonical_labelling(random_drs(rng))
+    canonical_labelling(two_copies_owing_a_group_token())
     assert all(seen[path] for path in ("tie branch", "group take", "automorphism pruning",
+                                       "lockstep step", "queued token in lockstep", "dive",
                                        "first_numbering")), dict(seen)
 
 

@@ -113,6 +113,17 @@ class TestParseCommand:
         assert run(["corpus", str(latin1)]) == 1
         assert capsys.readouterr().err.count("error: ") == 3
 
+    def test_entry_without_rel_exits_1(self, tmp_path):
+        lexicon = tmp_path / "dash.lex"
+        lexicon.write_text("john name john\nleft verb-intrans -\nmary name -\n")
+        src = os.path.dirname(os.path.dirname(udrs.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "udrs", "parse", "John left.",
+                               "--lexicon", str(lexicon)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {lexicon}:2: a verb-intrans entry needs a rel, not '-'\n"
+
     def test_corpus_reader_rejects_non_utf8(self, tmp_path):
         from udrs.core import EncodingError
         corpus = tmp_path / "latin1.txt"

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import udrs.core
 from conftest import relations, to_constraints
 from udrs.core import (
     CONDITIONAL, GROUP, STRICT, WEAK, CycleError, DiscourseReferent, LS, Label,
@@ -89,6 +93,18 @@ def test_subord_constraint_antecedent_iff_conditional():
             SubordConstraint(kind, a, b, (a, b))
     assert SubordConstraint(CONDITIONAL, a, b, (b, a)).antecedent == (b, a)
     assert SubordConstraint(WEAK, a, b) == weak(a, b)
+
+
+def test_constraint_hash_is_the_same_in_every_process():
+    """With one hash seed, sets of constraints iterate alike in every
+    process: no field may hash by address, as None does before Python 3.12."""
+    code = ("from udrs.core import Label, weak, conditional; a, b = Label(3, True), Label(4); "
+            "print(hash(weak(a, b)), hash(conditional(a, b, b, a)))")
+    src = os.path.dirname(os.path.dirname(udrs.core.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, check=True, timeout=60).stdout for _ in range(2)]
+    assert outs[0] == outs[1] != ""
 
 
 class TestClosure:

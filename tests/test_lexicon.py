@@ -181,6 +181,18 @@ def test_lexicon_file_errors(tmp_path):
         Lexicon.from_file(str(bad))
 
 
+def test_only_function_words_may_have_no_rel(tmp_path):
+    from udrs.lexicon import LexiconError
+    path = tmp_path / "dash.lex"
+    path.write_text("every det-quant -\na det-indef -\nthe det-pl -\nthey pron -\n"
+                    "that comp -\n")
+    assert Lexicon.from_file(str(path)).entry("they").rel is None
+    for pos in ("noun", "name", "verb-trans", "verb-intrans", "verb-clause"):
+        path.write_text(f"john name john\n# {pos}\nword {pos} -\n")
+        with pytest.raises(LexiconError, match=f"dash.lex:3: a {pos} entry needs a rel"):
+            Lexicon.from_file(str(path))
+
+
 def test_lexicon_file_not_utf8(tmp_path):
     from udrs.core import EncodingError
     bad = tmp_path / "latin1.lex"
