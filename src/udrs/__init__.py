@@ -33,4 +33,24 @@ from .readings import (
 from .serialize import from_json, render_text, to_dot, to_json, to_json_str
 from .cli import Session, build_session
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CONDITIONAL", "DISTRIBUTION", "EVERY", "GROUP", "IDENTITY", "INDIVIDUAL",
+    "STRICT", "WEAK", "Condition", "CycleError", "DiscourseReferent", "Label",
+    "LS", "Membership", "Predicate", "Quantifier", "ReferentIntro", "Slot",
+    "SubordConstraint", "UDRS", "UDRSError", "Violation", "check_udrs",
+    "closure", "conditional", "fresh_label", "fresh_referent", "fresh_slot",
+    "identity", "make_udrs", "merge", "strict", "top_label", "weak",
+    "MalformedNP", "PendingKey", "PendingRegistry", "dref_res", "Lexicon",
+    "Sign", "SubcatSlot", "UnknownWord", "SEP", "DerivationNode",
+    "ParseFailure", "parse", "tokenize", "yield_tokens", "CombinatorResult",
+    "Derivation", "SemanticsError", "SubcatMismatch", "combine_coord",
+    "combine_functional", "combine_head_comp", "combine_head_subj",
+    "interpret", "COLLECTIVE", "DISTRIBUTIVE", "UNKNOWN",
+    "AlreadyDisambiguated", "KnowledgeRules", "NotPlural", "PluralTarget",
+    "decide", "pl_dis_collective", "pl_dis_distributive", "target_for", "DRS",
+    "DuplexCondition", "InconsistentConstraints", "Scoping", "UnresolvedSlot",
+    "build_drs", "canonical_form", "check_binding", "count_readings",
+    "enumerate_readings", "enumerate_scopings", "render_drs", "from_json",
+    "render_text", "to_dot", "to_json", "to_json_str", "Session",
+    "build_session",
+]

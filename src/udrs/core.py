@@ -415,10 +415,6 @@ class Closure:
                 if j != i and row >> j & 1:
                     yield a, b, strict_row >> j & 1 == 1
 
-    def eq_class(self, l: Label) -> set[Label]:
-        i = self._class.get(l)
-        return {l} if i is None else {m for m, k in self._class.items() if k == i}
-
 
 def closure(constraints: Iterable[SubordConstraint]) -> Closure:
     """Compute derived relations; raises CycleError on a strict cycle."""

@@ -1,11 +1,11 @@
 """Delayed argument-slot resolution (dref_res).
 
 A verb cannot know which discourse referent fills an argument slot until the
-argument NP's own subordination pattern classifies it: identity of its
-distinguished labels means not scope bearing (take the referent at l_max),
-strict subordination means scope bearing (take the restrictor referent), and
-a weak-only pattern means the NP is an underspecified plural, so resolution
-gives the NP's PendingKey instead.
+argument NP is classified by the one constraint its determiner put between
+its distinguished labels: identity means not scope bearing (take the referent
+at l_max), strict means scope bearing (take the referent at the restrictor of
+the quantifier labelled l_max), and weak means an underspecified plural, so
+resolution gives the NP's PendingKey instead.
 
 Linking binds the verb's argument Slot to the referent, or to the NP's
 PendingKey; disambiguation later binds the key.  Both bindings live in the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .core import UDRS, DiscourseReferent, Label, Quantifier, UDRSError, closure
+from .core import UDRS, DiscourseReferent, Label, Quantifier, UDRSError, identity, strict, weak
 
 
 class MalformedNP(UDRSError):
@@ -35,28 +35,27 @@ class PendingKey(NamedTuple):
 def dref_res(np_udrs: UDRS) -> Union[DiscourseReferent, PendingKey]:
     """Resolve an argument NP's UDRS to a referent, or to its PendingKey.
 
-    Works on the NP's own local constraint set, which later combination
-    steps never touch, so the outcome is stable by construction.
+    Reads that one constraint, with no closure: a pattern that only other
+    labels derive is MalformedNP.  The NP's own constraint set is one that
+    later combination steps never touch, so the outcome is stable.
     """
     l_max, l_min = np_udrs.ls.l_max, np_udrs.ls.l_min
-    c = closure(np_udrs.subord)
-    if c.identical(l_max, l_min):
+    if identity(l_max, l_min) in np_udrs.subord:
         # not scope bearing: referent introduced at the maximal label
-        for label in c.eq_class(l_max):
-            intro = np_udrs.find_intro(label)
-            if intro is not None:
-                return intro.dref
-        raise MalformedNP(f"no referent introduced at {l_max}")
-    if c.strictly(l_max, l_min):
+        intro = np_udrs.find_intro(l_max)
+        if intro is None:
+            raise MalformedNP(f"no referent introduced at {l_max}")
+        return intro.dref
+    if strict(l_max, l_min) in np_udrs.subord:
         # scope bearing: referent sits in the quantifier's restrictor
         for cond in np_udrs.conds:
-            if isinstance(cond, Quantifier) and c.identical(cond.label, l_max):
+            if isinstance(cond, Quantifier) and cond.label == l_max:
                 intro = np_udrs.find_intro(cond.res)
                 if intro is not None:
                     return intro.dref
                 raise MalformedNP(f"no referent at restrictor {cond.res}")
         raise MalformedNP(f"strict NP without duplex at {l_max}")
-    if c.weakly(l_max, l_min):
+    if weak(l_max, l_min) in np_udrs.subord:
         return PendingKey(l_max, l_min)
     raise MalformedNP(f"no subordination pattern between {l_max} and {l_min}")
 

@@ -84,34 +84,11 @@ def yield_tokens(node: DerivationNode) -> list[str]:
     return out
 
 
-def _lexical_cat(lexicon: Lexicon, word: str) -> tuple:
-    e = lexicon.entry(word)
-    if e.pos.startswith("det-"):
-        return ("det", "pl" if e.pos == "det-pl" else "sg")
-    if e.pos == "noun":
-        return ("n", "pl" if e.plural else "sg")
-    if e.pos in ("name", "pron"):
-        return ("np", "pl" if e.pos == "pron" else "sg")
-    if e.pos == "verb-trans":
-        return ("v", "trans")
-    if e.pos == "verb-intrans":
-        return ("v", "intrans")
-    if e.pos == "verb-clause":
-        return ("v", "clause")
-    if e.pos == "comp":
-        return ("comp",)
-    raise ParseFailure(0, f"no syntactic category for {word!r}")
-
-
 def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> list[DerivationNode]:
     """All parses of one sentence segment (CKY over the fragment grammar)."""
     n = len(tokens)
     if n == 0:
         raise ParseFailure(offset, "empty sentence")
-    for i, tok in enumerate(tokens):
-        if tok not in lexicon:
-            raise ParseFailure(offset + i, f"unknown word {tok!r}")
-
     cells: dict[tuple[int, int], list[tuple[tuple, DerivationNode]]] = {}
 
     def add(i: int, j: int, cat: tuple, node: DerivationNode) -> None:
@@ -121,7 +98,9 @@ def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> list[De
             cell.append((("vp",), node))
 
     for i, tok in enumerate(tokens):
-        add(i, i + 1, _lexical_cat(lexicon, tok), DerivationNode(LEXICAL, word=tok))
+        if tok not in lexicon:
+            raise ParseFailure(offset + i, f"unknown word {tok!r}")
+        add(i, i + 1, lexicon.category(tok), DerivationNode(LEXICAL, word=tok))
 
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):

@@ -4,6 +4,9 @@ Every call instantiates an entry with fresh labels and referents, so two
 uses of the same word never share structure.  The vocabulary is loaded from
 a plain-text file, one entry per line: ``word POS rel [flags]`` with flags
 ``pl`` and ``collective-only``; a built-in fragment ships as the default.
+Only ``_TAGS`` knows the POS tags.  An NP's kind is the one constraint its
+determiner, name or pronoun puts between its l_max and l_min: identity (not
+scope bearing), strict (a quantifier) or weak (an underspecified plural).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     GROUP, DiscourseReferent, Label, LS, Predicate, Quantifier, ReferentIntro,
@@ -26,11 +29,6 @@ class UnknownWord(UDRSError):
 
 class LexiconError(UDRSError):
     pass
-
-
-# head types
-VERB, QUANT, PLURAL, INDEF, NOUN, NAME, COMP, COORD = (
-    "verb", "quant", "plural", "indef", "noun", "name", "comp", "coord")
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +55,6 @@ class Sign:
     one gives a new sign without it."""
 
     cat: str                  # det, n, np, v, vp, s, comp, cs, disc
-    head_type: str
     subcat: tuple[SubcatSlot, ...]
     udrs: UDRS
     agr: Optional[str] = None
@@ -83,7 +80,7 @@ class Sign:
     def fill(self, slot: SubcatSlot, cat: str, udrs: UDRS) -> "Sign":
         """A new sign: this one with slot filled, of category cat."""
         # built directly: dataclasses.replace would double the cost of a fill
-        return Sign(cat, self.head_type, tuple(s for s in self.subcat if s is not slot),
+        return Sign(cat, tuple(s for s in self.subcat if s is not slot),
                     udrs, self.agr, self.word, self.collective_subject)
 
 
@@ -94,7 +91,7 @@ def _verb_sign(rel: str, slots: list[SubcatSlot], args: tuple[Slot, ...],
     l_verb = fresh_label()
     l_ceiling = fresh_label()  # scope ceiling, bound later by the functional head
     u = make_udrs(LS(l_ceiling, l_verb), (), [Predicate(l_verb, rel, args)])
-    return Sign("v", VERB, tuple(slots), u, word=word,
+    return Sign("v", tuple(slots), u, word=word,
                 collective_subject=collective_subject)
 
 
@@ -130,7 +127,7 @@ def entry_quant_det(word: str = "every") -> Sign:
                   [strict(l1, l11), strict(l1, l12)],
                   [Quantifier(l1, EVERY, l11, l12), ReferentIntro(l11, x)])
     slot = SubcatSlot("comp", "noun", agr="sg", bind_label=l11, bind_dref=x)
-    return Sign("det", QUANT, (slot,), u, agr="sg", word=word)
+    return Sign("det", (slot,), u, agr="sg", word=word)
 
 
 def entry_indef_det(word: str = "a") -> Sign:
@@ -138,7 +135,7 @@ def entry_indef_det(word: str = "a") -> Sign:
     x = fresh_referent()
     u = make_udrs(LS(l1, l12), [identity(l1, l12)], [ReferentIntro(l1, x)])
     slot = SubcatSlot("comp", "noun", agr="sg", bind_label=l12, bind_dref=x)
-    return Sign("det", INDEF, (slot,), u, agr="sg", word=word)
+    return Sign("det", (slot,), u, agr="sg", word=word)
 
 
 def entry_plural_det(word: str = "the") -> Sign:
@@ -146,7 +143,7 @@ def entry_plural_det(word: str = "the") -> Sign:
     x = fresh_referent(GROUP)
     u = make_udrs(LS(l1, l12), [weak(l1, l12)], [ReferentIntro(l1, x)])
     slot = SubcatSlot("comp", "noun", agr="pl", bind_label=l1, bind_dref=x)
-    return Sign("det", PLURAL, (slot,), u, agr="pl", word=word)
+    return Sign("det", (slot,), u, agr="pl", word=word)
 
 
 def entry_noun(rel: str, word: Optional[str] = None, agr: str = "sg",
@@ -160,7 +157,7 @@ def entry_noun(rel: str, word: Optional[str] = None, agr: str = "sg",
     l = label if label is not None else fresh_label()
     x = dref if dref is not None else fresh_referent()
     u = make_udrs(LS(l, l), (), [Predicate(l, rel, (x,))])
-    return Sign("n", NOUN, (), u, agr=agr, word=word)
+    return Sign("n", (), u, agr=agr, word=word)
 
 
 def entry_name(rel: str, word: Optional[str] = None) -> Sign:
@@ -168,7 +165,7 @@ def entry_name(rel: str, word: Optional[str] = None) -> Sign:
     x = fresh_referent()
     u = make_udrs(LS(l1, l12), [identity(l1, l12)],
                   [ReferentIntro(l1, x), Predicate(l1, rel, (x,))])
-    return Sign("np", NAME, (), u, agr="sg", word=word)
+    return Sign("np", (), u, agr="sg", word=word)
 
 
 def entry_pronoun(word: str = "they") -> Sign:
@@ -176,22 +173,17 @@ def entry_pronoun(word: str = "they") -> Sign:
     l1, l12 = fresh_label(), fresh_label()
     x = fresh_referent()
     u = make_udrs(LS(l1, l12), [identity(l1, l12)], [ReferentIntro(l1, x)])
-    return Sign("np", NAME, (), u, agr="pl", word=word)
+    return Sign("np", (), u, agr="pl", word=word)
 
 
 def entry_complementizer(word: Optional[str] = None) -> Sign:
     """"that" or the silent root complementizer: no conditions of its own."""
     u = make_udrs(LS(fresh_label(), fresh_label()))
     slot = SubcatSlot("comp", "clause")
-    return Sign("comp", COMP, (slot,), u, word=word)
+    return Sign("comp", (slot,), u, word=word)
 
 
 # --- Vocabulary ----------------------------------------------------------------
-
-_POS_TAGS = {"det-quant", "det-indef", "det-pl", "noun", "name", "pron",
-             "verb-trans", "verb-intrans", "verb-clause", "comp"}
-_NO_REL_TAGS = {"det-quant", "det-indef", "det-pl", "pron", "comp"}  # may have rel '-'
-
 
 @dataclass(frozen=True)
 class VocabEntry:
@@ -200,6 +192,35 @@ class VocabEntry:
     rel: Optional[str]
     plural: bool = False
     collective_only: bool = False
+
+    @property
+    def agr(self) -> str:
+        return "pl" if self.plural else "sg"
+
+
+class _Tag(NamedTuple):
+    """What one POS tag makes of a vocabulary entry."""
+
+    category: Callable[[VocabEntry], tuple]  # its lexical category in the grammar
+    sign: Callable[[VocabEntry], Sign]       # a fresh sign
+    needs_rel: bool                          # False: the rel may be '-'
+
+
+_TAGS: dict[str, _Tag] = {
+    "det-quant": _Tag(lambda e: ("det", "sg"), lambda e: entry_quant_det(e.word), False),
+    "det-indef": _Tag(lambda e: ("det", "sg"), lambda e: entry_indef_det(e.word), False),
+    "det-pl": _Tag(lambda e: ("det", "pl"), lambda e: entry_plural_det(e.word), False),
+    "noun": _Tag(lambda e: ("n", e.agr), lambda e: entry_noun(e.rel, e.word, e.agr), True),
+    "name": _Tag(lambda e: ("np", "sg"), lambda e: entry_name(e.rel, e.word), True),
+    "pron": _Tag(lambda e: ("np", "pl"), lambda e: entry_pronoun(e.word), False),
+    "verb-trans": _Tag(lambda e: ("v", "trans"), lambda e: entry_transitive_verb(
+        e.rel, e.word, e.collective_only), True),
+    "verb-intrans": _Tag(lambda e: ("v", "intrans"), lambda e: entry_intransitive_verb(
+        e.rel, e.word, e.collective_only), True),
+    "verb-clause": _Tag(lambda e: ("v", "clause"), lambda e: entry_clause_verb(
+        e.rel, e.word, e.collective_only), True),
+    "comp": _Tag(lambda e: ("comp",), lambda e: entry_complementizer(e.word), False),
+}
 
 
 class Lexicon:
@@ -228,30 +249,15 @@ class Lexicon:
         except KeyError:
             raise UnknownWord(word) from None
 
+    def category(self, word: str) -> tuple:
+        """The word's lexical category in the grammar, e.g. ("det", "sg")."""
+        e = self.entry(word)
+        return _TAGS[e.pos].category(e)
+
     def sign(self, word: str) -> Sign:
         """Instantiate a fresh sign for a word."""
         e = self.entry(word)
-        if e.pos == "det-quant":
-            return entry_quant_det(e.word)
-        if e.pos == "det-indef":
-            return entry_indef_det(e.word)
-        if e.pos == "det-pl":
-            return entry_plural_det(e.word)
-        if e.pos == "noun":
-            return entry_noun(e.rel, e.word, agr="pl" if e.plural else "sg")
-        if e.pos == "name":
-            return entry_name(e.rel, e.word)
-        if e.pos == "pron":
-            return entry_pronoun(e.word)
-        if e.pos == "verb-trans":
-            return entry_transitive_verb(e.rel, e.word, e.collective_only)
-        if e.pos == "verb-intrans":
-            return entry_intransitive_verb(e.rel, e.word, e.collective_only)
-        if e.pos == "verb-clause":
-            return entry_clause_verb(e.rel, e.word, e.collective_only)
-        if e.pos == "comp":
-            return entry_complementizer(e.word)
-        raise LexiconError(f"unhandled POS {e.pos!r}")
+        return _TAGS[e.pos].sign(e)
 
 
 def _parse_lex(text: str, origin: str) -> list[VocabEntry]:
@@ -264,12 +270,12 @@ def _parse_lex(text: str, origin: str) -> list[VocabEntry]:
         if len(fields) < 3:
             raise LexiconError(f"{origin}:{lineno}: expected 'word POS rel [flags]'")
         word, pos, rel, *flags = fields
-        if pos not in _POS_TAGS:
+        if pos not in _TAGS:
             raise LexiconError(f"{origin}:{lineno}: unknown POS {pos!r}")
         bad = set(flags) - {"pl", "collective-only"}
         if bad:
             raise LexiconError(f"{origin}:{lineno}: unknown flags {sorted(bad)}")
-        if rel == "-" and pos not in _NO_REL_TAGS:
+        if rel == "-" and _TAGS[pos].needs_rel:
             raise LexiconError(f"{origin}:{lineno}: a {pos} entry needs a rel, not '-'")
         entries.append(VocabEntry(
             word=word.lower(), pos=pos,

@@ -3,7 +3,8 @@
 Every combination unions the daughters' conditions and constraints and may
 add a bounded delta: one weak constraint tying the verb label below the
 argument's minimal label (the closed-formula step), and for scope-bearing
-or potentially scope-bearing arguments one conditional constraint capping
+or potentially scope-bearing arguments, those whose determiner did not make
+their distinguished labels identical, one conditional constraint capping
 them at the clause's ceiling label.  Everything is add-only; nothing is ever
 rewritten or removed, and signs are values: a combinator returns a new sign
 and leaves its daughters as they were.
@@ -22,10 +23,7 @@ from .delay import PendingKey, PendingRegistry, dref_res
 from .grammar import (
     COORD, FUNCTIONAL, HEAD_COMP, HEAD_SUBJ, LEXICAL, SILENT, DerivationNode,
 )
-from .lexicon import (
-    COMP, PLURAL, QUANT, Lexicon, Sign, SubcatSlot, entry_complementizer,
-    entry_noun,
-)
+from .lexicon import Lexicon, Sign, SubcatSlot, entry_complementizer, entry_noun
 from . import plurals
 
 
@@ -78,11 +76,11 @@ def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot, cat: str,
 
     subord, conds, bindings = merge(head.udrs, comp.udrs)  # I, II
     ls = head.udrs.ls                                    # III
+    np_max, np_min = comp.udrs.ls.l_max, comp.udrs.ls.l_min
     delta: list[SubordConstraint] = [
-        weak(comp.udrs.ls.l_min, head.udrs.ls.l_min)]    # IV: verb below arg min
-    if comp.head_type in (QUANT, PLURAL):                # V: conditional ceiling
-        delta.append(conditional(comp.udrs.ls.l_max, comp.udrs.ls.l_min,
-                                 head.udrs.ls.l_max, comp.udrs.ls.l_max))
+        weak(np_min, head.udrs.ls.l_min)]                # IV: verb below arg min
+    if identity(np_max, np_min) not in comp.udrs.subord:  # V: conditional ceiling
+        delta.append(conditional(np_max, np_min, head.udrs.ls.l_max, np_max))
 
     outcome = dref_res(comp.udrs)                        # link the argument
     if isinstance(outcome, PendingKey):
@@ -164,13 +162,11 @@ def combine_functional(func: Sign, comp: Sign, ctx: Derivation) -> CombinatorRes
     closes the sign (every mentioned label goes below top); "that" keeps it
     as a fresh embedded ceiling for the matrix verb to cap.
     """
-    if func.head_type != COMP:
-        raise SubcatMismatch(f"functional head expected, got {func.head_type}")
+    slot = func.next_comp_slot()
+    if func.cat != "comp" or slot is None:
+        raise SubcatMismatch(f"complementizer with an open slot expected, got {func.cat}")
     if comp.cat != "s":
         raise SubcatMismatch(f"complementizer expects a finite clause, got {comp.cat}")
-    slot = func.next_comp_slot()
-    if slot is None:
-        raise SubcatMismatch("complementizer has no open complement slot")
     ceiling = comp.udrs.ls.l_max
     subord = set(comp.udrs.subord)
     delta = [weak(ceiling, comp.udrs.ls.l_min)]  # ceiling bounds the clause's min
@@ -198,12 +194,12 @@ def combine_coord(left: Sign, right: Sign, ctx: Derivation) -> CombinatorResult:
     u = make_udrs(LS(ctx.top, ctx.top), subord | delta, conds, bindings)
     u, c_delta, cond_delta = plurals.apply_pending_decisions(u, ctx.registry, ctx.rules)
     ctx.registry.discourse = u
-    sign = Sign("disc", "coord", (), u)
+    sign = Sign("disc", (), u)
     return CombinatorResult(sign, frozenset(delta | c_delta), frozenset(cond_delta))
 
 
 def empty_discourse(ctx: Derivation) -> Sign:
-    return Sign("disc", "coord", (), make_udrs(LS(ctx.top, ctx.top)))
+    return Sign("disc", (), make_udrs(LS(ctx.top, ctx.top)))
 
 
 def interpret(tree: DerivationNode, ctx: Optional[Derivation] = None) -> Sign:
@@ -237,9 +233,8 @@ def _interpret(node: DerivationNode, ctx: Derivation) -> Sign:
                 and node.nonhead.construction == LEXICAL):
             # instantiate the noun against the determiner's coindexation
             entry = ctx.lexicon.entry(node.nonhead.word)
-            node.nonhead.sign = entry_noun(
-                entry.rel, entry.word, "pl" if entry.plural else "sg",
-                label=slot.bind_label, dref=slot.bind_dref)
+            node.nonhead.sign = entry_noun(entry.rel, entry.word, entry.agr,
+                                           label=slot.bind_label, dref=slot.bind_dref)
             comp = node.nonhead.sign
         else:
             comp = _interpret(node.nonhead, ctx)

@@ -113,6 +113,11 @@ def enumerate_scopings(u: UDRS) -> list[Scoping]:
     scope box of each duplex in uid order, so the scopings come out in that
     lexicographic order; narrowing only ever drops candidates.
     """
+    return list(_scopings(u))
+
+
+def _scopings(u: UDRS) -> Iterator[Scoping]:
+    """enumerate_scopings one at a time, each built when it is asked for."""
     mentioned = sorted(u.labels(), key=lambda l: l.uid)
     duplexes = sorted((cond for cond in u.conds if isinstance(cond, Quantifier)),
                       key=lambda d: d.label.uid)
@@ -126,7 +131,7 @@ def enumerate_scopings(u: UDRS) -> list[Scoping]:
             closure(u.subord)
         except CycleError as e:
             raise InconsistentConstraints(str(e)) from None
-        return []  # no box forest can nest the duplexes as the constraints ask
+        return  # no box forest can nest the duplexes as the constraints ask
 
     # Label classes become ints in uid order of their first label; positions
     # are ints too: 0 is TOP_BOX, 2i+1 and 2i+2 the res and scope of duplex i.
@@ -148,7 +153,7 @@ def enumerate_scopings(u: UDRS) -> list[Scoping]:
         for label, p in ((d.res, 2 * i + 1), (d.scope, 2 * i + 2)):
             k = class_of[label]
             if pin[k] not in (None, p):
-                return []  # one class pinned to two distinct boxes
+                return  # one class pinned to two distinct boxes
             pin[k] = p
     hosts = [class_of[d.label] for d in duplexes]
     host_vars = list(dict.fromkeys(k for k in hosts if pin[k] is None))
@@ -184,11 +189,10 @@ def enumerate_scopings(u: UDRS) -> list[Scoping]:
     # found the strict cycle that nesting implies.
     parent: list[Optional[int]] = [None] + [pin[k] for k in hosts for _ in (0, 1)]
     pos: list[Optional[int]] = list(pin)
-    results: list[Scoping] = []
 
-    def place_hosts(i: int) -> None:
+    def place_hosts(i: int) -> Iterator[Scoping]:
         if i == len(host_vars):
-            place_rest_in_forest()
+            yield from place_rest_in_forest()
             return
         k = host_vars[i]
         mine = owned[k]
@@ -201,11 +205,11 @@ def enumerate_scopings(u: UDRS) -> list[Scoping]:
             for b in mine:
                 parent[b] = p
             pos[k] = p
-            place_hosts(i + 1)
+            yield from place_hosts(i + 1)
         for b in mine:
             parent[b] = None
 
-    def place_rest_in_forest() -> None:
+    def place_rest_in_forest() -> Iterator[Scoping]:
         anc = []  # anc[p]: p and every box p lies in
         for p in range(len(boxes)):
             chain, q = set(), p
@@ -219,21 +223,20 @@ def enumerate_scopings(u: UDRS) -> list[Scoping]:
         for b in range(1, len(boxes)):
             parents[boxes[b]] = boxes[parent[b]]
 
-        def place_rest(j: int) -> None:
+        def place_rest(j: int) -> Iterator[Scoping]:
             if j == len(rest_vars):
                 placement = dict(zip(mentioned, [boxes[pos[k]] for k in label_class]))
-                results.append(Scoping(placement, dict(parents)))
+                yield Scoping(placement, dict(parents))
                 return
             k, tests = rest_vars[j], filed[j + 1]
             for p in candidates[k]:
                 pos[k] = p
                 if _all_hold(tests, pos, anc):
-                    place_rest(j + 1)
+                    yield from place_rest(j + 1)
 
-        place_rest(0)
+        yield from place_rest(0)
 
-    place_hosts(0)
-    return results
+    yield from place_hosts(0)
 
 
 def _all_hold(checks: list[tuple], pos: list, anc: list[set[int]]) -> bool:
@@ -357,7 +360,7 @@ def _licensed(u: UDRS, expand_pending: bool) -> Iterator[DRS]:
     branch by branch where a plural is pending."""
     pending = u.pending_slots()
     if not pending:
-        for scoping in enumerate_scopings(u):
+        for scoping in _scopings(u):
             drs = build_drs(u, scoping)
             if not check_binding(drs):
                 yield drs

@@ -14,6 +14,10 @@ relations with ``ReferenceClosure``, the library's first closure
 (Floyd-Warshall over a dict of label pairs), kept verbatim so that the
 bit-parallel closure can be held to the same relations; its two test-only
 methods, ``relations`` and ``to_constraints``, are functions in conftest.
+``reference_dref_res`` is the library's first argument-NP classifier, which
+closed the NP's own constraints with that closure; it is kept verbatim (but
+for the closure's name) so that ``dref_res``, which reads the one constraint
+the determiner put between the NP's distinguished labels, can be held to it.
 
 ``reference_canonical`` is the library's first reading identity: the least
 shape over every permutation of the referents (n!), with the first
@@ -40,7 +44,7 @@ from udrs.core import (
     CycleError, DiscourseReferent, Label, Membership, Predicate, Quantifier,
     ReferentIntro, SubordConstraint, UDRS, UDRSError, weak,
 )
-from udrs.delay import PendingKey
+from udrs.delay import MalformedNP, PendingKey
 from udrs.readings import (
     DRS, TOP_BOX, DuplexCondition, InconsistentConstraints, Scoping,
     check_binding,
@@ -289,6 +293,35 @@ class ReferenceClosure:
             return {l}
         r = self._find(l)
         return {m for m in self.domain if self._find(m) == r}
+
+
+def reference_dref_res(np_udrs: UDRS):
+    """Resolve an argument NP's UDRS to a referent, or to its PendingKey.
+
+    Works on the NP's own local constraint set, which later combination
+    steps never touch, so the outcome is stable by construction.
+    """
+    l_max, l_min = np_udrs.ls.l_max, np_udrs.ls.l_min
+    c = ReferenceClosure(np_udrs.subord)
+    if c.identical(l_max, l_min):
+        # not scope bearing: referent introduced at the maximal label
+        for label in c.eq_class(l_max):
+            intro = np_udrs.find_intro(label)
+            if intro is not None:
+                return intro.dref
+        raise MalformedNP(f"no referent introduced at {l_max}")
+    if c.strictly(l_max, l_min):
+        # scope bearing: referent sits in the quantifier's restrictor
+        for cond in np_udrs.conds:
+            if isinstance(cond, Quantifier) and c.identical(cond.label, l_max):
+                intro = np_udrs.find_intro(cond.res)
+                if intro is not None:
+                    return intro.dref
+                raise MalformedNP(f"no referent at restrictor {cond.res}")
+        raise MalformedNP(f"strict NP without duplex at {l_max}")
+    if c.weakly(l_max, l_min):
+        return PendingKey(l_max, l_min)
+    raise MalformedNP(f"no subordination pattern between {l_max} and {l_min}")
 
 
 def reference_scopings(u: UDRS) -> list[Scoping]:

@@ -37,11 +37,16 @@ def derive(cls, constraints):
         return None
 
 
+def identity_class(c, l) -> frozenset:
+    """The labels of c's domain that share l's representative, and l."""
+    rep = c.representative(l)
+    return frozenset({l} | {m for m in c.domain if c.representative(m) == rep})
+
+
 def class_pairs(c) -> set:
     """derived_pairs() with each representative replaced by its class."""
-    def cls(l):
-        return frozenset(c.eq_class(l))
-    return {(cls(a), cls(b), s) for a, b, s in c.derived_pairs()}
+    return {(identity_class(c, a), identity_class(c, b), s)
+            for a, b, s in c.derived_pairs()}
 
 
 def test_matches_reference_closure():
@@ -57,7 +62,7 @@ def test_matches_reference_closure():
             continue
         acyclic += 1
         for a in labels:
-            assert got.eq_class(a) == want.eq_class(a)
+            assert identity_class(got, a) == identity_class(want, a)
             for b in labels:
                 assert got.identical(a, b) == want.identical(a, b)
                 assert got.weakly(a, b) == want.weakly(a, b), (a, b, constraints)

@@ -258,3 +258,32 @@ class TestMerge:
         assert any(isinstance(c, Quantifier) for c in conds)
         assert any(isinstance(c, ReferentIntro) for c in conds)
         assert subord == det.udrs.subord  # the verb entry contributes none
+
+
+def test_star_import_binds_no_module():
+    import ast
+    import pathlib
+    import re
+    import types
+
+    import udrs
+
+    ns: dict = {}
+    exec("from udrs import *", ns)
+    ns.pop("__builtins__")
+    assert not [n for n, v in ns.items() if isinstance(v, types.ModuleType)]
+    assert sorted(ns) == sorted(udrs.__all__)
+    # every name but a submodule that the README, the benchmark or the tests
+    # import from udrs is exported
+    root = pathlib.Path(__file__).resolve().parent.parent
+    imported = set()
+    for path in [*root.glob("tests/*.py"), *root.glob("bench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "udrs":
+                imported.update(a.name for a in node.names)
+    readme = (root / "README.md").read_text("utf-8")
+    for names in re.findall(r"^from udrs import (.+)$", readme, re.M):
+        imported.update(n.strip() for n in names.split(","))
+    submodules = {n for n in imported if isinstance(getattr(udrs, n, None), types.ModuleType)}
+    assert imported - submodules <= set(udrs.__all__)
+    assert len(imported - submodules) > 40

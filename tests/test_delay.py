@@ -1,9 +1,14 @@
 import pytest
 
-from conftest import analyze
-from udrs import (
-    LS, Predicate, ReferentIntro, fresh_label, fresh_referent, make_udrs,
+from conftest import (
+    analyze, corpus_cases, quantified_pairs, that_chains, wide_discourses,
 )
+from oracle import ReferenceClosure, reference_dref_res
+from udrs import (
+    EVERY, LS, Predicate, Quantifier, ReferentIntro, fresh_label, fresh_referent,
+    identity, make_udrs, strict, weak,
+)
+from udrs import principles
 from udrs.delay import MalformedNP, PendingKey, PendingRegistry, dref_res
 from udrs.lexicon import Lexicon
 from udrs.plurals import pl_dis_collective, target_for
@@ -49,7 +54,6 @@ class TestDrefRes:
     def test_malformed_without_referent(self):
         # identity pattern but nothing introduced at the maximal label
         l1, l2 = fresh_label(), fresh_label()
-        from udrs.core import identity
         u = make_udrs(LS(l1, l2), [identity(l1, l2)])
         with pytest.raises(MalformedNP):
             dref_res(u)
@@ -59,6 +63,52 @@ class TestDrefRes:
         u = make_udrs(LS(l1, l2), [], [ReferentIntro(l1, fresh_referent())])
         with pytest.raises(MalformedNP):
             dref_res(u)
+
+
+def test_dref_res_matches_reference_on_every_argument_np(monkeypatch):
+    """Every NP linking meets on the corpus and the benchmark families."""
+    nps = []
+
+    def spy(np_udrs):
+        nps.append(np_udrs)
+        return dref_res(np_udrs)
+
+    monkeypatch.setattr(principles, "dref_res", spy)
+    texts = [case.input for case in corpus_cases()] + that_chains() + quantified_pairs()
+    texts += [text for text, _ in wide_discourses()]
+    for text in texts:
+        analyze(text)
+    assert len(nps) > 1000
+    kinds = set()
+    for u in nps:
+        assert dref_res(u) == reference_dref_res(u)
+        # clause V's test: no identity constraint exactly when the closure
+        # of the NP's own constraints does not identify l_max and l_min
+        l_max, l_min = u.ls.l_max, u.ls.l_min
+        not_identity = identity(l_max, l_min) not in u.subord
+        assert not_identity == (not ReferenceClosure(u.subord).identical(l_max, l_min))
+        kinds.add((type(dref_res(u)), not_identity))
+    assert len(kinds) == 3  # identity, strict and weak NPs all occur
+
+
+@pytest.mark.parametrize("kind", ["identity", "strict", "weak"])
+def test_pattern_only_through_other_labels_is_malformed(kind):
+    # A hand-built NP whose pattern holds only through a third label l2:
+    # the closure derives it, so the reference classifies the NP, but no
+    # constraint between l_max and l_min states it, so dref_res does not.
+    l1, l2, l3, res = (fresh_label() for _ in range(4))
+    x = fresh_referent()
+    if kind == "identity":
+        u = make_udrs(LS(l1, l3), [identity(l1, l2), identity(l2, l3)],
+                      [ReferentIntro(l1, x)])
+    elif kind == "strict":
+        u = make_udrs(LS(l1, l3), [strict(l1, l2), weak(l2, l3), strict(l1, res)],
+                      [Quantifier(l1, EVERY, res, l2), ReferentIntro(res, x)])
+    else:
+        u = make_udrs(LS(l1, l3), [weak(l1, l2), weak(l2, l3)], [ReferentIntro(l1, x)])
+    assert reference_dref_res(u) == (PendingKey(l1, l3) if kind == "weak" else x)
+    with pytest.raises(MalformedNP):
+        dref_res(u)
 
 
 def link_object(lex, det_word, noun_word):

@@ -1,10 +1,7 @@
 import pytest
 
 from udrs import GROUP, INDIVIDUAL, Predicate, Quantifier, ReferentIntro, Slot, closure
-from udrs.lexicon import (
-    INDEF, NAME, PLURAL, QUANT, Lexicon, UnknownWord, entry_complementizer,
-    entry_noun,
-)
+from udrs.lexicon import Lexicon, UnknownWord, entry_complementizer, entry_noun
 
 # How an NP's own constraints relate its l_max to its l_min, as
 # (identical, strictly, weakly): the pattern dref_res classifies.
@@ -60,7 +57,6 @@ class TestVerbEntries:
 class TestDeterminerEntries:
     def test_every_duplex(self, lex):
         sign = lex.sign("every")
-        assert sign.head_type == QUANT
         (q,) = conds_by_type(sign, Quantifier)
         (intro,) = conds_by_type(sign, ReferentIntro)
         assert intro.label == q.res
@@ -73,7 +69,6 @@ class TestDeterminerEntries:
 
     def test_indefinite_identity(self, lex):
         sign = lex.sign("a")
-        assert sign.head_type == INDEF
         (intro,) = conds_by_type(sign, ReferentIntro)
         assert intro.dref.sort == INDIVIDUAL
         assert len(sign.udrs.conds) == 1
@@ -81,7 +76,6 @@ class TestDeterminerEntries:
 
     def test_plural_weak_and_group_referent(self, lex):
         sign = lex.sign("the")
-        assert sign.head_type == PLURAL
         (intro,) = conds_by_type(sign, ReferentIntro)
         assert intro.dref.sort == GROUP
         assert ls_relation(sign) == WEAK_ONLY
@@ -116,7 +110,6 @@ class TestNounsAndNames:
 
     def test_name_shape(self, lex):
         sign = lex.sign("john")
-        assert sign.head_type == NAME
         (intro,) = conds_by_type(sign, ReferentIntro)
         (pred,) = conds_by_type(sign, Predicate)
         assert pred.label == intro.label == sign.udrs.ls.l_max
@@ -154,13 +147,16 @@ def test_freshness_across_entry_kinds(lex):
                 seen_refs.add(cond.dref)
 
 
-def test_head_type_matches_subord_pattern(lex):
-    expectations = {"every": (STRICT, QUANT), "a": (IDENTITY, INDEF),
-                    "the": (WEAK_ONLY, PLURAL), "john": (IDENTITY, NAME)}
-    for word, (pattern, head_type) in expectations.items():
-        sign = lex.sign(word)
-        assert ls_relation(sign) == pattern
-        assert sign.head_type == head_type
+def test_category_per_pos_tag(lex):
+    expectations = {"every": ("det", "sg"), "a": ("det", "sg"), "the": ("det", "pl"),
+                    "lawyer": ("n", "sg"), "lawyers": ("n", "pl"),
+                    "john": ("np", "sg"), "they": ("np", "pl"),
+                    "hired": ("v", "trans"), "left": ("v", "intrans"),
+                    "believed": ("v", "clause"), "that": ("comp",)}
+    for word, category in expectations.items():
+        assert lex.category(word) == category, word
+    with pytest.raises(UnknownWord):
+        lex.category("sesquipedalian")
 
 
 def test_lexicon_file_loading(tmp_path):

@@ -145,3 +145,22 @@ def test_three_quantified_sentences_search_is_fast():
     elapsed = time.monotonic() - start
     assert len(scopings) == 7280
     assert elapsed < 2.0, f"search took {elapsed:.2f}s"
+
+
+def test_first_reading_comes_before_the_search_ends(monkeypatch):
+    """The reading layer consumes scopings as the search finds them."""
+    from udrs import readings
+    built = []
+
+    class CountingScoping(readings.Scoping):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(readings, "Scoping", CountingScoping)
+    u = analyze("Every lawyer hired a secretary. Every clerk met a student. "
+                "Every philosopher hired an office.").udrs
+    first = next(readings._licensed(u, False))
+    assert len(built) <= 3, len(built)
+    assert canonical_form(first) == canonical_form(readings.build_drs(u, built[0]))
+    assert len(enumerate_scopings(u)) == 7280  # the full search, as a list
