@@ -22,8 +22,7 @@ from .principles import (
 )
 from .plurals import (
     COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
-    NotPlural, PluralTarget, decide, pl_dis_collective,
-    pl_dis_distributive, target_for,
+    NotPlural, decide, pl_dis_collective, pl_dis_distributive,
 )
 from .readings import (
     DRS, DuplexCondition, InconsistentConstraints, Scoping, UnresolvedSlot,
@@ -46,8 +45,8 @@ __all__ = [
     "Derivation", "SemanticsError", "SubcatMismatch", "combine_coord",
     "combine_functional", "combine_head_comp", "combine_head_subj",
     "interpret", "COLLECTIVE", "DISTRIBUTIVE", "UNKNOWN",
-    "AlreadyDisambiguated", "KnowledgeRules", "NotPlural", "PluralTarget",
-    "decide", "pl_dis_collective", "pl_dis_distributive", "target_for", "DRS",
+    "AlreadyDisambiguated", "KnowledgeRules", "NotPlural", "decide",
+    "pl_dis_collective", "pl_dis_distributive", "DRS",
     "DuplexCondition", "InconsistentConstraints", "Scoping", "UnresolvedSlot",
     "build_drs", "canonical_form", "check_binding", "count_readings",
     "enumerate_readings", "enumerate_scopings", "render_drs", "from_json",

@@ -18,10 +18,7 @@ from typing import Optional
 from .core import UDRS, UDRSError, read_text
 from .grammar import COORD, DerivationNode, ParseFailure, bracketed, parse, tokenize
 from .lexicon import Lexicon, Sign
-from .plurals import (
-    COLLECTIVE, DISAMBIGUATE, DISTRIBUTIVE, KnowledgeRules, PluralTarget,
-    target_for,
-)
+from .plurals import COLLECTIVE, DISAMBIGUATE, DISTRIBUTIVE, KnowledgeRules
 from .principles import Derivation, combine_coord, empty_discourse, interpret
 from .readings import count_readings, drs_to_json, enumerate_readings, render_drs
 from .serialize import (
@@ -58,25 +55,19 @@ class Session:
         self.coord_cond_deltas.append(tuple(result.introduced_conditions))
         return sign
 
-    def plural_targets(self) -> list[PluralTarget]:
-        """Plural NPs in order of appearance, disambiguated or not."""
-        targets = []
-        for key in self.ctx.registry.all_keys():
-            targets.append(target_for(self.udrs, key.np_l_max, key.np_l_min))
-        return targets
-
     def disambiguate(self, index: int, verdict: str) -> None:
-        """Apply a reading to the index-th plural NP (1-based).
+        """Apply a reading to the index-th plural NP (1-based), counted in
+        the key log: plural NPs in order of appearance, disambiguated or not.
 
         The session moves on to a new UDRS value; earlier values, such as
         one read from ``udrs`` before this call, stay as they were.
         """
         if verdict not in DISAMBIGUATE:
             raise UDRSError(f"unknown reading {verdict!r}")
-        targets = self.plural_targets()
-        if not 1 <= index <= len(targets):
-            raise UDRSError(f"no plural NP #{index} (found {len(targets)})")
-        u = DISAMBIGUATE[verdict](self.udrs, targets[index - 1])
+        keys = self.ctx.registry.all_keys()
+        if not 1 <= index <= len(keys):
+            raise UDRSError(f"no plural NP #{index} (found {len(keys)})")
+        u = DISAMBIGUATE[verdict](self.udrs, keys[index - 1])
         self.discourse = replace(self.discourse, udrs=u)
         self.ctx.registry.discourse = u
 

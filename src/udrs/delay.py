@@ -9,8 +9,10 @@ resolution gives the NP's PendingKey instead.
 
 Linking binds the verb's argument Slot to the referent, or to the NP's
 PendingKey; disambiguation later binds the key.  Both bindings live in the
-UDRS value.  What a derivation keeps is only the ordered log of the plural
-keys it met, which is also what ``np<k>`` counts.
+UDRS value.  The key, the NP's two distinguished labels, is also the one
+name of a plural NP: ``pl_dis_*`` and ``decide`` take it.  What a
+derivation keeps is only the ordered log of the plural keys it met, which
+is also what ``np<k>`` counts and ``Session.disambiguate`` indexes.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ class SubcatSlot:
 
     role: str                 # "subj" | "comp"
     expects: str              # "np" | "clause" | "noun"
-    case: Optional[str] = None
     agr: Optional[str] = None
     arg: Optional[Slot] = None
     bind_label: Optional[Label] = None
@@ -57,7 +56,7 @@ class Sign:
     cat: str                  # det, n, np, v, vp, s, comp, cs, disc
     subcat: tuple[SubcatSlot, ...]
     udrs: UDRS
-    agr: Optional[str] = None
+    agr: Optional[str] = None  # a noun's number, "sg" | "pl"
     word: Optional[str] = None
     collective_subject: bool = False  # lexical directive, e.g. "gathered"
 
@@ -99,15 +98,15 @@ def entry_transitive_verb(rel: str, word: Optional[str] = None,
                           collective_subject: bool = False) -> Sign:
     subj, obj = fresh_slot(), fresh_slot()
     return _verb_sign(rel, [
-        SubcatSlot("subj", "np", case="nom", arg=subj),
-        SubcatSlot("comp", "np", case="acc", arg=obj),
+        SubcatSlot("subj", "np", arg=subj),
+        SubcatSlot("comp", "np", arg=obj),
     ], (subj, obj), word, collective_subject)
 
 
 def entry_intransitive_verb(rel: str, word: Optional[str] = None,
                             collective_subject: bool = False) -> Sign:
     subj = fresh_slot()
-    return _verb_sign(rel, [SubcatSlot("subj", "np", case="nom", arg=subj)],
+    return _verb_sign(rel, [SubcatSlot("subj", "np", arg=subj)],
                       (subj,), word, collective_subject)
 
 
@@ -115,7 +114,7 @@ def entry_clause_verb(rel: str, word: Optional[str] = None,
                       collective_subject: bool = False) -> Sign:
     subj = fresh_slot()
     return _verb_sign(rel, [
-        SubcatSlot("subj", "np", case="nom", arg=subj),
+        SubcatSlot("subj", "np", arg=subj),
         SubcatSlot("comp", "clause"),
     ], (subj,), word, collective_subject)
 
@@ -127,7 +126,7 @@ def entry_quant_det(word: str = "every") -> Sign:
                   [strict(l1, l11), strict(l1, l12)],
                   [Quantifier(l1, EVERY, l11, l12), ReferentIntro(l11, x)])
     slot = SubcatSlot("comp", "noun", agr="sg", bind_label=l11, bind_dref=x)
-    return Sign("det", (slot,), u, agr="sg", word=word)
+    return Sign("det", (slot,), u, word=word)
 
 
 def entry_indef_det(word: str = "a") -> Sign:
@@ -135,7 +134,7 @@ def entry_indef_det(word: str = "a") -> Sign:
     x = fresh_referent()
     u = make_udrs(LS(l1, l12), [identity(l1, l12)], [ReferentIntro(l1, x)])
     slot = SubcatSlot("comp", "noun", agr="sg", bind_label=l12, bind_dref=x)
-    return Sign("det", (slot,), u, agr="sg", word=word)
+    return Sign("det", (slot,), u, word=word)
 
 
 def entry_plural_det(word: str = "the") -> Sign:
@@ -143,7 +142,7 @@ def entry_plural_det(word: str = "the") -> Sign:
     x = fresh_referent(GROUP)
     u = make_udrs(LS(l1, l12), [weak(l1, l12)], [ReferentIntro(l1, x)])
     slot = SubcatSlot("comp", "noun", agr="pl", bind_label=l1, bind_dref=x)
-    return Sign("det", (slot,), u, agr="pl", word=word)
+    return Sign("det", (slot,), u, word=word)
 
 
 def entry_noun(rel: str, word: Optional[str] = None, agr: str = "sg",
@@ -165,7 +164,7 @@ def entry_name(rel: str, word: Optional[str] = None) -> Sign:
     x = fresh_referent()
     u = make_udrs(LS(l1, l12), [identity(l1, l12)],
                   [ReferentIntro(l1, x), Predicate(l1, rel, (x,))])
-    return Sign("np", (), u, agr="sg", word=word)
+    return Sign("np", (), u, word=word)
 
 
 def entry_pronoun(word: str = "they") -> Sign:
@@ -173,7 +172,7 @@ def entry_pronoun(word: str = "they") -> Sign:
     l1, l12 = fresh_label(), fresh_label()
     x = fresh_referent()
     u = make_udrs(LS(l1, l12), [identity(l1, l12)], [ReferentIntro(l1, x)])
-    return Sign("np", (), u, agr="pl", word=word)
+    return Sign("np", (), u, word=word)
 
 
 def entry_complementizer(word: Optional[str] = None) -> Sign:

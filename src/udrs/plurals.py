@@ -2,7 +2,9 @@
 
 An underspecified plural holds a weak subordination between its
 distinguished labels, and the verb argument linked to it is bound to the
-NP's pending key.  Disambiguation only ever adds, and returns a new UDRS:
+NP's pending key, ``dref_res(l_max, l_min)``.  That key names the plural
+everywhere here: the group is read off the UDRS, as the referent introduced
+at l_max.  Disambiguation only ever adds, and returns a new UDRS:
 the collective reading strengthens the weak relation to identity and binds
 the key to the group; the distributive reading adds a distribution duplex
 whose restrictor introduces a fresh individual that is a member of the
@@ -18,7 +20,6 @@ pragmatic inference is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -42,74 +43,63 @@ class AlreadyDisambiguated(UDRSError):
     pass
 
 
-@dataclass(frozen=True)
-class PluralTarget:
-    l_max: Label
-    l_min: Label
-    group: DiscourseReferent
-
-    @property
-    def key(self) -> PendingKey:
-        return PendingKey(self.l_max, self.l_min)
-
-
 def _names(u: UDRS, *labels: Label) -> str:
     names = display_names(u)
     return "/".join(names.get(l, repr(l)) for l in labels)
 
 
-def target_for(u: UDRS, l_max: Label, l_min: Label) -> PluralTarget:
-    intro = u.find_intro(l_max)
+def _group(u: UDRS, key: PendingKey) -> DiscourseReferent:
+    """The group referent the plural NP introduces at its maximal label."""
+    intro = u.find_intro(key.np_l_max)
     if intro is None or intro.dref.sort != GROUP:
-        raise NotPlural(f"no group referent introduced at {_names(u, l_max)}")
-    return PluralTarget(l_max, l_min, intro.dref)
+        raise NotPlural(f"no group referent introduced at {_names(u, key.np_l_max)}")
+    return intro.dref
 
 
-def _check_target(u: UDRS, target: PluralTarget) -> None:
-    """The target is a plural whose argument still waits on its key.
+def _check_key(u: UDRS, key: PendingKey) -> DiscourseReferent:
+    """The group of a plural whose argument still waits on its key.
 
     Only pl_dis_* strengthen a plural's weak subordination, and each binds
     the key as it does, so a bound key is exactly an NP whose labels the
     closure already relates by identity or strict subordination.
     """
-    target_for(u, target.l_max, target.l_min)
-    key = target.key
+    group = _group(u, key)
     if key in u.bindings:
-        raise _already_classified(u, target)
+        raise _already_classified(u, key)
     if key not in u.bindings.values():
-        raise NotPlural(f"no argument waits on {_names(u, target.l_max, target.l_min)}")
+        raise NotPlural(f"no argument waits on {_names(u, *key)}")
+    return group
 
 
-def _already_classified(u: UDRS, target: PluralTarget) -> AlreadyDisambiguated:
-    return AlreadyDisambiguated(
-        f"{_names(u, target.l_max, target.l_min)} already classified")
+def _already_classified(u: UDRS, key: PendingKey) -> AlreadyDisambiguated:
+    return AlreadyDisambiguated(f"{_names(u, *key)} already classified")
 
 
-def pl_dis_collective(u: UDRS, target: PluralTarget) -> UDRS:
+def pl_dis_collective(u: UDRS, key: PendingKey) -> UDRS:
     """Strengthen the plural's weak subordination to identity."""
-    _check_target(u, target)
-    return make_udrs(u.ls, u.subord | {identity(target.l_max, target.l_min)},
-                     u.conds, u.bindings | {target.key: target.group})
+    group = _check_key(u, key)
+    return make_udrs(u.ls, u.subord | {identity(*key)}, u.conds,
+                     u.bindings | {key: group})
 
 
-def pl_dis_distributive(u: UDRS, target: PluralTarget) -> UDRS:
+def pl_dis_distributive(u: UDRS, key: PendingKey) -> UDRS:
     """Add a distribution duplex quantifying over members of the group.
 
     The added strict subordination turns the NP scope bearing, which also
     activates any conditional ceiling constraint waiting on it.
     """
-    _check_target(u, target)
+    group = _check_key(u, key)
+    l_max, l_min = key
     l11 = fresh_label()
     x = fresh_referent()
     added: list[Condition] = [
-        Quantifier(target.l_max, DISTRIBUTION, l11, target.l_min),
+        Quantifier(l_max, DISTRIBUTION, l11, l_min),
         ReferentIntro(l11, x),
-        Membership(l11, x, target.group),
+        Membership(l11, x, group),
     ]
     return make_udrs(
-        u.ls,
-        u.subord | {strict(target.l_max, l11), strict(target.l_max, target.l_min)},
-        u.conds | set(added), u.bindings | {target.key: x})
+        u.ls, u.subord | {strict(l_max, l11), strict(l_max, l_min)},
+        u.conds | set(added), u.bindings | {key: x})
 
 
 DISAMBIGUATE = {COLLECTIVE: pl_dis_collective, DISTRIBUTIVE: pl_dis_distributive}
@@ -160,14 +150,14 @@ class KnowledgeRules:
         return rules
 
 
-def decide(context: UDRS, target: PluralTarget,
+def decide(context: UDRS, key: PendingKey,
            rules: Optional[KnowledgeRules] = None,
            index: Optional[int] = None) -> str:
     """The verdict of the configured knowledge sources: COLLECTIVE,
     DISTRIBUTIVE, or UNKNOWN by default.
 
-    ``index`` is the target's 1-based plural-NP number, which directives
-    are keyed by.
+    ``index`` is the plural's 1-based number in the key log, which
+    directives are keyed by.
     """
     if rules is None:
         return UNKNOWN
@@ -176,7 +166,6 @@ def decide(context: UDRS, target: PluralTarget,
         return override
     if not rules.subject_rules and not rules.continuation_rules:
         return UNKNOWN  # directives only: the discourse cannot decide it
-    key = target.key
     rels_present = set()
     for cond in context.conds:
         if not isinstance(cond, Predicate):
@@ -210,19 +199,16 @@ def apply_pending_decisions(
             continue  # the plural's sentence is not part of this UDRS
         if key in u.bindings:
             directive = rules.overrides.get(index)
-            if directive:
-                target = target_for(u, key.np_l_max, key.np_l_min)
-                if directive != _classified(u, target):
-                    raise _already_classified(u, target)
+            if directive and directive != _classified(u, key):
+                raise _already_classified(u, key)
             continue
-        target = target_for(u, key.np_l_max, key.np_l_min)
-        verdict = decide(u, target, rules, index)
+        verdict = decide(u, key, rules, index)
         if verdict != UNKNOWN:
-            u = DISAMBIGUATE[verdict](u, target)
+            u = DISAMBIGUATE[verdict](u, key)
     return u, set(u.subord - start.subord), set(u.conds - start.conds)
 
 
-def _classified(u: UDRS, target: PluralTarget) -> str:
+def _classified(u: UDRS, key: PendingKey) -> str:
     """The reading a disambiguated plural got: its key is bound to the group
     itself (collective) or to a member of it (distributive)."""
-    return COLLECTIVE if u.bindings[target.key] == target.group else DISTRIBUTIVE
+    return COLLECTIVE if u.bindings[key] == _group(u, key) else DISTRIBUTIVE

@@ -71,8 +71,6 @@ def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot, cat: str,
     result is the head with slot filled, of category cat."""
     if comp.cat != "np" or not comp.saturated:
         raise SubcatMismatch(f"expected saturated NP, got {comp.cat}")
-    if slot.agr and comp.agr and slot.agr != comp.agr:
-        raise SubcatMismatch(f"agreement mismatch: {slot.agr} vs {comp.agr}")
 
     subord, conds, bindings = merge(head.udrs, comp.udrs)  # I, II
     ls = head.udrs.ls                                    # III
@@ -91,9 +89,8 @@ def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot, cat: str,
     if (isinstance(outcome, PendingKey) and head.collective_subject
             and slot.role == "subj"):
         # lexical directive (e.g. "gathered"): the subject must be collective
-        target = plurals.target_for(u, outcome.np_l_max, outcome.np_l_min)
         before = u
-        u = plurals.pl_dis_collective(u, target)
+        u = plurals.pl_dis_collective(u, outcome)
         delta.extend(u.subord - before.subord)
 
     return CombinatorResult(head.fill(slot, cat, u), frozenset(delta))
@@ -231,7 +228,8 @@ def _interpret(node: DerivationNode, ctx: Derivation) -> Sign:
         slot = head.next_comp_slot()
         if (slot is not None and slot.expects == "noun"
                 and node.nonhead.construction == LEXICAL):
-            # instantiate the noun against the determiner's coindexation
+            # instantiate the noun against the determiner's coindexation, here
+            # because criterion 5 makes each node's conditions its daughters' union
             entry = ctx.lexicon.entry(node.nonhead.word)
             node.nonhead.sign = entry_noun(entry.rel, entry.word, entry.agr,
                                            label=slot.bind_label, dref=slot.bind_dref)

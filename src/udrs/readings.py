@@ -372,9 +372,8 @@ def _licensed(u: UDRS, expand_pending: bool) -> Iterator[DRS]:
     if not keys:
         raise UnresolvedSlot("pending slot carries no key; cannot expand")
     key = min(keys, key=lambda k: k.np_l_max.uid)
-    target = plurals.target_for(u, key.np_l_max, key.np_l_min)
     for branch in (plurals.pl_dis_collective, plurals.pl_dis_distributive):
-        yield from _licensed(branch(u, target), True)
+        yield from _licensed(branch(u, key), True)
 
 
 def count_readings(u: UDRS, expand_pending: bool = False) -> int:

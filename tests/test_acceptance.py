@@ -17,10 +17,7 @@ from udrs import (
     Quantifier, ReferentIntro, check_udrs, closure,
 )
 from udrs.cli import Session, build_session
-from udrs.plurals import (
-    COLLECTIVE, DISTRIBUTIVE, pl_dis_collective, pl_dis_distributive,
-    target_for,
-)
+from udrs.plurals import COLLECTIVE, DISTRIBUTIVE, pl_dis_collective, pl_dis_distributive
 from udrs.readings import (
     InconsistentConstraints, canonical_form, check_binding, count_readings,
     enumerate_readings,
@@ -47,9 +44,8 @@ def fixture_11_session() -> Session:
     return analyze("The lawyers hired a secretary.")
 
 
-def plural_target(session):
-    key = session.ctx.registry.all_keys()[0]
-    return target_for(session.udrs, key.np_l_max, key.np_l_min)
+def plural_key(session):
+    return session.ctx.registry.all_keys()[0]
 
 
 def test_criterion_1_golden_fixture_11():
@@ -86,18 +82,19 @@ def test_criterion_2_collective_fixture_15():
     with criterion(2, "collective disambiguation adds identity only"):
         session = fixture_11_session()
         before = session.udrs
-        target = plural_target(session)
-        after = pl_dis_collective(before, target)
+        key = plural_key(session)
+        group = before.find_intro(key.np_l_max).dref
+        after = pl_dis_collective(before, key)
 
         assert to_json(after) == load_golden("udrs_15.json")
         assert after.conds == before.conds                  # nothing added
         assert after.subord > before.subord                 # nothing removed
         added = after.subord - before.subord
         assert [(c.kind, c.left, c.right) for c in added] == [
-            ("identity", target.l_max, target.l_min)]
+            ("identity", key.np_l_max, key.np_l_min)]
         hire = next(c for c in after.conds
                     if isinstance(c, Predicate) and c.rel == "hire")
-        assert after.resolve(hire.args[0]) == target.group
+        assert after.resolve(hire.args[0]) == group
         assert isinstance(after.resolve(hire.args[1]), DiscourseReferent)
 
 
@@ -105,8 +102,9 @@ def test_criterion_3_distributive_fixture_16():
     with criterion(3, "distributive disambiguation adds duplex; 2 readings"):
         session = fixture_11_session()
         before = session.udrs
-        target = plural_target(session)
-        after = pl_dis_distributive(before, target)
+        key = plural_key(session)
+        group = before.find_intro(key.np_l_max).dref
+        after = pl_dis_distributive(before, key)
 
         assert to_json(after) == load_golden("udrs_16.json")
         added_conds = after.conds - before.conds
@@ -116,14 +114,14 @@ def test_criterion_3_distributive_fixture_16():
         duplex = next(c for c in added_conds if isinstance(c, Quantifier))
         intro = next(c for c in added_conds if isinstance(c, ReferentIntro))
         member = next(c for c in added_conds if isinstance(c, Membership))
-        assert duplex.label == target.l_max and duplex.scope == target.l_min
+        assert duplex.label == key.np_l_max and duplex.scope == key.np_l_min
         assert duplex.res == intro.label == member.label
-        assert after.resolve(member.group) == target.group
+        assert after.resolve(member.group) == group
 
         added_subord = after.subord - before.subord
         assert {(c.kind, c.left, c.right) for c in added_subord} == {
-            ("strict", target.l_max, duplex.res),
-            ("strict", target.l_max, target.l_min)}
+            ("strict", key.np_l_max, duplex.res),
+            ("strict", key.np_l_max, key.np_l_min)}
 
         assert count_readings(after) == 2
 
@@ -198,7 +196,7 @@ def test_criterion_5_monotonicity_over_corpus():
         for fn in (pl_dis_collective, pl_dis_distributive):
             session = fixture_11_session()
             before = session.udrs
-            after = fn(before, plural_target(session))
+            after = fn(before, plural_key(session))
             assert after.conds >= before.conds
             assert after.subord >= before.subord
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -293,13 +294,36 @@ class TestDirectives:
         assert capsys.readouterr().out == "PASS directed\n"
 
 
-def test_python_dash_m_udrs_runs_the_command_line(capsys):
+def _run_python(args):
     src = os.path.dirname(os.path.dirname(udrs.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "udrs", "parse", "John left."],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_python_dash_m_udrs_runs_the_command_line(capsys):
+    proc = _run_python(["-m", "udrs", "parse", "John left."])
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert run(["parse", "John left."]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_readme_library_sketch_prints_what_its_comments_say():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (block,) = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    # tag each print whose comment starts with a count: "print(...)  # 2: ..."
+    counted = re.compile(r"^print\((.*)\)\s+# (\d+)\b")
+    expected, lines = [], []
+    for line in block.splitlines():
+        m = counted.match(line)
+        if m:
+            expected.append(int(m.group(2)))
+            line = f"print('#>', {m.group(1)})"
+        lines.append(line)
+    proc = _run_python(["-c", "\n".join(lines)])
+    assert proc.returncode == 0, proc.stderr
+    printed = [int(l.split()[1]) for l in proc.stdout.splitlines() if l.startswith("#> ")]
+    assert expected and printed == expected

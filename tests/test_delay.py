@@ -11,7 +11,7 @@ from udrs import (
 from udrs import principles
 from udrs.delay import MalformedNP, PendingKey, PendingRegistry, dref_res
 from udrs.lexicon import Lexicon
-from udrs.plurals import pl_dis_collective, target_for
+from udrs.plurals import pl_dis_collective
 from udrs.principles import Derivation, combine_head_comp
 
 
@@ -137,7 +137,7 @@ class TestLinking:
     def test_binding_the_key_resolves_the_argument(self, lex):
         ctx, obj, u, arg = link_object(lex, "the", "lawyers")
         key = u.resolve(arg)
-        after = pl_dis_collective(u, target_for(u, key.np_l_max, key.np_l_min))
+        after = pl_dis_collective(u, key)
         group = next(c for c in obj.udrs.conds if isinstance(c, ReferentIntro)).dref
         assert after.resolve(arg) == group
         assert key in after.bindings and key not in u.bindings

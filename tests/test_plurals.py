@@ -3,22 +3,26 @@ import pytest
 from conftest import analyze
 from udrs import (
     DISTRIBUTION, GROUP, DiscourseReferent, Membership, Predicate, Quantifier, ReferentIntro,
-    closure, count_readings,
+    closure, count_readings, from_json, to_json_str,
 )
 from udrs.plurals import (
     COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
-    NotPlural, decide, pl_dis_collective, pl_dis_distributive, target_for,
+    NotPlural, decide, pl_dis_collective, pl_dis_distributive,
 )
 from udrs.delay import PendingKey
 from udrs.serialize import display_names
 
 
 def fixture_11():
-    """Session for the underspecified plural sentence, plus its target."""
+    """Session for the underspecified plural sentence, plus its plural's key."""
     session = analyze("The lawyers hired a secretary.")
-    key = session.ctx.registry.unresolved()[0]
-    target = target_for(session.udrs, key.np_l_max, key.np_l_min)
-    return session, target
+    (key,) = session.ctx.registry.unresolved()
+    return session, key
+
+
+def group_at(u, label):
+    return next(c.dref for c in u.conds
+                if isinstance(c, ReferentIntro) and c.label == label)
 
 
 def hire_pred(u):
@@ -27,46 +31,47 @@ def hire_pred(u):
 
 class TestCollective:
     def test_structure_15(self):
-        session, target = fixture_11()
+        session, key = fixture_11()
         before = session.udrs
-        after = pl_dis_collective(before, target)
+        after = pl_dis_collective(before, key)
         assert after.conds == before.conds
         assert after.subord > before.subord
         added = after.subord - before.subord
         assert len(added) == 1
         (c,) = added
-        assert c.kind == "identity" and (c.left, c.right) == (target.l_max, target.l_min)
-        assert after.resolve(hire_pred(after).args[0]) == target.group
-        assert target.group.sort == GROUP
+        assert c.kind == "identity" and (c.left, c.right) == (key.np_l_max, key.np_l_min)
+        group = group_at(before, key.np_l_max)
+        assert after.resolve(hire_pred(after).args[0]) == group
+        assert group.sort == GROUP
 
     def test_monotone(self):
-        session, target = fixture_11()
+        session, key = fixture_11()
         before = session.udrs
-        after = pl_dis_collective(before, target)
+        after = pl_dis_collective(before, key)
         assert after.subord >= before.subord
         assert after.conds >= before.conds
 
     def test_single_reading_remains(self):
-        session, target = fixture_11()
-        after = pl_dis_collective(session.udrs, target)
+        session, key = fixture_11()
+        after = pl_dis_collective(session.udrs, key)
         assert count_readings(after) == 1
 
     def test_reapplication_rejected(self):
-        session, target = fixture_11()
-        after = pl_dis_collective(session.udrs, target)
+        session, key = fixture_11()
+        after = pl_dis_collective(session.udrs, key)
         names = display_names(after)
-        message = f"{names[target.l_max]}/{names[target.l_min]} already classified"
+        message = f"{names[key.np_l_max]}/{names[key.np_l_min]} already classified"
         with pytest.raises(AlreadyDisambiguated, match=f"^{message}$"):
-            pl_dis_collective(after, target)
+            pl_dis_collective(after, key)
         with pytest.raises(AlreadyDisambiguated):
-            pl_dis_distributive(after, target)
+            pl_dis_distributive(after, key)
 
 
 class TestDistributive:
     def test_structure_16(self):
-        session, target = fixture_11()
+        session, key = fixture_11()
         before = session.udrs
-        after = pl_dis_distributive(before, target)
+        after = pl_dis_distributive(before, key)
 
         added_conds = after.conds - before.conds
         assert len(added_conds) == 3
@@ -74,60 +79,86 @@ class TestDistributive:
         intro = next(c for c in added_conds if isinstance(c, ReferentIntro))
         member = next(c for c in added_conds if isinstance(c, Membership))
         assert duplex.rel == DISTRIBUTION
-        assert duplex.label == target.l_max
-        assert duplex.scope == target.l_min
+        assert duplex.label == key.np_l_max
+        assert duplex.scope == key.np_l_min
         assert duplex.res == intro.label == member.label
         assert after.resolve(member.element) == intro.dref
-        assert after.resolve(member.group) == target.group
+        assert after.resolve(member.group) == group_at(before, key.np_l_max)
 
         added_subord = after.subord - before.subord
         assert {c.kind for c in added_subord} == {"strict"}
         assert len(added_subord) == 2
         assert {(c.left, c.right) for c in added_subord} == {
-            (target.l_max, duplex.res), (target.l_max, target.l_min)}
+            (key.np_l_max, duplex.res), (key.np_l_max, key.np_l_min)}
 
         assert after.resolve(hire_pred(after).args[0]) == intro.dref
 
     def test_two_readings(self):
-        session, target = fixture_11()
-        after = pl_dis_distributive(session.udrs, target)
+        session, key = fixture_11()
+        after = pl_dis_distributive(session.udrs, key)
         assert count_readings(after) == 2
 
     def test_activates_scope_ceiling(self):
-        session, target = fixture_11()
-        after = pl_dis_distributive(session.udrs, target)
+        session, key = fixture_11()
+        after = pl_dis_distributive(session.udrs, key)
         derived = closure(after.subord)
         assert len(derived.activated) == 1
 
     def test_reapplication_rejected(self):
-        session, target = fixture_11()
-        after = pl_dis_distributive(session.udrs, target)
+        session, key = fixture_11()
+        after = pl_dis_distributive(session.udrs, key)
         for fn in (pl_dis_collective, pl_dis_distributive):
             with pytest.raises(AlreadyDisambiguated):
-                fn(after, target)
+                fn(after, key)
+
+
+class TestGroupReadOffTheUDRS:
+    """The key names the plural; its group is always the referent the UDRS
+    introduces at the key's maximal label, whatever UDRS the key comes with."""
+
+    @staticmethod
+    def constructed_and_round_tripped():
+        session, key = fixture_11()
+        yield session.udrs, key
+        u = from_json(to_json_str(session.udrs))
+        (key,) = u.pending_slots()
+        yield u, key
+
+    def test_collective_binds_the_key_to_the_group_at_l_max(self):
+        for u, key in self.constructed_and_round_tripped():
+            group = group_at(u, key.np_l_max)
+            assert group.sort == GROUP
+            after = pl_dis_collective(u, key)
+            assert after.bindings[key] == group
+            assert after.resolve(hire_pred(after).args[0]) == group
+
+    def test_distributive_quantifies_over_the_group_at_l_max(self):
+        for u, key in self.constructed_and_round_tripped():
+            after = pl_dis_distributive(u, key)
+            (member,) = (c for c in after.conds if isinstance(c, Membership))
+            assert member.group == group_at(u, key.np_l_max)
+            assert after.bindings[key] == member.element
 
 
 class TestErrors:
     def test_not_plural_for_indefinite_target(self):
-        from udrs.plurals import PluralTarget
         session = analyze("John hired a secretary.")
         u = session.udrs
         sec = next(c for c in u.conds
                    if isinstance(c, Predicate) and c.rel == "secretary")
         names = display_names(u)
         with pytest.raises(NotPlural) as info:
-            target_for(u, sec.label, sec.label)
+            pl_dis_collective(u, PendingKey(sec.label, sec.label))
         assert str(info.value) == f"no group referent introduced at {names[sec.label]}"
 
     def test_not_plural_when_no_weak_relation(self):
         from udrs.core import LS, fresh_label, make_udrs
         from udrs.core import fresh_referent
-        from udrs.plurals import PluralTarget
         l1, l12 = fresh_label(), fresh_label()
         X = fresh_referent(GROUP)
         u = make_udrs(LS(l1, l12), [], [ReferentIntro(l1, X)])
         with pytest.raises(NotPlural):
-            pl_dis_collective(u, PluralTarget(l1, l12, X))
+            pl_dis_collective(u, PendingKey(l1, l12))
 
 
 class TestDecide:
@@ -135,24 +166,24 @@ class TestDecide:
         # consult the rules mid-derivation: build the sentence, then re-ask
         session = analyze("The lawyers gathered.")
         # the directive already fired, so look at a fresh underspecified case
-        session2, target = fixture_11()
+        session2, key = fixture_11()
         rules = session2.ctx.rules
-        assert decide(session2.udrs, target, rules) == UNKNOWN  # "hire" carries no rule
+        assert decide(session2.udrs, key, rules) == UNKNOWN  # "hire" carries no rule
 
     def test_default_unknown(self):
-        session, target = fixture_11()
-        assert decide(session.udrs, target, None) == UNKNOWN
+        session, key = fixture_11()
+        assert decide(session.udrs, key, None) == UNKNOWN
 
     def test_override_wins(self):
-        session, target = fixture_11()
+        session, key = fixture_11()
         rules = KnowledgeRules().with_overrides({1: DISTRIBUTIVE})
-        assert decide(session.udrs, target, rules, index=1) == DISTRIBUTIVE
+        assert decide(session.udrs, key, rules, index=1) == DISTRIBUTIVE
 
     def test_subject_rule_matches_only_the_verbs_subject(self):
         rules = KnowledgeRules()
         rules.subject_rules["hire"] = COLLECTIVE
-        session, target = fixture_11()
-        assert decide(session.udrs, target, rules) == COLLECTIVE
+        session, key = fixture_11()
+        assert decide(session.udrs, key, rules) == COLLECTIVE
 
     def test_rules_file_parsing(self, corpus_rules):
         rules = KnowledgeRules.from_file(corpus_rules)

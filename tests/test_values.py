@@ -10,9 +10,7 @@ import pytest
 from conftest import analyze, corpus_cases, golden_path, session_for_case
 from udrs import KnowledgeRules, PendingKey, closure, enumerate_readings, from_json
 from udrs.cli import build_session
-from udrs.plurals import (
-    COLLECTIVE, DISTRIBUTIVE, pl_dis_collective, pl_dis_distributive, target_for,
-)
+from udrs.plurals import COLLECTIVE, DISTRIBUTIVE, pl_dis_collective, pl_dis_distributive
 from udrs.serialize import to_json, to_json_str
 
 PLURAL_TEXTS = [
@@ -32,9 +30,8 @@ def snapshot(u):
     return to_json_str(u), u.pending_slots()
 
 
-def first_target(u):
-    key = next(k for k in u.pending_slots() if isinstance(k, PendingKey))
-    return target_for(u, key.np_l_max, key.np_l_min)
+def first_key(u):
+    return next(k for k in u.pending_slots() if isinstance(k, PendingKey))
 
 
 @pytest.mark.parametrize("text", PLURAL_TEXTS)
@@ -54,7 +51,7 @@ def test_pl_dis_and_expansion_leave_the_input_alone(text):
     before = analyze(text).udrs
     seen = snapshot(before)
     for fn in (pl_dis_collective, pl_dis_distributive):
-        after = fn(before, first_target(before))
+        after = fn(before, first_key(before))
         assert snapshot(before) == seen
         assert len(after.pending_slots()) == len(seen[1]) - 1
     assert enumerate_readings(before, expand_pending=True)
@@ -63,7 +60,7 @@ def test_pl_dis_and_expansion_leave_the_input_alone(text):
 
 def test_golden_11_document_disambiguates_without_a_registry():
     u = from_json(load_golden("udrs_11.json"))
-    after = pl_dis_distributive(u, first_target(u))
+    after = pl_dis_distributive(u, first_key(u))
     assert to_json(after) == load_golden("udrs_16.json")
     assert to_json(u) == load_golden("udrs_11.json")
     assert after.pending_slots() == [] and len(u.pending_slots()) == 1
