@@ -25,9 +25,9 @@ from .plurals import (
     NotPlural, decide, pl_dis_collective, pl_dis_distributive,
 )
 from .readings import (
-    DRS, DuplexCondition, InconsistentConstraints, Scoping, UnresolvedSlot,
-    build_drs, canonical_form, check_binding, count_readings,
-    enumerate_readings, enumerate_scopings, render_drs,
+    DRS, DuplexCondition, InconsistentConstraints, UnresolvedSlot, build_drs,
+    canonical_form, check_binding, count_readings, enumerate_readings,
+    enumerate_scopings, render_drs,
 )
 from .serialize import from_json, render_text, to_dot, to_json, to_json_str
 from .cli import Session, build_session
@@ -47,7 +47,7 @@ __all__ = [
     "interpret", "COLLECTIVE", "DISTRIBUTIVE", "UNKNOWN",
     "AlreadyDisambiguated", "KnowledgeRules", "NotPlural", "decide",
     "pl_dis_collective", "pl_dis_distributive", "DRS",
-    "DuplexCondition", "InconsistentConstraints", "Scoping", "UnresolvedSlot",
+    "DuplexCondition", "InconsistentConstraints", "UnresolvedSlot",
     "build_drs", "canonical_form", "check_binding", "count_readings",
     "enumerate_readings", "enumerate_scopings", "render_drs", "from_json",
     "render_text", "to_dot", "to_json", "to_json_str", "Session",

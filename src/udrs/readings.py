@@ -1,11 +1,13 @@
 """Enumerate the fully scoped DRSs consistent with a UDRS.
 
 Every duplex condition contributes a restrictor box and a scope box; a
-reading assigns each label a position in the resulting box tree such that
-every subordination constraint holds geometrically: weak means inside or
-equal, strict means properly inside, identity means the same box.
-Conditional constraints are evaluated per candidate: a candidate that
-realizes the antecedent's strict relation must also satisfy the consequent.
+scoping is a placement, a dict that puts each label in one of those boxes
+or the top box such that every subordination constraint holds
+geometrically: weak means inside or equal, strict means properly inside,
+identity means the same box.  Conditional constraints are evaluated per
+candidate: a candidate that realizes the antecedent's strict relation must
+also satisfy the consequent.  This layer only places labels: a UDRS whose
+plurals still wait on disambiguation (plurals.pl_dis_*) has no readings.
 
 The search backtracks over label classes with the constraints compiled to
 small ints.  Each check is filed under the class whose placement completes
@@ -27,12 +29,10 @@ from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
 from .core import (
-    CONDITIONAL, GROUP, IDENTITY, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
+    CONDITIONAL, GROUP, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
     DiscourseReferent, Label, Membership, Predicate, Quantifier, ReferentIntro,
-    SubordConstraint, UDRS, UDRSError, closure, strict,
+    UDRS, UDRSError, closure, strict,
 )
-from .delay import PendingKey
-from . import plurals
 
 TOP_BOX = ("top",)
 
@@ -69,43 +69,12 @@ class DuplexCondition(NamedTuple):
     scope: DRS
 
 
-@dataclass
-class Scoping:
-    """A placement of every label class into a box position."""
-
-    placement: dict[Label, tuple]
-    parents: dict[tuple, Optional[tuple]]
-
-    def position(self, l: Label) -> tuple:
-        return self.placement[l]
-
-    def inside_or_equal(self, inner: tuple, outer: tuple) -> bool:
-        p: Optional[tuple] = inner
-        while p is not None:
-            if p == outer:
-                return True
-            p = self.parents.get(p)
-        return False
-
-    def satisfies(self, c: SubordConstraint) -> bool:
-        """Check one constraint geometrically against this placement."""
-        if c.kind == CONDITIONAL:
-            a, b = c.antecedent
-            pa, pb = self.placement[a], self.placement[b]
-            realized = pa != pb and self.inside_or_equal(pb, pa)
-            if not realized:
-                return True
-            return self.inside_or_equal(self.placement[c.right], self.placement[c.left])
-        pl, pr = self.placement[c.left], self.placement[c.right]
-        if c.kind == IDENTITY:
-            return pl == pr
-        if c.kind == STRICT:
-            return pl != pr and self.inside_or_equal(pr, pl)
-        return self.inside_or_equal(pr, pl)  # WEAK
-
-
-def enumerate_scopings(u: UDRS) -> list[Scoping]:
+def enumerate_scopings(u: UDRS) -> list[dict[Label, tuple]]:
     """All label placements consistent with the constraint set.
+
+    A placement maps every label the UDRS mentions to its box: TOP_BOX, or
+    ("res", uid) or ("scope", uid) of the duplex whose label has that uid.
+    Where it puts the duplex labels fixes the box forest.
 
     The variables are the label classes the closure identifies, minus those
     pinned to a box: first the classes of duplex labels, which fix the box
@@ -116,7 +85,7 @@ def enumerate_scopings(u: UDRS) -> list[Scoping]:
     return list(_scopings(u))
 
 
-def _scopings(u: UDRS) -> Iterator[Scoping]:
+def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
     """enumerate_scopings one at a time, each built when it is asked for."""
     mentioned = sorted(u.labels(), key=lambda l: l.uid)
     duplexes = sorted((cond for cond in u.conds if isinstance(cond, Quantifier)),
@@ -190,7 +159,7 @@ def _scopings(u: UDRS) -> Iterator[Scoping]:
     parent: list[Optional[int]] = [None] + [pin[k] for k in hosts for _ in (0, 1)]
     pos: list[Optional[int]] = list(pin)
 
-    def place_hosts(i: int) -> Iterator[Scoping]:
+    def place_hosts(i: int) -> Iterator[dict[Label, tuple]]:
         if i == len(host_vars):
             yield from place_rest_in_forest()
             return
@@ -209,7 +178,7 @@ def _scopings(u: UDRS) -> Iterator[Scoping]:
         for b in mine:
             parent[b] = None
 
-    def place_rest_in_forest() -> Iterator[Scoping]:
+    def place_rest_in_forest() -> Iterator[dict[Label, tuple]]:
         anc = []  # anc[p]: p and every box p lies in
         for p in range(len(boxes)):
             chain, q = set(), p
@@ -219,14 +188,10 @@ def _scopings(u: UDRS) -> Iterator[Scoping]:
             anc.append(chain)
         if not _all_hold(filed[0], pos, anc):
             return
-        parents: dict[tuple, Optional[tuple]] = {TOP_BOX: None}
-        for b in range(1, len(boxes)):
-            parents[boxes[b]] = boxes[parent[b]]
 
-        def place_rest(j: int) -> Iterator[Scoping]:
+        def place_rest(j: int) -> Iterator[dict[Label, tuple]]:
             if j == len(rest_vars):
-                placement = dict(zip(mentioned, [boxes[pos[k]] for k in label_class]))
-                yield Scoping(placement, dict(parents))
+                yield dict(zip(mentioned, [boxes[pos[k]] for k in label_class]))
                 return
             k, tests = rest_vars[j], filed[j + 1]
             for p in candidates[k]:
@@ -294,11 +259,12 @@ def _closure_candidates(rel: list[list[int]], pin: list[Optional[int]],
     return out
 
 
-def build_drs(u: UDRS, scoping: Scoping) -> DRS:
-    """Materialize the box tree a scoping describes."""
-    placed: dict[tuple, list] = {}  # position -> its conditions
+def build_drs(u: UDRS, placement: dict[Label, tuple]) -> DRS:
+    """Materialize the box tree a placement describes: each box holds the
+    conditions whose label the placement puts there."""
+    placed: dict[tuple, list] = {}  # box -> its conditions
     for cond in u.conds:
-        placed.setdefault(scoping.placement[cond.label], []).append(cond)
+        placed.setdefault(placement[cond.label], []).append(cond)
 
     def box(pos: tuple) -> DRS:
         refs, preds, members, subs = set(), set(), set(), set()
@@ -340,44 +306,34 @@ def canonical_form(d: DRS) -> tuple:
 
 # --- Public operations ----------------------------------------------------------
 
-def enumerate_readings(u: UDRS, expand_pending: bool = False) -> list[DRS]:
+def enumerate_readings(u: UDRS) -> list[DRS]:
     """Every fully scoped DRS the UDRS stands for, one per reading.
 
     Of the licensed DRSs with the same canonical form the first is kept, so
-    readings come in the order of their first scoping.  Pending argument
-    slots are rejected unless expand_pending is set, in which case each
-    undisambiguated plural branches into its collective and then its
-    distributive readings.
+    readings come in the order of their first scoping.  A UDRS with pending
+    argument slots has no readings yet and raises UnresolvedSlot: each
+    plural must be disambiguated first (plurals.pl_dis_*).
     """
     readings: dict[tuple, DRS] = {}
-    for drs in _licensed(u, expand_pending):
+    for drs in _licensed(u):
         readings.setdefault(canonical_form(drs), drs)
     return list(readings.values())
 
 
-def _licensed(u: UDRS, expand_pending: bool) -> Iterator[DRS]:
-    """The DRS of each scoping whose referent occurrences are all bound,
-    branch by branch where a plural is pending."""
+def _licensed(u: UDRS) -> Iterator[DRS]:
+    """The DRS of each scoping whose referent occurrences are all bound."""
     pending = u.pending_slots()
-    if not pending:
-        for scoping in _scopings(u):
-            drs = build_drs(u, scoping)
-            if not check_binding(drs):
-                yield drs
-        return
-    if not expand_pending:
+    if pending:
         raise UnresolvedSlot(
             f"{len(pending)} unresolved argument slot(s); disambiguate first")
-    keys = [k for k in pending if isinstance(k, PendingKey)]
-    if not keys:
-        raise UnresolvedSlot("pending slot carries no key; cannot expand")
-    key = min(keys, key=lambda k: k.np_l_max.uid)
-    for branch in (plurals.pl_dis_collective, plurals.pl_dis_distributive):
-        yield from _licensed(branch(u, key), True)
+    for placement in _scopings(u):
+        drs = build_drs(u, placement)
+        if not check_binding(drs):
+            yield drs
 
 
-def count_readings(u: UDRS, expand_pending: bool = False) -> int:
-    return len(enumerate_readings(u, expand_pending))
+def count_readings(u: UDRS) -> int:
+    return len(enumerate_readings(u))
 
 
 def check_binding(d: DRS) -> list[str]:

@@ -55,6 +55,20 @@ def session_for_case(case: CorpusCase) -> Session:
     return session
 
 
+def each_verdict(case: CorpusCase) -> list:
+    """(name, UDRS) for the case; while its plural NP waits, one pair per
+    verdict on it instead, named <case>/<verdict>."""
+    u = session_for_case(case).udrs
+    if not u.pending_slots():
+        return [(case.name, u)]
+    out = []
+    for verdict in (COLLECTIVE, DISTRIBUTIVE):
+        session = session_for_case(case)
+        session.disambiguate(1, verdict)
+        out.append((f"{case.name}/{verdict}", session.udrs))
+    return out
+
+
 def random_superset(u, rng: random.Random, max_extra: int = 3):
     """A UDRS whose constraint set extends u's by a few random constraints."""
     labels = sorted(u.labels(), key=lambda l: l.uid)

@@ -7,13 +7,22 @@ full cartesian product of positions for the remaining labels, and checks
 each raw constraint directly against the resulting geometry.  Slow and
 obvious, which is the point.
 
+``reference_check_binding`` is the library's ``check_binding``, kept
+verbatim (but for the name) so that the oracle's readings do not depend on
+the reading layer's own accessibility check.
+
 ``reference_scopings`` is a second, narrower oracle: the library's first,
 plain backtracking scope search, kept verbatim so that the indexed search
-can be held to the same scopings in the same order.  It derives its
-relations with ``ReferenceClosure``, the library's first closure
-(Floyd-Warshall over a dict of label pairs), kept verbatim so that the
-bit-parallel closure can be held to the same relations; its two test-only
-methods, ``relations`` and ``to_constraints``, are functions in conftest.
+can be held to the same placements in the same order.  It checks
+constraints with ``ReferenceScoping``, the library's first scoping value
+(a placement plus its box forest, with geometry methods), kept verbatim but
+for the name; ``reference_scoping`` wraps a library placement in it, so
+tests can check constraints against the forest the placement fixes.  The
+search derives its relations with ``ReferenceClosure``, the library's first
+closure (Floyd-Warshall over a dict of label pairs), kept verbatim so that
+the bit-parallel closure can be held to the same relations; its two
+test-only methods, ``relations`` and ``to_constraints``, are functions in
+conftest.
 ``reference_dref_res`` is the library's first argument-NP classifier, which
 closed the NP's own constraints with that closure; it is kept verbatim (but
 for the closure's name) so that ``dref_res``, which reads the one constraint
@@ -37,6 +46,7 @@ names.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from udrs.core import (
@@ -45,10 +55,7 @@ from udrs.core import (
     ReferentIntro, SubordConstraint, UDRS, UDRSError, weak,
 )
 from udrs.delay import MalformedNP, PendingKey
-from udrs.readings import (
-    DRS, TOP_BOX, DuplexCondition, InconsistentConstraints, Scoping,
-    check_binding,
-)
+from udrs.readings import DRS, TOP_BOX, DuplexCondition, InconsistentConstraints
 
 TOP = ("top",)
 
@@ -164,7 +171,7 @@ def oracle_readings(u: UDRS) -> list[DRS]:
             if not _ok(parents, place, u.subord):
                 continue
             drs = _build(u, place, TOP)
-            if check_binding(drs):
+            if reference_check_binding(drs):
                 continue
             readings.setdefault(reference_canonical(drs)[0], drs)
     return list(readings.values())
@@ -172,6 +179,36 @@ def oracle_readings(u: UDRS) -> list[DRS]:
 
 def oracle_count(u: UDRS) -> int:
     return len(oracle_readings(u))
+
+
+def reference_check_binding(d: DRS) -> list[str]:
+    """Verify every referent occurrence is accessible from its box.
+
+    Accessible means: declared in the same box, an ancestor box, or, for a
+    duplex's scope, the duplex's restrictor.  Empty list means ok.  Each
+    box's messages come in order of its predicates by (rel, uids), then of
+    its memberships by uids.
+    """
+    violations: list[str] = []
+
+    def walk(box: DRS, accessible: frozenset[DiscourseReferent]) -> None:
+        here = accessible | box.referents
+        bad = [p for p in box.predicates if not here.issuperset(p[1])]
+        if bad:
+            for rel, args in sorted(bad, key=lambda p: (p[0], [a.uid for a in p[1]])):
+                violations.extend(f"{rel}: referent {a} not accessible"
+                                  for a in args if a not in here)
+        bad = [m for m in box.memberships if not here.issuperset(m)]
+        if bad:
+            for m in sorted(bad, key=lambda m: (m[0].uid, m[1].uid)):
+                violations.extend(f"membership: referent {a} not accessible"
+                                  for a in m if a not in here)
+        for dup in box.duplexes:
+            walk(dup.res, here)
+            walk(dup.scope, here | dup.res.referents)
+
+    walk(d, frozenset())
+    return violations
 
 
 class ReferenceClosure:
@@ -324,11 +361,53 @@ def reference_dref_res(np_udrs: UDRS):
     raise MalformedNP(f"no subordination pattern between {l_max} and {l_min}")
 
 
-def reference_scopings(u: UDRS) -> list[Scoping]:
+@dataclass
+class ReferenceScoping:
+    """A placement of every label class into a box position."""
+
+    placement: dict[Label, tuple]
+    parents: dict[tuple, Optional[tuple]]
+
+    def position(self, l: Label) -> tuple:
+        return self.placement[l]
+
+    def inside_or_equal(self, inner: tuple, outer: tuple) -> bool:
+        p: Optional[tuple] = inner
+        while p is not None:
+            if p == outer:
+                return True
+            p = self.parents.get(p)
+        return False
+
+    def satisfies(self, c: SubordConstraint) -> bool:
+        """Check one constraint geometrically against this placement."""
+        if c.kind == CONDITIONAL:
+            a, b = c.antecedent
+            pa, pb = self.placement[a], self.placement[b]
+            realized = pa != pb and self.inside_or_equal(pb, pa)
+            if not realized:
+                return True
+            return self.inside_or_equal(self.placement[c.right], self.placement[c.left])
+        pl, pr = self.placement[c.left], self.placement[c.right]
+        if c.kind == IDENTITY:
+            return pl == pr
+        if c.kind == STRICT:
+            return pl != pr and self.inside_or_equal(pr, pl)
+        return self.inside_or_equal(pr, pl)  # WEAK
+
+
+def reference_scoping(u: UDRS, placement: dict[Label, tuple]) -> ReferenceScoping:
+    """A placement with the box forest it fixes: each duplex's boxes sit
+    where the placement puts the duplex's label."""
+    return ReferenceScoping(placement, _parents(
+        {d.label.uid: placement[d.label] for d in u.conds if isinstance(d, Quantifier)}))
+
+
+def reference_scopings(u: UDRS) -> list[dict[Label, tuple]]:
     """The plain backtracking search the library's scope search must match.
 
     Tries every position for every label class and re-checks every
-    complete constraint at every node.  Same scopings, same order as
+    complete constraint at every node.  Same placements, same order as
     readings.enumerate_scopings, only slower.
     """
     try:
@@ -370,7 +449,7 @@ def reference_scopings(u: UDRS) -> list[Scoping]:
             seen.add(r)
 
     constraints = list(u.subord)
-    results: list[Scoping] = []
+    results: list[dict[Label, tuple]] = []
     assignment: dict[Label, tuple] = dict(pinned)
 
     def parents_for(assign: dict[Label, tuple]) -> Optional[dict]:
@@ -392,12 +471,12 @@ def reference_scopings(u: UDRS) -> list[Scoping]:
                 return None
         return parents
 
-    def check(scoping: Scoping, assigned: set[Label]) -> bool:
+    def check(scoping: ReferenceScoping, assigned: set[Label]) -> bool:
         for c in constraints:
             labels = [c.left, c.right] + list(c.antecedent or ())
             if all(reps[l] in assigned for l in labels):
-                full = Scoping({l: scoping.placement[reps[l]] for l in labels},
-                               scoping.parents)
+                full = ReferenceScoping({l: scoping.placement[reps[l]] for l in labels},
+                                        scoping.parents)
                 if not full.satisfies(c):
                     return False
         return True
@@ -405,12 +484,12 @@ def reference_scopings(u: UDRS) -> list[Scoping]:
     def assign_rest(rest: list[Label], parents: dict) -> None:
         if not rest:
             placement = {l: assignment[reps[l]] for l in mentioned}
-            results.append(Scoping(placement, dict(parents)))
+            results.append(placement)
             return
         var, tail = rest[0], rest[1:]
         for pos in positions:
             assignment[var] = pos
-            partial = Scoping(assignment, parents)
+            partial = ReferenceScoping(assignment, parents)
             if check(partial, set(assignment)):
                 assign_rest(tail, parents)
         del assignment[var]
@@ -420,7 +499,7 @@ def reference_scopings(u: UDRS) -> list[Scoping]:
             parents = parents_for(assignment)
             if parents is None:
                 return
-            partial = Scoping(assignment, parents)
+            partial = ReferenceScoping(assignment, parents)
             if check(partial, set(assignment)):
                 assign_rest(list(variables), parents)
             return

@@ -89,7 +89,8 @@ class TestParseCommand:
 
     def test_pending_readings_exit_1(self, capsys):
         assert run(["parse", "The lawyers hired a secretary.", "--readings"]) == 1
-        assert "unresolved" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: 1 unresolved argument slot(s); disambiguate first\n")
 
     def test_bad_disambiguation_spec(self, capsys):
         assert run(["parse", "John left.", "--disambiguate", "np1=upside-down"]) == 1
@@ -150,6 +151,12 @@ class TestCorpusCommand:
         assert "FAIL" not in out
         assert out.count("PASS") == len([l for l in read_golden("corpus.txt")
                                          .splitlines() if l.startswith("case:")])
+
+    def test_golden_corpus_without_rules_fails_the_rule_case(self, capsys):
+        assert run(["corpus", golden_path("corpus.txt")]) == 1
+        fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+        assert fails == ["FAIL discourse-collective-by-rule: "
+                         "1 unresolved argument slot(s); disambiguate first"]
 
     def test_mismatch_fails(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"

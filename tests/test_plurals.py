@@ -3,7 +3,7 @@ import pytest
 from conftest import analyze
 from udrs import (
     DISTRIBUTION, GROUP, DiscourseReferent, Membership, Predicate, Quantifier, ReferentIntro,
-    closure, count_readings, from_json, to_json_str,
+    closure, count_readings, from_json, identity, to_json_str,
 )
 from udrs.plurals import (
     COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
@@ -163,12 +163,15 @@ class TestErrors:
 
 class TestDecide:
     def test_gathered_subject_is_collective(self):
-        # consult the rules mid-derivation: build the sentence, then re-ask
+        # the lexical directive fires when "gathered" links its subject
         session = analyze("The lawyers gathered.")
-        # the directive already fired, so look at a fresh underspecified case
-        session2, key = fixture_11()
-        rules = session2.ctx.rules
-        assert decide(session2.udrs, key, rules) == UNKNOWN  # "hire" carries no rule
+        u = session.udrs
+        (key,) = session.ctx.registry.all_keys()
+        group = group_at(u, key.np_l_max)
+        assert group.sort == GROUP
+        assert u.bindings[key] == group
+        assert identity(*key) in u.subord
+        assert u.pending_slots() == []
 
     def test_default_unknown(self):
         session, key = fixture_11()

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import (
-    analyze, corpus_cases, random_superset, relations, session_for_case,
+    analyze, corpus_cases, each_verdict, random_superset, relations,
+    session_for_case,
 )
-from oracle import oracle_count, oracle_readings
+from oracle import oracle_count, oracle_readings, reference_scoping
 from udrs import (
     LS, SubordConstraint, closure, fresh_label, make_udrs, strict,
 )
@@ -18,8 +19,8 @@ from udrs.readings import (
 )
 
 
-def readings_set(u, expand=False):
-    return {canonical_form(d) for d in enumerate_readings(u, expand_pending=expand)}
+def readings_set(u):
+    return {canonical_form(d) for d in enumerate_readings(u)}
 
 
 class TestCounts:
@@ -52,14 +53,6 @@ class TestPendingSlots:
         with pytest.raises(UnresolvedSlot):
             enumerate_readings(session.udrs)
 
-    def test_expansion_covers_both_disambiguations(self):
-        base = "The lawyers hired a secretary."
-        expanded = readings_set(analyze(base).udrs, expand=True)
-        collective = readings_set(analyze(base, disambiguate=((1, COLLECTIVE),)).udrs)
-        distributive = readings_set(analyze(base, disambiguate=((1, DISTRIBUTIVE),)).udrs)
-        assert expanded == collective | distributive
-        assert len(expanded) == 3
-
 
 class TestSoundness:
     def test_scopings_satisfy_derived_relations(self):
@@ -70,7 +63,8 @@ class TestSoundness:
             derived = closure(u.subord)
             scopings = enumerate_scopings(u)
             assert scopings
-            for scoping in scopings:
+            for placement in scopings:
+                scoping = reference_scoping(u, placement)
                 for kind, a, b in relations(derived):
                     if a == b:
                         continue
@@ -89,7 +83,8 @@ class TestSoundness:
         intros = {c.dref: c.label for c in u.conds if isinstance(c, ReferentIntro)}
         res_to_scope = {("res", q.label.uid): ("scope", q.label.uid)
                         for q in u.conds if isinstance(q, Quantifier)}
-        for scoping in enumerate_scopings(u):
+        for placement in enumerate_scopings(u):
+            scoping = reference_scoping(u, placement)
             verb_pos = scoping.position(hire.label)
             for arg in hire.args:
                 intro_pos = scoping.position(intros[u.resolve(arg)])
@@ -138,10 +133,9 @@ class TestRefinement:
 class TestBinding:
     def test_corpus_readings_are_bound(self):
         for case in corpus_cases():
-            session = session_for_case(case)
-            u = session.udrs
-            for drs in enumerate_readings(u, expand_pending=True):
-                assert check_binding(drs) == [], case.name
+            for name, u in each_verdict(case):
+                for drs in enumerate_readings(u):
+                    assert check_binding(drs) == [], name
 
     def test_sibling_declaration_is_a_violation(self):
         x, y = fresh_referent(), fresh_referent()

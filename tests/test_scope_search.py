@@ -1,6 +1,6 @@
 """The indexed scope search against the plain backtracking reference.
 
-``enumerate_scopings`` must return exactly the scopings that
+``enumerate_scopings`` must return exactly the placements that
 ``oracle.reference_scopings`` returns, in the same order, since reading
 order, ``udrs parse --readings`` output and the golden corpus follow it.
 Inputs: the golden corpus, every `that`-chain of depth 2 and 3 over
@@ -16,9 +16,10 @@ import time
 
 import pytest
 
-from conftest import analyze, corpus_cases, random_superset, session_for_case
+from conftest import (
+    analyze, corpus_cases, each_verdict, random_superset, session_for_case,
+)
 from oracle import oracle_readings, reference_scopings
-from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
 from udrs.readings import (
     InconsistentConstraints, canonical_form, enumerate_readings,
     enumerate_scopings,
@@ -64,19 +65,16 @@ def corpus_udrss():
     """Every corpus UDRS, plus both disambiguations of a pending plural."""
     out = []
     for case in corpus_cases():
-        session = session_for_case(case)
-        out.append((case.name, session.udrs))
-        if session.udrs.pending_slots():
-            for verdict in (COLLECTIVE, DISTRIBUTIVE):
-                variant = session_for_case(case)
-                variant.disambiguate(1, verdict)
-                out.append((f"{case.name}/{verdict}", variant.udrs))
+        u = session_for_case(case).udrs
+        if u.pending_slots():
+            out.append((case.name, u))
+        out += each_verdict(case)
     return out
 
 
 def search_result(search, u):
     try:
-        return [(s.placement, s.parents) for s in search(u)]
+        return search(u)
     except InconsistentConstraints:
         return InconsistentConstraints
 
@@ -151,16 +149,17 @@ def test_first_reading_comes_before_the_search_ends(monkeypatch):
     """The reading layer consumes scopings as the search finds them."""
     from udrs import readings
     built = []
+    search = readings._scopings
 
-    class CountingScoping(readings.Scoping):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
+    def counting_scopings(u):
+        for placement in search(u):
+            built.append(placement)
+            yield placement
 
-    monkeypatch.setattr(readings, "Scoping", CountingScoping)
+    monkeypatch.setattr(readings, "_scopings", counting_scopings)
     u = analyze("Every lawyer hired a secretary. Every clerk met a student. "
                 "Every philosopher hired an office.").udrs
-    first = next(readings._licensed(u, False))
+    first = next(readings._licensed(u))
     assert len(built) <= 3, len(built)
     assert canonical_form(first) == canonical_form(readings.build_drs(u, built[0]))
     assert len(enumerate_scopings(u)) == 7280  # the full search, as a list
