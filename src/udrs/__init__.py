@@ -1,6 +1,15 @@
 """Underspecified discourse representation structures for a small English
 fragment: principle-based construction, monotonic plural disambiguation, and
-an indexed, closure-pruned search for the fully scoped readings."""
+an indexed, closure-pruned search for the fully scoped readings.
+
+Importing the package loads only the construction layers.  The reading
+layer (``readings``, and ``canonical`` under it) and ``serialize`` load on
+first use of one of their names, here or in ``cli``: a process that runs
+without cached bytecode compiles every module it imports, and building a
+UDRS needs neither readings nor documents.
+"""
+
+from importlib import import_module
 
 from .core import (
     CONDITIONAL, DISTRIBUTION, EVERY, GROUP, IDENTITY, INDIVIDUAL, STRICT,
@@ -24,13 +33,16 @@ from .plurals import (
     COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
     NotPlural, decide, pl_dis_collective, pl_dis_distributive,
 )
-from .readings import (
-    DRS, DuplexCondition, InconsistentConstraints, UnresolvedSlot, build_drs,
-    canonical_form, check_binding, count_readings, enumerate_readings,
-    enumerate_scopings, render_drs,
-)
-from .serialize import from_json, render_text, to_dot, to_json, to_json_str
 from .cli import Session, build_session
+
+_ON_FIRST_USE = {
+    **dict.fromkeys([
+        "DRS", "DuplexCondition", "InconsistentConstraints", "UnresolvedSlot",
+        "build_drs", "canonical_form", "check_binding", "count_readings",
+        "enumerate_readings", "enumerate_scopings", "render_drs"], "readings"),
+    **dict.fromkeys([
+        "from_json", "render_text", "to_dot", "to_json", "to_json_str"], "serialize"),
+}
 
 __all__ = [
     "CONDITIONAL", "DISTRIBUTION", "EVERY", "GROUP", "IDENTITY", "INDIVIDUAL",
@@ -53,3 +65,17 @@ __all__ = [
     "render_text", "to_dot", "to_json", "to_json_str", "Session",
     "build_session",
 ]
+
+
+def __getattr__(name: str):
+    """Import the module behind a reading or serialization name on its
+    first use, and keep the name here (PEP 562)."""
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_ON_FIRST_USE[name]}")
+    globals()[name] = value = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

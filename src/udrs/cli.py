@@ -8,22 +8,18 @@ nonzero on any mismatch.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import UDRS, UDRSError, read_text
 from .grammar import COORD, DerivationNode, ParseFailure, bracketed, parse, tokenize
 from .lexicon import Lexicon, Sign
 from .plurals import COLLECTIVE, DISAMBIGUATE, DISTRIBUTIVE, KnowledgeRules
 from .principles import Derivation, combine_coord, empty_discourse, interpret
-from .readings import count_readings, drs_to_json, enumerate_readings, render_drs
-from .serialize import (
-    constraint_text, display_names, render_text, to_dot, to_json, to_json_str,
-)
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class Session:
@@ -68,7 +64,7 @@ class Session:
         if not 1 <= index <= len(keys):
             raise UDRSError(f"no plural NP #{index} (found {len(keys)})")
         u = DISAMBIGUATE[verdict](self.udrs, keys[index - 1])
-        self.discourse = replace(self.discourse, udrs=u)
+        self.discourse = self.discourse._replace(udrs=u)
         self.ctx.registry.discourse = u
 
 
@@ -132,6 +128,7 @@ def _parse_disambiguation(spec: str) -> tuple[int, str]:
 
 
 def _trace_semantics(session: Session, roots: list[DerivationNode]) -> str:
+    from .serialize import constraint_text, display_names
     names = display_names(session.udrs)
     lines = []
 
@@ -167,6 +164,8 @@ def _note_parses(session: Session) -> None:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
+    import json
+    from .serialize import render_text, to_dot, to_json, to_json_str
     lexicon = Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon.default()
     rules = KnowledgeRules.from_file(args.rules) if args.rules else None
     if args.text is None:
@@ -188,6 +187,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
     readings = None
     if args.readings:
+        from .readings import drs_to_json, enumerate_readings, render_drs
         readings = enumerate_readings(u)
 
     if args.json:
@@ -207,14 +207,17 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass
 class CorpusCase:
-    name: str
-    input: str = ""
-    disambiguate: list[str] = field(default_factory=list)
-    expect_readings: Optional[int] = None
-    expect_udrs: Optional[str] = None
-    lineno: int = 0
+    def __init__(self, name: str, input: str = "",
+                 disambiguate: Optional[list[str]] = None,
+                 expect_readings: Optional[int] = None,
+                 expect_udrs: Optional[str] = None, lineno: int = 0):
+        self.name = name
+        self.input = input
+        self.disambiguate = [] if disambiguate is None else disambiguate
+        self.expect_readings = expect_readings
+        self.expect_udrs = expect_udrs
+        self.lineno = lineno
 
 
 def _read_corpus(path: str) -> list[CorpusCase]:
@@ -255,6 +258,9 @@ def _read_corpus(path: str) -> list[CorpusCase]:
 
 def run_corpus(path: str, lexicon: Optional[Lexicon] = None,
                rules: Optional[KnowledgeRules] = None, out=None) -> int:
+    import json
+    from .readings import count_readings
+    from .serialize import to_json
     out = out if out is not None else sys.stdout
     base = os.path.dirname(os.path.abspath(path))
     failures = 0
@@ -295,6 +301,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    import argparse
     ap = argparse.ArgumentParser(
         prog="udrs",
         description="Build underspecified discourse representations for a "

@@ -15,7 +15,6 @@ sets and a larger map; no earlier value ever changes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -123,24 +122,50 @@ Arg = Hashable
 #
 # Conditions hash by identity: labels and referents are globally fresh, so
 # two structurally equal conditions from different entries never exist.
+# Their fields are slots, set once by __init__ and never assigned again.
 
-@dataclass(eq=False, frozen=True)
+_init_field = object.__setattr__
+
+
 class Condition:
-    label: Label
+    __slots__ = ("label",)
+
+    def __init__(self, label: Label):
+        _init_field(self, "label", label)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Condition(label={self.label!r})"
+
+    def __reduce__(self):
+        """copy and pickle rebuild a condition through its constructor."""
+        fields = [f for k in reversed(type(self).__mro__) for f in getattr(k, "__slots__", ())]
+        return type(self), tuple(getattr(self, f) for f in fields)
 
 
-@dataclass(eq=False, frozen=True)
 class ReferentIntro(Condition):
-    dref: DiscourseReferent
+    __slots__ = ("dref",)
+
+    def __init__(self, label: Label, dref: DiscourseReferent):
+        _init_field(self, "label", label)
+        _init_field(self, "dref", dref)
 
     def __repr__(self) -> str:
         return f"[{self.label}: {self.dref}]"
 
 
-@dataclass(eq=False, frozen=True)
 class Predicate(Condition):
-    rel: str
-    args: tuple[Arg, ...]
+    __slots__ = ("rel", "args")
+
+    def __init__(self, label: Label, rel: str, args: tuple[Arg, ...]):
+        _init_field(self, "label", label)
+        _init_field(self, "rel", rel)
+        _init_field(self, "args", args)
 
     def __repr__(self) -> str:
         args = ", ".join(repr(a) for a in self.args)
@@ -152,22 +177,28 @@ DISTRIBUTION = "distribution"
 QUANT_NAMES = {EVERY: "every", DISTRIBUTION: "dist"}  # as documents and readings show them
 
 
-@dataclass(eq=False, frozen=True)
 class Quantifier(Condition):
     """Duplex condition: rel is EVERY or DISTRIBUTION, res/scope label its boxes."""
 
-    rel: str
-    res: Label
-    scope: Label
+    __slots__ = ("rel", "res", "scope")
+
+    def __init__(self, label: Label, rel: str, res: Label, scope: Label):
+        _init_field(self, "label", label)
+        _init_field(self, "rel", rel)
+        _init_field(self, "res", res)
+        _init_field(self, "scope", scope)
 
     def __repr__(self) -> str:
         return f"[{self.label}: {self.rel}(res={self.res}, scope={self.scope})]"
 
 
-@dataclass(eq=False, frozen=True)
 class Membership(Condition):
-    element: Arg
-    group: Arg
+    __slots__ = ("element", "group")
+
+    def __init__(self, label: Label, element: Arg, group: Arg):
+        _init_field(self, "label", label)
+        _init_field(self, "element", element)
+        _init_field(self, "group", group)
 
     def __repr__(self) -> str:
         return f"[{self.label}: {self.element} ∈ {self.group}]"
@@ -225,8 +256,7 @@ def conditional(ant_left: Label, ant_right: Label,
     return SubordConstraint(CONDITIONAL, left, right, (ant_left, ant_right))
 
 
-@dataclass(frozen=True)
-class LS:
+class LS(NamedTuple):
     """Distinguished labels: upper (l_max) and lower (l_min) bound of a sign."""
 
     l_max: Label
@@ -236,12 +266,14 @@ class LS:
 _NO_BINDINGS: Mapping = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class UDRS:
+class UDRS(NamedTuple):
     ls: LS
     subord: frozenset[SubordConstraint]
     conds: frozenset[Condition]
-    bindings: Mapping[Arg, Arg] = field(hash=False)
+    bindings: Mapping[Arg, Arg]
+
+    def __hash__(self) -> int:
+        return hash(self[:3])  # not the bindings: a mapping has no hash
 
     def resolve(self, arg: Arg) -> Arg:
         """Follow the bindings: a referent, or the pending key or unlinked
@@ -423,8 +455,7 @@ def closure(constraints: Iterable[SubordConstraint]) -> Closure:
 
 # --- Well-formedness ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "cycle" | "top" | "orphan"
     detail: str
 

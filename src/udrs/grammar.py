@@ -8,8 +8,6 @@ semantics interprets bottom-up.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import UDRSError
@@ -28,15 +26,24 @@ class ParseFailure(UDRSError):
         super().__init__(f"{message} (token {position})")
 
 
-@dataclass
 class DerivationNode:
-    construction: str
-    word: Optional[str] = None           # lexical nodes only
-    head: Optional["DerivationNode"] = None
-    nonhead: Optional["DerivationNode"] = None
-    trailing_sep: bool = False           # sentence root absorbed a separator
-    sign: object = None                  # filled during semantic interpretation
-    introduced: tuple = ()               # constraint delta, for tracing
+    """A node of a derivation tree.  Only lexical nodes have a word;
+    trailing_sep marks a sentence root that absorbed a separator.
+    Interpretation fills in sign and introduced, the node's constraint
+    delta, for tracing."""
+
+    def __init__(self, construction: str, word: Optional[str] = None,
+                 head: Optional[DerivationNode] = None,
+                 nonhead: Optional[DerivationNode] = None,
+                 trailing_sep: bool = False, sign: object = None,
+                 introduced: tuple = ()):
+        self.construction = construction
+        self.word = word
+        self.head = head
+        self.nonhead = nonhead
+        self.trailing_sep = trailing_sep
+        self.sign = sign
+        self.introduced = introduced
 
     def children(self) -> list["DerivationNode"]:
         return [c for c in (self.head, self.nonhead) if c is not None]

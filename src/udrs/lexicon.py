@@ -12,8 +12,7 @@ scope bearing), strict (a quantifier) or weak (an underspecified plural).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from importlib import resources
+import os
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -31,8 +30,7 @@ class LexiconError(UDRSError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class SubcatSlot:
+class SubcatSlot(NamedTuple):
     """One expected argument of a sign.
 
     ``expects`` is "np", "clause" or "noun".  NP slots carry the verb's
@@ -48,8 +46,7 @@ class SubcatSlot:
     bind_dref: Optional[DiscourseReferent] = None
 
 
-@dataclass(frozen=True, slots=True)
-class Sign:
+class Sign(NamedTuple):
     """A sign is a value: ``subcat`` holds its open slots only, and filling
     one gives a new sign without it."""
 
@@ -78,7 +75,6 @@ class Sign:
 
     def fill(self, slot: SubcatSlot, cat: str, udrs: UDRS) -> "Sign":
         """A new sign: this one with slot filled, of category cat."""
-        # built directly: dataclasses.replace would double the cost of a fill
         return Sign(cat, tuple(s for s in self.subcat if s is not slot),
                     udrs, self.agr, self.word, self.collective_subject)
 
@@ -184,8 +180,7 @@ def entry_complementizer(word: Optional[str] = None) -> Sign:
 
 # --- Vocabulary ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VocabEntry:
+class VocabEntry(NamedTuple):
     word: str
     pos: str
     rel: Optional[str]
@@ -236,8 +231,8 @@ class Lexicon:
     @functools.cache
     def default(cls) -> "Lexicon":
         """The built-in fragment, parsed once per process and then shared."""
-        text = resources.files("udrs.data").joinpath("fragment.lex").read_text("utf-8")
-        return cls(_parse_lex(text, "<default>"))
+        path = os.path.join(os.path.dirname(__file__), "data", "fragment.lex")
+        return cls(_parse_lex(read_text(path), "<default>"))
 
     def __contains__(self, word: str) -> bool:
         return word in self._entries

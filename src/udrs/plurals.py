@@ -28,7 +28,6 @@ from .core import (
     fresh_label, fresh_referent, identity, make_udrs, read_text, strict,
 )
 from .delay import PendingKey, PendingRegistry
-from .serialize import display_names
 
 COLLECTIVE = "collective"
 DISTRIBUTIVE = "distributive"
@@ -44,6 +43,7 @@ class AlreadyDisambiguated(UDRSError):
 
 
 def _names(u: UDRS, *labels: Label) -> str:
+    from .serialize import display_names  # only diagnostics need the names
     names = display_names(u)
     return "/".join(names.get(l, repr(l)) for l in labels)
 

@@ -12,8 +12,7 @@ and leaves its daughters as they were.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     Condition, Label, LS, Predicate, SubordConstraint, UDRS, UDRSError,
@@ -35,14 +34,15 @@ class SemanticsError(UDRSError):
     pass
 
 
-@dataclass
 class Derivation:
     """Shared state of one derivation: top label, plural-key log, knowledge."""
 
-    lexicon: Lexicon
-    top: Label
-    registry: PendingRegistry
-    rules: "plurals.KnowledgeRules"
+    def __init__(self, lexicon: Lexicon, top: Label, registry: PendingRegistry,
+                 rules: "plurals.KnowledgeRules"):
+        self.lexicon = lexicon
+        self.top = top
+        self.registry = registry
+        self.rules = rules
 
     @classmethod
     def new(cls, lexicon: Optional[Lexicon] = None,
@@ -51,8 +51,7 @@ class Derivation:
                    rules or plurals.KnowledgeRules())
 
 
-@dataclass
-class CombinatorResult:
+class CombinatorResult(NamedTuple):
     sign: Sign
     introduced_constraints: frozenset[SubordConstraint]
     introduced_conditions: frozenset[Condition] = frozenset()

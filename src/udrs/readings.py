@@ -24,7 +24,6 @@ canonical.py, that each DRS value runs at most once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
@@ -45,20 +44,20 @@ class InconsistentConstraints(UDRSError):
     pass
 
 
-@dataclass(frozen=True)
-class DRS:
-    """One box: a universe of referents plus ground and duplex conditions."""
-
+class _DRS(NamedTuple):
     referents: frozenset[DiscourseReferent]
     predicates: frozenset[tuple[str, tuple[DiscourseReferent, ...]]]
     memberships: frozenset[tuple[DiscourseReferent, DiscourseReferent]]
     duplexes: frozenset["DuplexCondition"]
 
+
+class DRS(_DRS):
+    """One box: a universe of referents plus ground and duplex conditions."""
+
     @cached_property
     def labelling(self) -> tuple[tuple, dict[DiscourseReferent, int]]:
-        """(shape, numbering) from canonical_labelling, found once per DRS."""
-        # Imported on first use: without cached bytecode every start compiles
-        # what it imports, and building or serializing a UDRS needs no labelling.
+        """(shape, numbering) from canonical_labelling, found once per DRS.
+        canonical loads here, on first use (see the package docstring)."""
         from .canonical import canonical_labelling
         return canonical_labelling(self)
 

@@ -1,0 +1,43 @@
+"""Check what a cold start loads: ``python tests/cold_start.py``.
+
+In this fresh interpreter, ``import udrs``, the default lexicon and a first
+``build_session`` must load none of the reading or serialization layers and
+none of the standard modules only they or the command line need; the full
+pipeline after them must still load no ``dataclasses``.  Exits nonzero with
+the offending modules otherwise.  Needs only the installed package (or
+``src`` on ``PYTHONPATH``), not pytest, which itself imports ``dataclasses``.
+"""
+
+import sys
+
+ON_FIRST_USE = {"udrs.readings", "udrs.serialize", "udrs.canonical",
+                "argparse", "json", "dataclasses"}
+
+
+def loaded_since(before: set[str]) -> set[str]:
+    return set(sys.modules) - before
+
+
+def main() -> None:
+    before = set(sys.modules)
+    import udrs
+    udrs.build_session("John left.", udrs.Lexicon.default())
+    early = loaded_since(before) & ON_FIRST_USE
+    if early:
+        sys.exit(f"import udrs and a first build_session loaded {sorted(early)}")
+
+    session, _ = udrs.build_session("Every lawyer hired a secretary.")
+    readings = udrs.enumerate_readings(session.udrs)
+    if len(readings) != 2 or not all(udrs.render_drs(d) for d in readings):
+        sys.exit(f"expected 2 rendered readings, got {len(readings)}")
+    if not udrs.to_json_str(session.udrs).startswith("{"):
+        sys.exit("to_json_str gave no JSON object")
+    if "dataclasses" in loaded_since(before):
+        sys.exit("the full pipeline loaded dataclasses")
+    if udrs.enumerate_readings is not sys.modules["udrs.readings"].enumerate_readings:
+        sys.exit("udrs.enumerate_readings is not readings.enumerate_readings")
+    print("cold start ok")
+
+
+if __name__ == "__main__":
+    main()

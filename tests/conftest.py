@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import random
@@ -85,7 +84,7 @@ def random_superset(u, rng: random.Random, max_extra: int = 3):
         else:
             c, d = rng.sample(labels, 2)
             extra.append(conditional(a, b, c, d))
-    return dataclasses.replace(u, subord=u.subord | set(extra))
+    return u._replace(subord=u.subord | set(extra))
 
 
 def relations(c):

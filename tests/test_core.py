@@ -1,20 +1,41 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
+from types import MappingProxyType
 
 import pytest
 
 import udrs.core
 from conftest import relations, to_constraints
+from udrs.cli import CorpusCase
 from udrs.core import (
-    CONDITIONAL, GROUP, STRICT, WEAK, CycleError, DiscourseReferent, LS, Label,
-    Predicate, Slot, SubordConstraint, check_udrs, closure, conditional,
-    fresh_label, fresh_referent, identity, make_udrs, merge, strict, top_label,
-    weak,
+    CONDITIONAL, EVERY, GROUP, STRICT, WEAK, Condition, CycleError,
+    DiscourseReferent, LS, Label, Membership, Predicate, Quantifier,
+    ReferentIntro, Slot, SubordConstraint, Violation, check_udrs, closure,
+    conditional, fresh_label, fresh_referent, identity, make_udrs, merge,
+    strict, top_label, weak,
 )
-from udrs.delay import PendingKey
+from udrs.delay import PendingKey, PendingRegistry
+from udrs.grammar import HEAD_COMP, LEXICAL, DerivationNode
+from udrs.lexicon import Lexicon, Sign, SubcatSlot, VocabEntry
+from udrs.plurals import KnowledgeRules
+from udrs.principles import CombinatorResult, Derivation
 from udrs.readings import DRS, DuplexCondition
+
+SRC = os.path.dirname(os.path.dirname(udrs.core.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def run_fresh(args: list[str], **env: str) -> str:
+    """The stdout of a fresh interpreter run on args, with src on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
+    run = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def test_fresh_labels_distinct():
@@ -51,17 +72,26 @@ def test_concurrent_derivations_never_collide_on_identifiers():
 # --- Value types ------------------------------------------------------------
 
 _EMPTY_BOX = DRS(frozenset(), frozenset(), frozenset(), frozenset())
+_U = make_udrs(LS(Label(1, True), Label(2)), [weak(Label(1, True), Label(2))],
+               [ReferentIntro(Label(2), DiscourseReferent(3))])
 VALUES = [
     Label(5), Label(6, is_top=True), DiscourseReferent(5), DiscourseReferent(6, GROUP),
     Slot(5), weak(Label(1), Label(2)), conditional(Label(1), Label(2), Label(3), Label(4)),
     PendingKey(Label(1), Label(2)), DuplexCondition("every", _EMPTY_BOX, _EMPTY_BOX),
+    LS(Label(1), Label(2)), Violation("top", "l1 does not dominate l2"),
+    SubcatSlot("comp", "noun", agr="sg", bind_label=Label(4), bind_dref=DiscourseReferent(5)),
+    Sign("np", (), _U, word="john"), VocabEntry("lawyers", "noun", "lawyer", plural=True),
+    CombinatorResult(Sign("disc", (), _U), frozenset([weak(Label(1, True), Label(2))])),
+    DRS(frozenset([DiscourseReferent(3)]), frozenset([("lawyer", (DiscourseReferent(3),))]),
+        frozenset(), frozenset()),
 ]
 
 
 @pytest.mark.parametrize("v", VALUES, ids=lambda v: type(v).__name__)
 def test_value_types_hash_as_the_tuple_of_their_fields(v):
     # Sets and dicts of these values, and so every output order, iterate as
-    # they did when each was a frozen dataclass hashing that same tuple.
+    # they did when each was a frozen dataclass hashing that same tuple
+    # (CombinatorResult, then a mutable dataclass, had no hash).
     assert hash(v) == hash(tuple(v)) == hash(tuple(getattr(v, f) for f in v._fields))
     assert type(v).__hash__ is tuple.__hash__
     assert type(v).__eq__ is tuple.__eq__
@@ -73,6 +103,94 @@ def test_value_reprs():
     assert [repr(v) for v in VALUES[:8]] == [
         "l5", "l⊤6", "x5", "X6", "?5", "(l1 ≥ l2)", "(l1 > l2 ⇒ l3 ≥ l4)",
         "dref_res(l1,l2)"]
+
+
+def test_record_reprs_name_every_field():
+    u = ("UDRS(ls=LS(l_max=l⊤1, l_min=l2), subord=frozenset({(l⊤1 ≥ l2)}), "
+         "conds=frozenset({[l2: x3]}), bindings=mappingproxy({}))")
+    assert repr(_U) == u
+    assert [repr(v) for v in VALUES[9:]] == [
+        "LS(l_max=l1, l_min=l2)",
+        "Violation(kind='top', detail='l1 does not dominate l2')",
+        "SubcatSlot(role='comp', expects='noun', agr='sg', arg=None, bind_label=l4, "
+        "bind_dref=x5)",
+        f"Sign(cat='np', subcat=(), udrs={u}, agr=None, word='john', collective_subject=False)",
+        "VocabEntry(word='lawyers', pos='noun', rel='lawyer', plural=True, collective_only=False)",
+        f"CombinatorResult(sign=Sign(cat='disc', subcat=(), udrs={u}, agr=None, word=None, "
+        "collective_subject=False), introduced_constraints=frozenset({(l⊤1 ≥ l2)}), "
+        "introduced_conditions=frozenset())",
+        "DRS(referents=frozenset({x3}), predicates=frozenset({('lawyer', (x3,))}), "
+        "memberships=frozenset(), duplexes=frozenset())",
+    ]
+
+
+def test_udrs_hashes_as_its_fields_but_the_bindings():
+    bound = _U._replace(bindings=MappingProxyType({Slot(7): DiscourseReferent(3)}))
+    assert hash(bound) == hash((_U.ls, _U.subord, _U.conds)) == hash(_U)
+    assert bound != _U == make_udrs(_U.ls, _U.subord, _U.conds)
+    for field in _U._fields:
+        with pytest.raises(AttributeError):
+            setattr(_U, field, None)
+
+
+CONDITIONS = [
+    Condition(Label(1)), ReferentIntro(Label(1), DiscourseReferent(6, GROUP)),
+    Predicate(Label(2), "hire", (DiscourseReferent(3), Slot(4))),
+    Quantifier(Label(1), EVERY, Label(2), Label(3)),
+    Membership(Label(1), DiscourseReferent(3), DiscourseReferent(6, GROUP)),
+]
+
+
+@pytest.mark.parametrize("c", CONDITIONS, ids=lambda c: type(c).__name__)
+def test_conditions_compare_and_hash_by_identity(c):
+    fields = [f for k in reversed(type(c).__mro__) for f in getattr(k, "__slots__", ())]
+    twin = type(c)(*(getattr(c, f) for f in fields))
+    assert [getattr(twin, f) for f in fields] == [getattr(c, f) for f in fields]
+    assert twin != c and len({c, twin}) == 2
+    assert hash(c) == object.__hash__(c)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(c, f, None)
+        with pytest.raises(AttributeError):
+            delattr(c, f)
+    with pytest.raises(AttributeError):
+        c.extra = None
+
+
+@pytest.mark.parametrize("c", CONDITIONS, ids=lambda c: type(c).__name__)
+def test_conditions_copy_and_pickle_as_new_conditions(c):
+    for clone in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert type(clone) is type(c) and clone is not c and repr(clone) == repr(c)
+
+
+def test_condition_reprs():
+    assert [repr(c) for c in CONDITIONS] == [
+        "Condition(label=l1)", "[l1: X6]", "[l2: hire(x3, ?4)]",
+        "[l1: every(res=l2, scope=l3)]", "[l1: x3 ∈ X6]"]
+
+
+def test_constructors_take_their_field_names_as_keywords():
+    slot = SubcatSlot("comp", "noun", agr="sg", bind_label=Label(4), bind_dref=DiscourseReferent(5))
+    assert SubcatSlot("subj", "np", arg=Slot(3)).arg == Slot(3)
+    sign = Sign("v", (slot,), _U, word="hired", collective_subject=True)
+    assert sign.fill(slot, "vp", _U) == Sign("vp", (), _U, word="hired", collective_subject=True)
+    assert Sign("n", (), _U, agr="pl", word="lawyers").agr == "pl"
+    entry = VocabEntry(word="lawyers", pos="noun", rel="lawyer", plural=True,
+                       collective_only=False)
+    assert entry == VALUES[13] and entry.agr == "pl"
+    assert CombinatorResult(sign, frozenset()).introduced_conditions == frozenset()
+
+    leaf, verb = DerivationNode(LEXICAL, word="john"), DerivationNode(LEXICAL, word="left")
+    node = DerivationNode(HEAD_COMP, head=verb, nonhead=leaf)
+    assert (node.word, node.trailing_sep, node.sign, node.introduced) == (None, False, None, ())
+    assert node.children() == [verb, leaf]
+    ctx = Derivation(lexicon=Lexicon.default(), top=top_label(), registry=PendingRegistry(),
+                     rules=KnowledgeRules())
+    assert ctx.top.is_top
+    case, other = CorpusCase(name="a", lineno=3), CorpusCase("b")
+    case.disambiguate.append("np1=collective")
+    assert other.disambiguate == []
+    assert (case.input, case.expect_readings, case.expect_udrs, case.lineno) == ("", None, None, 3)
 
 
 def test_bindings_keys_and_values_never_collide():
@@ -100,10 +218,7 @@ def test_constraint_hash_is_the_same_in_every_process():
     process: no field may hash by address, as None does before Python 3.12."""
     code = ("from udrs.core import Label, weak, conditional; a, b = Label(3, True), Label(4); "
             "print(hash(weak(a, b)), hash(conditional(a, b, b, a)))")
-    src = os.path.dirname(os.path.dirname(udrs.core.__file__))
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
-    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=env, check=True, timeout=60).stdout for _ in range(2)]
+    outs = [run_fresh(["-c", code], PYTHONHASHSEED="0") for _ in range(2)]
     assert outs[0] == outs[1] != ""
 
 
@@ -262,17 +377,22 @@ class TestMerge:
 
 def test_star_import_binds_no_module():
     import ast
+    import json
     import pathlib
     import re
     import types
 
     import udrs
 
-    ns: dict = {}
-    exec("from udrs import *", ns)
-    ns.pop("__builtins__")
-    assert not [n for n, v in ns.items() if isinstance(v, types.ModuleType)]
-    assert sorted(ns) == sorted(udrs.__all__)
+    # in a fresh interpreter, where no reading or serialization name has been
+    # used yet, dir() lists them all and the star import resolves them all
+    code = ("import json, types, udrs; listed = set(dir(udrs)); ns = {}; "
+            "exec('from udrs import *', ns); ns.pop('__builtins__'); "
+            "print(json.dumps([sorted(ns), sorted(set(udrs.__all__) - listed), "
+            "[n for n, v in ns.items() if isinstance(v, types.ModuleType)]]))")
+    names, unlisted, modules = json.loads(run_fresh(["-c", code]))
+    assert not modules and not unlisted
+    assert names == sorted(udrs.__all__)
     # every name but a submodule that the README, the benchmark or the tests
     # import from udrs is exported
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -287,3 +407,9 @@ def test_star_import_binds_no_module():
     submodules = {n for n in imported if isinstance(getattr(udrs, n, None), types.ModuleType)}
     assert imported - submodules <= set(udrs.__all__)
     assert len(imported - submodules) > 40
+
+
+def test_cold_start_loads_only_the_construction_layers():
+    # without cached bytecode, as the benchmark's set-up probe runs
+    out = run_fresh([os.path.join(TESTS, "cold_start.py")], PYTHONDONTWRITEBYTECODE="1")
+    assert out == "cold start ok\n"
