@@ -8,10 +8,13 @@ canonical numberings are those under which the shape is least; that least
 shape is the reading's identity (readings.canonical_form), and the first
 canonical numbering names the referents when a reading is printed.
 
-The DRS is first compiled into boxes over referent indices.  The search then
-emits the least shape token by token in the order shapes compare: a box's
-universe, predicates, memberships, then duplexes (restrictor, then scope),
-each list closed by _END.  Numbers are committed through an ordered
+The search runs on boxes over referent indices (Box), the referents
+numbered in uid order.  Two compilers feed it: _compile turns a DRS into
+such boxes (canonical_labelling), and the reading layer's per-UDRS table
+builds them with each scoping's DRS and hands them to label_boxes.  The
+search emits the least shape token by token in the order shapes compare: a
+box's universe, predicates, memberships, then duplexes (restrictor, then
+scope), each list closed by _END.  Numbers are committed through an ordered
 partition lo: lo[i] is the first number of the cell referent i sits in, and
 it takes one number of that cell.  A universe moves its referents to the
 front of their cells; the least next item gives each of its referents the
@@ -38,7 +41,14 @@ _item = itemgetter(1)  # the element of a (1, element) token
 
 
 def canonical_labelling(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
-    """The canonical form and the numbering that gives it.
+    """The canonical form and the numbering that gives it, for any DRS."""
+    return label_boxes(*_compile(d))
+
+
+def label_boxes(refs: list[DiscourseReferent],
+                top: Box) -> tuple[tuple, dict[DiscourseReferent, int]]:
+    """The canonical form and numbering of a DRS compiled to boxes over the
+    indices of refs, the referents in uid order: the search itself.
 
     Of the numberings with the least shape, the one returned is the first in
     lexicographic order of the referents' numbers taken in uid order.  Any
@@ -46,8 +56,7 @@ def canonical_labelling(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
     only when it swaps a group referent with an individual one, so only
     then is the first one searched for.
     """
-    search = _Labelling(d)
-    refs = search.refs
+    search = _Labelling(refs, top)
     lo, tokens = search.run([0] * len(refs))
     nu = _complete(lo)
     if len({r.sort for r in refs}) == 2:
@@ -77,72 +86,61 @@ def _fold(tokens: list) -> tuple:
     return box(0)[0]
 
 
-class _Box:
-    """A DRS box over referent indices.  lists[phase] holds its items in
-    the order the search tries them: 0 the universe, 1 the predicates (rel,
-    args) sorted, 2 the memberships (None, (element, group)) sorted, 3 the
-    duplexes (rel, res, scope) by rel and _low."""
+class Box:
+    """A DRS box over referent indices.  lists[phase] holds its distinct
+    items in the order the search tries them: 0 the universe, 1 the
+    predicates (rel, args) sorted, 2 the memberships (None, (element,
+    group)) sorted, 3 the duplexes (rel, res, scope) by rel and _low.  The
+    constructor sorts the lists it is given in place."""
 
     __slots__ = ("lists", "key")
 
-
-class _Met(dict):
-    """Referent -> index, in the order the referents are first met."""
-
-    def __missing__(self, r: DiscourseReferent) -> int:
-        self[r] = i = len(self)
-        return i
-
-
-def _compile(d: DRS) -> tuple[list[DiscourseReferent], _Box]:
-    """The referents in uid order and the DRS as boxes over their indices.
-
-    One walk numbers the referents as it meets them; the numbers then move
-    to uid order and each box sorts its items, children before parents.
-    """
-    met = _Met()
-    num = met.__getitem__
-    boxes: list[_Box] = []  # children before parents
-
-    def walk(drs: DRS) -> _Box:
-        box = _Box()
-        box.lists = [tuple(map(num, drs.referents)),
-                     [(rel, tuple(map(num, args))) for rel, args in drs.predicates],
-                     [(None, (num(e), num(g))) for e, g in drs.memberships],
-                     [(x.rel, walk(x.res), walk(x.scope)) for x in drs.duplexes]]
-        box.key = None
-        boxes.append(box)
-        return box
-
-    top = walk(d)
-    refs = sorted(met, key=attrgetter("uid"))
-    to = [0] * len(refs)
-    for i, r in enumerate(refs):
-        to[met[r]] = i
-    moved = to != list(range(len(to)))
-    get = to.__getitem__
-    for box in boxes:
-        lists = box.lists
-        if moved:
-            lists[0] = tuple(map(get, lists[0]))
-            for phase in (1, 2):
-                lists[phase] = [(rel, tuple(map(get, args))) for rel, args in lists[phase]]
-        for items in lists[1:3]:
+    def __init__(self, universe: tuple[int, ...], preds: list[tuple], mems: list[tuple],
+                 dups: list[tuple]):
+        for items in (preds, mems):
             if len(items) > 1:
                 items.sort()
-        if len(lists[3]) > 1:  # the order sets which tie is tried first
-            lists[3].sort(key=lambda t: (t[0], _low(t[1]), _low(t[2])))
-    return refs, top
+        if len(dups) > 1:  # the order sets which tie is tried first
+            dups.sort(key=lambda t: (t[0], _low(t[1]), _low(t[2])))
+        self.lists = (universe, preds, mems, dups)
+        self.key = None
 
 
-def _low(box: _Box) -> int:
+def _low(box: Box) -> int:
     """The least index in the box, or -1 where a duplex has an empty box."""
     universe, preds, mems, dups = box.lists
     return min([*universe, *(a for _, args in preds + mems for a in args),
                 *(min(_low(res), _low(scope)) for _, res, scope in dups)], default=-1)
 
 
-def _key(box: _Box, tau) -> tuple:
+def _compile(d: DRS) -> tuple[list[DiscourseReferent], Box]:
+    """The referents in uid order and the DRS as boxes over their indices."""
+    found: set[DiscourseReferent] = set()
+
+    def collect(drs: DRS) -> None:
+        found.update(drs.referents)
+        for _, args in drs.predicates:
+            found.update(args)
+        for pair in drs.memberships:
+            found.update(pair)
+        for x in drs.duplexes:
+            collect(x.res)
+            collect(x.scope)
+
+    collect(d)
+    refs = sorted(found, key=attrgetter("uid"))
+    num = {r: i for i, r in enumerate(refs)}.__getitem__
+
+    def walk(drs: DRS) -> Box:
+        return Box(tuple(map(num, drs.referents)),
+                   [(rel, tuple(map(num, args))) for rel, args in drs.predicates],
+                   [(None, (num(e), num(g))) for e, g in drs.memberships],
+                   [(x.rel, walk(x.res), walk(x.scope)) for x in drs.duplexes])
+
+    return refs, walk(d)
+
+
+def _key(box: Box, tau) -> tuple:
     """The box with each index a renamed tau[a], as a value: two boxes are
     equal under renamings exactly when their keys are."""
     universe, preds, mems, dups = box.lists
@@ -212,7 +210,7 @@ def _complete(lo: list[int]) -> list[int]:
     return out
 
 
-def _least(lo: list[int], box: _Box, phase: int, rem: tuple) -> list[tuple]:
+def _least(lo: list[int], box: Box, phase: int, rem: tuple) -> list[tuple]:
     """The tied least next items of the phase, as [(token, position)]."""
     items = box.lists[phase]
     rel = items[rem[0]][0]  # rem is in rel order
@@ -230,7 +228,7 @@ def _least(lo: list[int], box: _Box, phase: int, rem: tuple) -> list[tuple]:
     return out
 
 
-def _group(lo: list[int], box: _Box, phase: int, rem: tuple,
+def _group(lo: list[int], box: Box, phase: int, rem: tuple,
            ties: list[tuple]) -> Optional[list[int]]:
     """The referents the tied items would number, if their order is free.
 
@@ -287,7 +285,7 @@ def _take_group(lo: list[int], stack: tuple, ties: list[tuple], free: list[int])
     return (box, phase, tuple(j for j in rem if j not in tied), queue, rest)
 
 
-def _close(box: _Box, phase: int, rest: Optional[tuple]) -> Optional[tuple]:
+def _close(box: Box, phase: int, rest: Optional[tuple]) -> Optional[tuple]:
     """The stack after the current phase's list has ended."""
     if phase == 3:
         return rest
@@ -318,13 +316,13 @@ def _next(lo: list[int], stack: tuple) -> tuple:
 class _Labelling:
     """The canonical-numbering search over one DRS."""
 
-    def __init__(self, d: DRS):
-        self.refs, self.top = _compile(d)
+    def __init__(self, refs: list[DiscourseReferent], top: Box):
+        self.refs, self.top = refs, top
         self.identity = range(len(self.refs))
         self.automorphic: dict[tuple, bool] = {}
         self._occurrences: Optional[list[list[tuple]]] = None
         self._colours: dict[tuple, list[int]] = {}
-        self._box_colours: dict[tuple, dict[_Box, tuple]] = {}
+        self._box_colours: dict[tuple, dict[Box, tuple]] = {}
 
     def run(self, lo: list[int]) -> tuple[list[int], list]:
         """The least-shape search from partition lo: a final partition and
@@ -394,7 +392,7 @@ class _Labelling:
             kept.append(e)
         return kept
 
-    def own_key(self, box: _Box) -> tuple:
+    def own_key(self, box: Box) -> tuple:
         if box.key is None:
             box.key = _key(box, self.identity)
         return box.key
@@ -532,7 +530,7 @@ def _partition_map(lo1: list[int], lo2: list[int]) -> Optional[tuple]:
     return tuple(tau)
 
 
-def _collect_occurrences(box: _Box, path: tuple, places: dict, out: list) -> None:
+def _collect_occurrences(box: Box, path: tuple, places: dict, out: list) -> None:
     def use(a: int, place: tuple, args: tuple) -> None:
         out[a].append((places.setdefault(place, len(places)), args))
 
@@ -548,7 +546,7 @@ def _collect_occurrences(box: _Box, path: tuple, places: dict, out: list) -> Non
         _collect_occurrences(scope, path + ((rel, 1),), places, out)
 
 
-def _box_colour(box: _Box, col: list[int], memo: dict[_Box, tuple]) -> tuple:
+def _box_colour(box: Box, col: list[int], memo: dict[Box, tuple]) -> tuple:
     """The box's items under col, sorted; memo holds the boxes done under col."""
     c = memo.get(box)
     if c is None:

@@ -15,23 +15,35 @@ it, the derived relations of the Closure narrow every class's candidate
 boxes before the search, and once the box forest is fixed "inside or
 equal" is one lookup in a box's ancestor set.
 
+Every scoping places the same conditions over the same referents, so a
+UDRS is compiled once for all its readings: a private table grounds each
+condition's arguments, numbers the referents in uid order and puts each
+condition over those numbers.  Per scoping, one pass over the labels
+buckets the conditions by box and builds both the DRS and its boxes over
+referent indices, the input of the labelling search.
+
 Two scoped DRSs are the same reading when a renaming of referents maps one
 onto the other.  canonical_form is the least shape over all numberings of
 the referents, and render_drs and drs_to_json name referents x<i>/X<i> by
 the numbering that gives it; both come from one labelling search, in
-canonical.py, that each DRS value runs at most once.
+canonical.py, that each DRS value runs at most once, on the boxes its
+table built or, for a DRS made by hand, on boxes compiled from the DRS.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from functools import cached_property, lru_cache
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .core import (
     CONDITIONAL, GROUP, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
     DiscourseReferent, Label, Membership, Predicate, Quantifier, ReferentIntro,
-    UDRS, UDRSError, closure, strict,
+    UDRS, UDRSError, closure, condition_args, strict,
 )
+
+if TYPE_CHECKING:
+    from .canonical import Box
 
 TOP_BOX = ("top",)
 
@@ -56,10 +68,17 @@ class DRS(_DRS):
 
     @cached_property
     def labelling(self) -> tuple[tuple, dict[DiscourseReferent, int]]:
-        """(shape, numbering) from canonical_labelling, found once per DRS.
-        canonical loads here, on first use (see the package docstring)."""
-        from .canonical import canonical_labelling
-        return canonical_labelling(self)
+        """(shape, numbering) of the canonical labelling, found once per DRS.
+
+        A DRS that build_drs made carries its boxes over referent indices
+        until then: the search takes them and lets them go.  Any other DRS
+        is compiled here first (canonical_labelling).  canonical loads here
+        or with the first _Table, on first use (see the package docstring)."""
+        from .canonical import canonical_labelling, label_boxes
+        compiled = self.__dict__.pop("_compiled", None)
+        if compiled is None:
+            return canonical_labelling(self)
+        return label_boxes(*compiled)
 
 
 class DuplexCondition(NamedTuple):
@@ -260,36 +279,162 @@ def _closure_candidates(rel: list[list[int]], pin: list[Optional[int]],
 
 def build_drs(u: UDRS, placement: dict[Label, tuple]) -> DRS:
     """Materialize the box tree a placement describes: each box holds the
-    conditions whose label the placement puts there."""
-    placed: dict[tuple, list] = {}  # box -> its conditions
-    for cond in u.conds:
-        placed.setdefault(placement[cond.label], []).append(cond)
-
-    def box(pos: tuple) -> DRS:
-        refs, preds, members, subs = set(), set(), set(), set()
-        for cond in placed.get(pos, ()):
-            if isinstance(cond, ReferentIntro):
-                refs.add(cond.dref)
-            elif isinstance(cond, Predicate):
-                preds.add((cond.rel, tuple(_ground(u, a) for a in cond.args)))
-            elif isinstance(cond, Membership):
-                members.add((_ground(u, cond.element), _ground(u, cond.group)))
-            elif isinstance(cond, Quantifier):
-                subs.add(DuplexCondition(
-                    cond.rel,
-                    box(("res", cond.label.uid)),
-                    box(("scope", cond.label.uid))))
-        return DRS(frozenset(refs), frozenset(preds), frozenset(members),
-                   frozenset(subs))
-
-    return box(TOP_BOX)
+    conditions whose label the placement puts there.  A placement that
+    leaves a condition out of that tree raises UDRSError naming a label."""
+    return _table(u).build(placement)
 
 
-def _ground(u: UDRS, arg: Arg) -> DiscourseReferent:
-    ref = u.resolve(arg)
-    if not isinstance(ref, DiscourseReferent):
-        raise UnresolvedSlot(f"argument {arg!r} waits on {ref!r}")
-    return ref
+@lru_cache(maxsize=1)
+def _table(u: UDRS) -> _Table:
+    """The table of the last UDRS build_drs was given, kept until another
+    comes: a caller building one UDRS's scopings one at a time, as the
+    benchmark's traced run does, compiles that UDRS once."""
+    return _Table(u)
+
+
+class _Group(NamedTuple):
+    """The conditions of one label, ground and over referent indices; a
+    duplex is (rel, res box, scope box)."""
+    size: int
+    referents: list
+    predicates: list
+    memberships: list
+    duplexes: list
+    universe: list
+    indexed_predicates: list
+    indexed_memberships: list
+
+
+class _Table:
+    """A UDRS compiled once for all its scopings.
+
+    Every scoping places the same conditions over the same referents, so a
+    condition's ground form, and its form over referent indices (refs, the
+    referents in uid order, as canonical numbers them), are the same in all
+    of them.  The conditions are grouped by label, in uid order, and a
+    placement moves whole groups.  A box without duplexes is the same
+    wherever its groups go, so each is built once.
+    """
+
+    def __init__(self, u: UDRS):
+        ground: dict[Arg, DiscourseReferent] = {}
+        unresolved = 0
+        for cond in u.conds:
+            for arg in condition_args(cond):
+                ref = u.resolve(arg)
+                if isinstance(ref, DiscourseReferent):
+                    ground[arg] = ref
+                else:
+                    unresolved += 1
+        if unresolved:
+            raise UnresolvedSlot(
+                f"{unresolved} unresolved argument slot(s); disambiguate first")
+        intros = {c.dref for c in u.conds if isinstance(c, ReferentIntro)}
+        self.refs = sorted(intros.union(ground.values()), key=attrgetter("uid"))
+        self.size = len(u.conds)
+        by_label: dict[Label, list] = {}
+        for cond in sorted(u.conds, key=lambda c: c.label.uid):
+            by_label.setdefault(cond.label, []).append(cond)
+        num = {r: i for i, r in enumerate(self.refs)}
+        self.labels = list(by_label)
+        self.groups = [_group(conds, ground, num) for conds in by_label.values()]
+        self.leaves: dict[tuple[int, ...], tuple[DRS, Box, int]] = {}
+        from .canonical import Box  # canonical loads with the first table
+        self.new_box = Box
+
+    def build(self, placement: dict[Label, tuple]) -> DRS:
+        """The placement's DRS, carrying its boxes over referent indices for
+        DRS.labelling to search."""
+        at: dict[tuple, list[int]] = {}
+        for i, label in enumerate(self.labels):
+            pos = placement.get(label)
+            if pos in at:
+                at[pos].append(i)
+            else:
+                at[pos] = [i]
+        groups, leaves, new_box = self.groups, self.leaves, self.new_box
+
+        def box(pos: tuple) -> tuple[DRS, Box, int]:
+            """The box at pos, as a DRS and over indices; how many
+            conditions it holds, nested ones too."""
+            ids = tuple(at.get(pos, ()))
+            if ids in leaves:
+                return leaves[ids]
+            placed, refs, preds, members, quants = 0, [], [], [], []
+            universe, ipreds, imembers = [], [], []
+            for i in ids:
+                group = groups[i]
+                placed += group.size
+                refs += group.referents
+                preds += group.predicates
+                members += group.memberships
+                quants += group.duplexes
+                universe += group.universe
+                ipreds += group.indexed_predicates
+                imembers += group.indexed_memberships
+            dups, idups = [], []
+            for rel, res_pos, scope_pos in quants:
+                res, ires, in_res = box(res_pos)
+                scope, iscope, in_scope = box(scope_pos)
+                placed += in_res + in_scope
+                dups.append(DuplexCondition(rel, res, scope))
+                idups.append((rel, ires, iscope))
+            drs = DRS(frozenset(refs), frozenset(preds), frozenset(members), frozenset(dups))
+            # what two groups repeat, the sets keep once, and so must the box
+            if len(drs.referents) < len(universe):
+                universe = set(universe)
+            if len(drs.predicates) < len(ipreds):
+                ipreds = list(set(ipreds))
+            if len(drs.memberships) < len(imembers):
+                imembers = list(set(imembers))
+            if len(drs.duplexes) < len(idups):
+                idups = list(dict(zip(dups, idups)).values())
+            built = drs, new_box(tuple(universe), ipreds, imembers, idups), placed
+            if not quants and pos != TOP_BOX:  # the top DRS is the reading's own
+                leaves[ids] = built
+            return built
+
+        drs, top, placed = box(TOP_BOX)
+        if placed != self.size:
+            raise UDRSError(self.misplaced(placement))
+        drs._compiled = (self.refs, top)
+        return drs
+
+    def misplaced(self, placement: dict[Label, tuple]) -> str:
+        """Which label a placement leaves out of the box tree, and how."""
+        owner = {pos: label for label, group in zip(self.labels, self.groups)
+                 for _, *boxes in group.duplexes for pos in boxes}
+        for label in self.labels:
+            if label not in placement:
+                return f"placement puts {label} in no box"
+        for label in self.labels:
+            pos, seen = placement[label], {label}
+            while pos != TOP_BOX:
+                up = owner.get(pos)
+                if up is None:
+                    return f"placement puts {label} in {pos}, a box no duplex has"
+                if up in seen:
+                    return f"placement puts {up} inside one of its own boxes"
+                seen.add(up)
+                pos = placement[up]
+        return "placement leaves conditions out of the box tree"
+
+
+def _group(conds: list, ground: dict[Arg, DiscourseReferent],
+           num: dict[DiscourseReferent, int]) -> _Group:
+    refs, preds, members, dups = [], [], [], []
+    for c in conds:
+        if isinstance(c, ReferentIntro):
+            refs.append(c.dref)
+        elif isinstance(c, Predicate):
+            preds.append((c.rel, tuple(map(ground.__getitem__, c.args))))
+        elif isinstance(c, Membership):
+            members.append((ground[c.element], ground[c.group]))
+        elif isinstance(c, Quantifier):
+            dups.append((c.rel, ("res", c.label.uid), ("scope", c.label.uid)))
+    return _Group(len(conds), refs, preds, members, dups, [num[r] for r in refs],
+                  [(rel, tuple(map(num.__getitem__, args))) for rel, args in preds],
+                  [(None, (num[e], num[g])) for e, g in members])
 
 
 # --- Reading identity ----------------------------------------------------------
@@ -321,12 +466,9 @@ def enumerate_readings(u: UDRS) -> list[DRS]:
 
 def _licensed(u: UDRS) -> Iterator[DRS]:
     """The DRS of each scoping whose referent occurrences are all bound."""
-    pending = u.pending_slots()
-    if pending:
-        raise UnresolvedSlot(
-            f"{len(pending)} unresolved argument slot(s); disambiguate first")
+    table = _Table(u)
     for placement in _scopings(u):
-        drs = build_drs(u, placement)
+        drs = table.build(placement)
         if not check_binding(drs):
             yield drs
 

@@ -7,6 +7,11 @@ full cartesian product of positions for the remaining labels, and checks
 each raw constraint directly against the resulting geometry.  Slow and
 obvious, which is the point.
 
+``reference_build_drs`` is the library's first DRS builder, which grounded
+every argument of each placed condition through the bindings anew; it is
+kept verbatim (but for names) so that the per-UDRS reading table, which
+grounds and compiles each condition once, can be held to the same DRSs.
+
 ``reference_check_binding`` is the library's ``check_binding``, kept
 verbatim (but for the name) so that the oracle's readings do not depend on
 the reading layer's own accessibility check.
@@ -55,7 +60,9 @@ from udrs.core import (
     ReferentIntro, SubordConstraint, UDRS, UDRSError, weak,
 )
 from udrs.delay import MalformedNP, PendingKey
-from udrs.readings import DRS, TOP_BOX, DuplexCondition, InconsistentConstraints
+from udrs.readings import (
+    DRS, TOP_BOX, DuplexCondition, InconsistentConstraints, UnresolvedSlot,
+)
 
 TOP = ("top",)
 
@@ -179,6 +186,41 @@ def oracle_readings(u: UDRS) -> list[DRS]:
 
 def oracle_count(u: UDRS) -> int:
     return len(oracle_readings(u))
+
+
+def reference_build_drs(u: UDRS, placement: dict[Label, tuple]) -> DRS:
+    """Materialize the box tree a placement describes: each box holds the
+    conditions whose label the placement puts there."""
+    placed: dict[tuple, list] = {}  # box -> its conditions
+    for cond in u.conds:
+        placed.setdefault(placement[cond.label], []).append(cond)
+
+    def box(pos: tuple) -> DRS:
+        refs, preds, members, subs = set(), set(), set(), set()
+        for cond in placed.get(pos, ()):
+            if isinstance(cond, ReferentIntro):
+                refs.add(cond.dref)
+            elif isinstance(cond, Predicate):
+                preds.add((cond.rel, tuple(_reference_ground(u, a) for a in cond.args)))
+            elif isinstance(cond, Membership):
+                members.add((_reference_ground(u, cond.element),
+                             _reference_ground(u, cond.group)))
+            elif isinstance(cond, Quantifier):
+                subs.add(DuplexCondition(
+                    cond.rel,
+                    box(("res", cond.label.uid)),
+                    box(("scope", cond.label.uid))))
+        return DRS(frozenset(refs), frozenset(preds), frozenset(members),
+                   frozenset(subs))
+
+    return box(TOP_BOX)
+
+
+def _reference_ground(u: UDRS, arg: Arg) -> DiscourseReferent:
+    ref = u.resolve(arg)
+    if not isinstance(ref, DiscourseReferent):
+        raise UnresolvedSlot(f"argument {arg!r} waits on {ref!r}")
+    return ref
 
 
 def reference_check_binding(d: DRS) -> list[str]:

@@ -327,12 +327,16 @@ def test_symmetric_discourse_within_a_second(text, shape):
 
 
 def test_each_reading_is_labelled_once(monkeypatch):
+    """Dedup runs the search once per reading, on the boxes the reading
+    table compiled, never compiling a DRS on its own; printing reuses that
+    labelling."""
     import udrs.canonical
     from udrs.readings import enumerate_readings
     calls = []
-    labelling = udrs.canonical.canonical_labelling
-    monkeypatch.setattr(udrs.canonical, "canonical_labelling",
-                        lambda d: calls.append(d) or labelling(d))
+    search = udrs.canonical.label_boxes
+    monkeypatch.setattr(udrs.canonical, "label_boxes",
+                        lambda refs, top: calls.append(top) or search(refs, top))
+    monkeypatch.setattr(udrs.canonical, "_compile", None)  # a DRS-side compile fails
     readings = enumerate_readings(analyze("Every lawyer hired a secretary.").udrs)
     labelled = len(calls)
     assert len(readings) == 2 and labelled >= 2

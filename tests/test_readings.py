@@ -10,11 +10,11 @@ from oracle import oracle_count, oracle_readings, reference_scoping
 from udrs import (
     LS, SubordConstraint, closure, fresh_label, make_udrs, strict,
 )
-from udrs.core import fresh_referent
+from udrs.core import Quantifier, UDRSError, fresh_referent
 from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
 from udrs.readings import (
     DRS, DuplexCondition, InconsistentConstraints, UnresolvedSlot,
-    canonical_form, check_binding, count_readings, drs_to_json,
+    build_drs, canonical_form, check_binding, count_readings, drs_to_json,
     enumerate_readings, enumerate_scopings, render_drs,
 )
 
@@ -90,6 +90,46 @@ class TestSoundness:
                 intro_pos = scoping.position(intros[u.resolve(arg)])
                 bound = res_to_scope.get(intro_pos, intro_pos)
                 assert scoping.inside_or_equal(verb_pos, bound)
+
+
+class TestBuildDrs:
+    """A placement that leaves a condition out of its box tree raises
+    UDRSError naming a label; the first builder dropped the condition, or
+    raised a bare KeyError."""
+
+    def setup_method(self):
+        self.u = analyze("Every lawyer hired a secretary.").udrs
+        self.every = next(c for c in self.u.conds if isinstance(c, Quantifier))
+        self.placement = enumerate_scopings(self.u)[0]
+
+    def test_duplex_inside_its_own_box(self):
+        placement = dict(self.placement)
+        placement[self.every.label] = ("res", self.every.label.uid)
+        with pytest.raises(UDRSError, match=rf"{self.every.label} inside one of its own boxes"):
+            build_drs(self.u, placement)
+
+    def test_duplexes_inside_each_other(self):
+        u = analyze("Every lawyer met every student.").udrs
+        first, second = sorted((c for c in u.conds if isinstance(c, Quantifier)),
+                               key=lambda q: q.label.uid)
+        placement = dict(enumerate_scopings(u)[0])
+        placement[first.label] = ("scope", second.label.uid)
+        placement[second.label] = ("res", first.label.uid)
+        with pytest.raises(UDRSError, match="inside one of its own boxes"):
+            build_drs(u, placement)
+
+    def test_box_no_duplex_has(self):
+        placement = dict(self.placement)
+        placement[self.every.res] = ("res", 0)
+        with pytest.raises(UDRSError, match=rf"{self.every.res} in \('res', 0\)"):
+            build_drs(self.u, placement)
+
+    def test_label_without_a_box(self):
+        placement = dict(self.placement)
+        del placement[self.every.label]
+        with pytest.raises(UDRSError, match=rf"{self.every.label} in no box") as e:
+            build_drs(self.u, placement)
+        assert not isinstance(e.value, KeyError)
 
 
 class TestOracleAgreement:
