@@ -13,7 +13,10 @@ The search backtracks over label classes with the constraints compiled to
 small ints.  Each check is filed under the class whose placement completes
 it, the derived relations of the Closure narrow every class's candidate
 boxes before the search, and once the box forest is fixed "inside or
-equal" is one lookup in a box's ancestor set.
+equal" is one lookup in a box's ancestor set.  Accessibility (Kamp &
+Reyle, From Discourse to Logic, 1993) is one more kind of check, kept only
+where the closure does not imply it, so no scoping is built only to be
+refused; check_binding is the same test on a finished DRS.
 
 Every scoping places the same conditions over the same referents, so a
 UDRS is compiled once for all its readings: a private table grounds each
@@ -28,6 +31,7 @@ the referents, and render_drs and drs_to_json name referents x<i>/X<i> by
 the numbering that gives it; both come from one labelling search, in
 canonical.py, that each DRS value runs at most once, on the boxes its
 table built or, for a DRS made by hand, on boxes compiled from the DRS.
+The printers print the shape that search emits.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ if TYPE_CHECKING:
     from .canonical import Box
 
 TOP_BOX = ("top",)
+_ACCESS = "access"  # the kind of a compiled accessibility check
 
 
 class UnresolvedSlot(UDRSError):
@@ -88,7 +93,8 @@ class DuplexCondition(NamedTuple):
 
 
 def enumerate_scopings(u: UDRS) -> list[dict[Label, tuple]]:
-    """All label placements consistent with the constraint set.
+    """All label placements consistent with the constraint set under which
+    every referent occurrence is accessible (check_binding finds nothing).
 
     A placement maps every label the UDRS mentions to its box: TOP_BOX, or
     ("res", uid) or ("scope", uid) of the duplex whose label has that uid.
@@ -161,12 +167,17 @@ def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
             x, y = (class_of[l] for l in sc.antecedent)
             if a != b and x != y and not rel[a][b]:
                 checks.append((CONDITIONAL, a, b, x, y))
+    access = _access_checks(u, class_of, rel, pin)
+    if access is None:
+        return  # a referent introduced nowhere is bound in no scoping
     depth = [0] * n
     for j, k in enumerate(rest_vars, 1):
         depth[k] = j
     filed: list[list[tuple]] = [[] for _ in range(len(rest_vars) + 1)]
     for check in checks:
         filed[max(depth[k] for k in check[1:])].append(check)
+    for check in access:
+        filed[max(depth[k] for k in (check[2], *check[3]))].append(check)
 
     candidates = _closure_candidates(rel, pin, len(boxes))
     owned = {k: {b for i, h in enumerate(hosts) if h == k for b in (2 * i + 1, 2 * i + 2)}
@@ -222,13 +233,51 @@ def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
     yield from place_hosts(0)
 
 
+def _access_checks(u: UDRS, class_of: dict[Label, int], rel: list[list[int]],
+                   pin: list[Optional[int]]) -> Optional[list[tuple]]:
+    """The accessibility checks, or None when a used referent has no intro.
+
+    A referent used at class v is bound when one of its intro classes i
+    sits at pos(v) or above it, or in the res box of a duplex whose scope
+    box is pos(v) or above it.  The closure implies that when i is v or
+    derived >= v, or is pinned to a res box whose scope box's class is v or
+    derived >= v; any other use gets a check (_ACCESS, i, v, intros, None).
+    """
+    intros: dict[DiscourseReferent, set[int]] = {}
+    uses = set()
+    for cond in u.conds:
+        if isinstance(cond, ReferentIntro):
+            intros.setdefault(cond.dref, set()).add(class_of[cond.label])
+        else:
+            uses.update((class_of[cond.label], u.resolve(a)) for a in condition_args(cond))
+    box_class = {p: k for k, p in enumerate(pin) if p}
+    checks = []
+    for v, ref in uses:
+        if not isinstance(ref, DiscourseReferent):
+            continue  # a pending slot: the reading layer refuses this UDRS
+        at = intros.get(ref)
+        if at is None:
+            return None
+        for i in at:
+            s = box_class[pin[i] + 1] if pin[i] and pin[i] & 1 else i
+            if v in (i, s) or rel[i][v] or rel[s][v]:
+                break
+        else:
+            at = tuple(at)
+            checks.append((_ACCESS, at[0], v, at, None))
+    return checks
+
+
 def _all_hold(checks: list[tuple], pos: list, anc: list[set[int]]) -> bool:
     """Whether every compiled check holds under positions pos and forest anc."""
     for kind, a, b, x, y in checks:
         if kind == CONDITIONAL and (pos[x] == pos[y] or pos[x] not in anc[pos[y]]):
             continue  # antecedent not realized
         if pos[a] not in anc[pos[b]] or (kind == STRICT and pos[a] == pos[b]):
-            return False
+            if kind != _ACCESS or not any(
+                    pos[i] in anc[pos[b]] or pos[i] & 1 and pos[i] + 1 in anc[pos[b]]
+                    for i in x):
+                return False
     return True
 
 
@@ -465,12 +514,11 @@ def enumerate_readings(u: UDRS) -> list[DRS]:
 
 
 def _licensed(u: UDRS) -> Iterator[DRS]:
-    """The DRS of each scoping whose referent occurrences are all bound."""
+    """The DRS of each scoping; the search has checked that every referent
+    occurrence is bound."""
     table = _Table(u)
     for placement in _scopings(u):
-        drs = table.build(placement)
-        if not check_binding(drs):
-            yield drs
+        yield table.build(placement)
 
 
 def count_readings(u: UDRS) -> int:
@@ -509,68 +557,103 @@ def check_binding(d: DRS) -> list[str]:
 
 # --- Rendering -------------------------------------------------------------------
 
-def _display_names(d: DRS) -> dict[DiscourseReferent, str]:
-    """x<i> or X<i> (groups), i the referent's canonical number."""
-    return {r: (f"X{i}" if r.sort == GROUP else f"x{i}")
-            for r, i in d.labelling[1].items()}
+def _printed(d: DRS) -> tuple[tuple, tuple[str, ...]]:
+    """The reading's shape, each part in printed order, and the display name
+    of each canonical number: x<i>, or X<i> for a group.
+
+    The shape's parts are in number order, which is the names' string order
+    unless there are more than ten numbers or both sorts; only then is the
+    shape renumbered in name order and sorted again."""
+    shape, numbering = d.labelling
+    n = len(numbering)
+    if n <= len(_INDIVIDUALS) and GROUP not in set(map(attrgetter("sort"), numbering)):
+        return shape, _INDIVIDUALS[:n]
+    names = [""] * n
+    for r, i in numbering.items():
+        names[i] = f"X{i}" if r.sort == GROUP else f"x{i}"
+    if names != sorted(names):
+        by_name = sorted(range(n), key=names.__getitem__)
+        rank = [0] * n
+        for new, old in enumerate(by_name):
+            rank[old] = new
+        shape, names = _renumbered(shape, rank), [names[i] for i in by_name]
+    return shape, tuple(names)
 
 
-def _named(d: DRS, names: dict[DiscourseReferent, str]) -> tuple:
-    """The box with display names, each part sorted as it is printed:
-    (universe, predicates, memberships, duplexes as (rel, res, scope))."""
-    return (
-        tuple(sorted(names[r] for r in d.referents)),
-        tuple(sorted((rel, tuple(names[a] for a in args))
-                     for rel, args in d.predicates)),
-        tuple(sorted((names[e], names[g]) for e, g in d.memberships)),
-        tuple(sorted((dup.rel, _named(dup.res, names), _named(dup.scope, names))
-                     for dup in d.duplexes)),
-    )
+_INDIVIDUALS = tuple(f"x{i}" for i in range(10))
+
+
+def _renumbered(box: tuple, rank: list[int]) -> tuple:
+    """The shape with each number i made rank[i], each part sorted again."""
+    universe, preds, members, duplexes = box
+    return (tuple(sorted(rank[a] for a in universe)),
+            tuple(sorted((rel, tuple(rank[a] for a in args)) for rel, args in preds)),
+            tuple(sorted((rank[e], rank[g]) for e, g in members)),
+            tuple(sorted((rel, _renumbered(res, rank), _renumbered(scope, rank))
+                         for rel, res, scope in duplexes)))
 
 
 def render_drs(d: DRS) -> str:
-    return "\n".join(_box_lines(_named(d, _display_names(d))))
+    return "\n".join(_box_lines(*_printed(d)))
 
 
-def _box_lines(box: tuple) -> list[str]:
+def _box_lines(box: tuple, names: tuple[str, ...]) -> list[str]:
+    """The box's lines, from a small cache for a box without duplexes:
+    the readings of one UDRS share most of those."""
+    return _lines(box, names) if box[3] else _leaf_lines(box, names)
+
+
+def _lines(box: tuple, names: tuple[str, ...]) -> list[str]:
     universe, preds, members, duplexes = box
-    header = " ".join(universe)
-    body: list[list[str]] = [[f"{rel}({', '.join(args)})"] for rel, args in preds]
-    body += [[f"{e} in {g}"] for e, g in members]
+    name = names.__getitem__
+    body = []  # plain loops: a comprehension costs a call, and these lists are short
+    for rel, args in preds:
+        body.append(f"{rel}({', '.join(map(name, args))})")
+    for e, g in members:
+        body.append(f"{name(e)} in {name(g)}")
     for rel, res, scope in duplexes:
-        connector = f"={QUANT_NAMES.get(rel, rel)}=>"
-        body.append(_join_duplex(_box_lines(res), connector, _box_lines(scope)))
-
-    width = max([len(header)] + [len(l) for block in body for l in block] + [1])
-    top = "+" + "-" * (width + 2) + "+"
-    out = [top, f"| {header.ljust(width)} |", "+" + "-" * (width + 2) + "+"]
-    for block in body:
-        for line in block:
-            out.append(f"| {line.ljust(width)} |")
-    out.append(top)
+        body += _join_duplex(_box_lines(res, names), f"={QUANT_NAMES.get(rel, rel)}=>",
+                             _box_lines(scope, names))
+    header = " ".join(map(name, universe))
+    width = max(len(header), 1, *map(len, body))
+    rule = "+" + "-" * (width + 2) + "+"
+    out = [rule, f"| {header.ljust(width)} |", rule]
+    for line in body:
+        out.append(f"| {line.ljust(width)} |")
+    out.append(rule)
     return out
 
 
+_leaf_lines = lru_cache(maxsize=256)(_lines)
+
+
 def _join_duplex(res: list[str], connector: str, scope: list[str]) -> list[str]:
+    """The two boxes' lines side by side, the connector on the middle line;
+    the shorter side is padded in a new list."""
     height = max(len(res), len(scope))
-    res += [" " * len(res[0])] * (height - len(res))
-    scope += [" " * len(scope[0])] * (height - len(scope))
-    mid = height // 2
+    if len(res) < height:
+        res = res + [" " * len(res[0])] * (height - len(res))
+    elif len(scope) < height:
+        scope = scope + [" " * len(scope[0])] * (height - len(scope))
+    blank, mid = " " * len(connector), height // 2
     lines = []
-    for i in range(height):
-        joint = connector if i == mid else " " * len(connector)
-        lines.append(f"{res[i]} {joint} {scope[i]}")
+    for r, s in zip(res, scope):
+        lines.append(f"{r} {blank} {s}")
+    lines[mid] = f"{res[mid]} {connector} {scope[mid]}"
     return lines
 
 
 def drs_to_json(d: DRS) -> dict:
+    shape, names = _printed(d)
+
     def box(b: tuple) -> dict:
         universe, preds, members, duplexes = b
-        conds: list[dict] = [{"type": "pred", "rel": rel, "args": list(args)}
+        conds: list[dict] = [{"type": "pred", "rel": rel, "args": [names[a] for a in args]}
                              for rel, args in preds]
-        conds += [{"type": "member", "element": e, "group": g} for e, g in members]
+        conds += [{"type": "member", "element": names[e], "group": names[g]}
+                  for e, g in members]
         conds += [{"type": "duplex", "rel": QUANT_NAMES.get(rel, rel),
                    "res": box(res), "scope": box(scope)} for rel, res, scope in duplexes]
-        return {"referents": list(universe), "conditions": conds}
+        return {"referents": [names[a] for a in universe], "conditions": conds}
 
-    return box(_named(d, _display_names(d)))
+    return box(shape)

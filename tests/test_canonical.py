@@ -37,7 +37,8 @@ from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
 from udrs.canonical import canonical_labelling
 from udrs.readings import (
     DRS, DuplexCondition, build_drs, canonical_form, check_binding,
-    count_readings, drs_to_json, enumerate_scopings, render_drs,
+    count_readings, drs_to_json, enumerate_readings, enumerate_scopings,
+    render_drs,
 )
 
 MAX_REFERENTS = 7  # the reference tries n! renamings
@@ -198,6 +199,43 @@ def test_random_drss(seed):
     rng = random.Random(seed)
     for _ in range(25):
         assert_matches_reference(random_drs(rng))
+
+
+# --- Printing where name order is not number order ---------------------------
+# Display names compare as strings: x10 comes before x2, and every X<i>
+# before every x<j>.  There the printers re-sort what they print, so they are
+# held to the reference printers on readings with more than ten referents and
+# on readings of both sorts, named by the library's own numbering (the
+# reference's n! search is out of reach at this size).
+
+LONG = [
+    (" ".join(["A clerk hired a secretary."] * 6), ()),
+    ("The lawyers hired a secretary. A clerk met a student. The clerks hired an office. "
+     "A philosopher met a lawyer. The students hired John. Mary met John.",
+     ((1, COLLECTIVE), (2, COLLECTIVE), (3, COLLECTIVE))),
+    ("The lawyers hired John. The clerks met Mary. John met Mary.",
+     ((1, DISTRIBUTIVE), (2, COLLECTIVE))),
+]
+
+
+def test_printers_re_sort_out_of_name_order(monkeypatch):
+    import udrs.readings
+    ranks = []
+    renumbered = udrs.readings._renumbered
+    monkeypatch.setattr(udrs.readings, "_renumbered",
+                        lambda box, rank: ranks.append(len(rank)) or renumbered(box, rank))
+    drss = [d for text, directives in LONG
+            for d in enumerate_readings(analyze(text, disambiguate=directives).udrs)]
+    rng = random.Random(1995)
+    for _ in range(40):
+        refs = [DiscourseReferent(uid, rng.choice((INDIVIDUAL, GROUP)))
+                for uid in range(rng.randint(11, 14))]
+        drss.append(random_box(rng, refs, 2))
+    for d in drss:
+        names = reference_names(d.labelling[1])
+        assert render_drs(d) == reference_render(d, names)
+        assert drs_to_json(d) == reference_json(d, names)
+    assert {n > 10 for n in ranks} == {True, False}  # both reasons to re-sort
 
 
 def test_group_and_individual_swapped_by_an_automorphism():

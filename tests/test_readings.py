@@ -242,3 +242,16 @@ class TestRendering:
         texts = [render_drs(d) for d in enumerate_readings(session.udrs)]
         assert all("=dist=>" in t for t in texts)
         assert all(" in X" in t for t in texts)
+
+    @pytest.mark.parametrize("short_side", ["res", "scope"])
+    def test_join_duplex_leaves_its_arguments_alone(self, short_side):
+        """Readings share the lines of boxes they have in common, so joining
+        two boxes pads the shorter one in a new list."""
+        from udrs.readings import _join_duplex
+        short, tall = ["+--+", "|  |", "+--+"], ["+---+", "| a |", "+---+", "| b |", "+---+"]
+        res, scope = (short, tall) if short_side == "res" else (tall, short)
+        before = (list(res), list(scope))
+        lines = _join_duplex(res, "=every=>", scope)
+        assert (res, scope) == before
+        assert len(lines) == 5 and len(set(map(len, lines))) == 1
+        assert [i for i, line in enumerate(lines) if "=every=>" in line] == [2]
