@@ -594,12 +594,12 @@ def _renumbered(box: tuple, rank: list[int]) -> tuple:
 
 
 def render_drs(d: DRS) -> str:
-    return "\n".join(_box_lines(*_printed(d)))
+    return "\n".join(_lines(*_printed(d)))
 
 
 def _box_lines(box: tuple, names: tuple[str, ...]) -> list[str]:
-    """The box's lines, from a small cache for a box without duplexes:
-    the readings of one UDRS share most of those."""
+    """A duplex's box's lines, from a small cache for a box without
+    duplexes: the readings of one UDRS share most of those."""
     return _lines(box, names) if box[3] else _leaf_lines(box, names)
 
 
@@ -624,7 +624,7 @@ def _lines(box: tuple, names: tuple[str, ...]) -> list[str]:
     return out
 
 
-_leaf_lines = lru_cache(maxsize=256)(_lines)
+_leaf_lines = lru_cache(maxsize=64)(_lines)
 
 
 def _join_duplex(res: list[str], connector: str, scope: list[str]) -> list[str]:
