@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .core import (
     CONDITIONAL, GROUP, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
@@ -557,7 +557,7 @@ def check_binding(d: DRS) -> list[str]:
 
 # --- Rendering -------------------------------------------------------------------
 
-def _printed(d: DRS) -> tuple[tuple, tuple[str, ...]]:
+def _printed(d: DRS) -> tuple[tuple, list[str]]:
     """The reading's shape, each part in printed order, and the display name
     of each canonical number: x<i>, or X<i> for a group.
 
@@ -574,7 +574,7 @@ def _printed(d: DRS) -> tuple[tuple, tuple[str, ...]]:
         for new, old in enumerate(by_name):
             rank[old] = new
         shape, names = _renumbered(shape, rank), [names[i] for i in by_name]
-    return shape, tuple(names)
+    return shape, names
 
 
 def _renumbered(box: tuple, rank: list[int]) -> tuple:
@@ -591,7 +591,7 @@ def render_drs(d: DRS) -> str:
     return "\n".join(_lines(*_printed(d)))
 
 
-def _lines(box: tuple, names: tuple[str, ...]) -> list[str]:
+def _lines(box: tuple, names: list[str]) -> list[str]:
     universe, preds, members, duplexes = box
     name = names.__getitem__
     body = []  # plain loops: a comprehension costs a call, and these lists are short
@@ -600,8 +600,8 @@ def _lines(box: tuple, names: tuple[str, ...]) -> list[str]:
     for e, g in members:
         body.append(f"{name(e)} in {name(g)}")
     for rel, res, scope in duplexes:
-        body += _join_duplex(_inner_lines(res, names), f"={QUANT_NAMES.get(rel, rel)}=>",
-                             _inner_lines(scope, names))
+        body += _join_duplex(_lines(res, names), f"={QUANT_NAMES.get(rel, rel)}=>",
+                             _lines(scope, names))
     header = " ".join(map(name, universe))
     width = max(len(header), 1, *map(len, body))
     rule = "+" + "-" * (width + 2) + "+"
@@ -612,26 +612,14 @@ def _lines(box: tuple, names: tuple[str, ...]) -> list[str]:
     return out
 
 
-def _inner_lines(box: tuple, names: tuple[str, ...]) -> Sequence[str]:
-    """A duplex's box's lines.  Those of a box without duplexes come from a
-    small cache: on the bench's many-readings inputs about two lookups in
-    three hit it, since the readings of one UDRS share most such boxes."""
-    return _lines(box, names) if box[3] else _leaf_lines(box, names)
-
-
-@lru_cache(maxsize=64)
-def _leaf_lines(box: tuple, names: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(_lines(box, names))
-
-
-def _join_duplex(res: Sequence[str], connector: str, scope: Sequence[str]) -> list[str]:
+def _join_duplex(res: list[str], connector: str, scope: list[str]) -> list[str]:
     """The two boxes' lines side by side, the connector on the middle line;
     the shorter side is padded in a new list."""
     height = max(len(res), len(scope))
     if len(res) < height:
-        res = [*res] + [" " * len(res[0])] * (height - len(res))
+        res = res + [" " * len(res[0])] * (height - len(res))
     elif len(scope) < height:
-        scope = [*scope] + [" " * len(scope[0])] * (height - len(scope))
+        scope = scope + [" " * len(scope[0])] * (height - len(scope))
     blank, mid = " " * len(connector), height // 2
     lines = [f"{r} {blank} {s}" for r, s in zip(res, scope)]
     lines[mid] = f"{res[mid]} {connector} {scope[mid]}"

@@ -245,8 +245,8 @@ class TestRendering:
 
     @pytest.mark.parametrize("short_side", ["res", "scope"])
     def test_join_duplex_leaves_its_arguments_alone(self, short_side):
-        """Readings share the lines of boxes they have in common, so joining
-        two boxes pads the shorter one in a new list."""
+        """Joining two boxes pads the shorter one in a new list, so the
+        caller's lines come back unchanged."""
         from udrs.readings import _join_duplex
         short, tall = ["+--+", "|  |", "+--+"], ["+---+", "| a |", "+---+", "| b |", "+---+"]
         res, scope = (short, tall) if short_side == "res" else (tall, short)
