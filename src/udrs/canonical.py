@@ -19,11 +19,12 @@ partition lo: lo[i] is the first number of the cell referent i sits in, and
 it takes one number of that cell.  A universe moves its referents to the
 front of their cells; the least next item gives each of its referents the
 first number of its cell.  The search branches only on tied items, and
-drops a branch when an automorphism of the DRS maps a kept branch onto it:
-individualization and automorphism pruning after McKay & Piperno,
-"Practical graph isomorphism, II" (2014), cut down to DRS trees.  Every
-branch still alive has emitted the same tokens, so that one stream, folded
-back into nested tuples, is the least shape.
+drops a branch when the map of a kept branch's partition onto its own is an
+automorphism taking one to the other: individualization and automorphism
+pruning after McKay & Piperno, "Practical graph isomorphism, II" (2014),
+cut down to DRS trees.  Every branch still alive has emitted the same
+tokens, so that one stream, folded back into nested tuples, is the least
+shape.
 """
 
 from __future__ import annotations
@@ -53,14 +54,14 @@ def label_boxes(refs: list[DiscourseReferent],
     Of the numberings with the least shape, the one returned is the first in
     lexicographic order of the referents' numbers taken in uid order.  Any
     two of them differ by an automorphism, which changes the display names
-    only when it swaps a group referent with an individual one, so only
-    then is the first one searched for.
+    only when it swaps a group referent with an individual one, so the
+    first is searched for only when a refined colour holds both sorts.
     """
     search = _Labelling(refs, top)
     lo, tokens = search.run([0] * len(refs))
     nu = _complete(lo)
     if len({r.sort for r in refs}) == 2:
-        col = search.colours([0] * len(refs))
+        col = _colours(len(refs), top)
         group_colours = {c for c, r in zip(col, refs) if r.sort == GROUP}
         if any(c in group_colours for c, r in zip(col, refs) if r.sort != GROUP):
             nu = search.first_numbering(nu, col)
@@ -317,12 +318,9 @@ class _Labelling:
     """The canonical-numbering search over one DRS."""
 
     def __init__(self, refs: list[DiscourseReferent], top: Box):
-        self.refs, self.top = refs, top
-        self.identity = range(len(self.refs))
+        self.top = top
+        self.identity = range(len(refs))
         self.automorphic: dict[tuple, bool] = {}
-        self._occurrences: Optional[list[list[tuple]]] = None
-        self._colours: dict[tuple, list[int]] = {}
-        self._box_colours: dict[tuple, dict[Box, tuple]] = {}
 
     def run(self, lo: list[int]) -> tuple[list[int], list]:
         """The least-shape search from partition lo: a final partition and
@@ -331,7 +329,7 @@ class _Labelling:
         A lone entry runs on in place to its next tie.  Several entries step
         in lockstep, and only those that emit the least token stay.  An
         entry at a tie splits into one child per tied item, each on its own
-        copy of the partition, and the children are pruned.
+        copy of the partition, and the children are pruned (prune).
         """
         tokens: list = []
         frontier = [(list(lo), (self.top, 0, (), (), None))]
@@ -364,32 +362,15 @@ class _Labelling:
                 for i in ties:
                     child = list(lo)
                     children.append((child, _take(child, stack, i)))
-            branched = len(children) > len(frontier)
-            frontier = self.prune(children, branched) if len(children) > 1 else children
+            frontier = self.prune(children) if len(children) > 1 else children
 
-    def prune(self, frontier: list[tuple], branched: bool) -> list[tuple]:
-        """Drop each entry that an automorphism maps a kept entry onto.
-
-        The first candidate maps one partition onto the other cell by cell.
-        Where a tie has just split an entry three or more ways, each entry
-        is also run to a leaf, taking at each tie the item whose referents
-        have the least refined colours; two leaves of equal shape give the
-        second candidate.
-        """
+    def prune(self, frontier: list[tuple]) -> list[tuple]:
+        """Drop each entry that the map of a kept entry's partition onto its
+        own, cell by cell, shows to be an automorphic image of that entry."""
         kept: list[tuple] = []
-        leaves: list[tuple] = []
-        dive = branched and len(frontier) > 2
         for e in frontier:
-            if any(self.maps_onto(_partition_map(k[0], e[0]), k, e) for k in kept):
-                continue
-            if dive:
-                nu, shape = self.dive(e)
-                inverse = {v: i for i, v in enumerate(nu)}
-                if any(s == shape and self.maps_onto(tuple(inverse[v] for v in n), k, e)
-                       for k, (n, s) in zip(kept, leaves)):
-                    continue
-                leaves.append((nu, shape))
-            kept.append(e)
+            if not any(self.maps_onto(_partition_map(k[0], e[0]), k, e) for k in kept):
+                kept.append(e)
         return kept
 
     def own_key(self, box: Box) -> tuple:
@@ -428,59 +409,6 @@ class _Labelling:
             if a != b:
                 return False
         return st1 is st2
-
-    def dive(self, e: tuple) -> tuple[list[int], list]:
-        """Run entry e to a numbering, taking at each tie the item whose
-        referents have the least refined colours; the numbering and the
-        tokens emitted on the way."""
-        lo, stack = list(e[0]), e[1]
-        tokens: list = []
-        while stack is not None:
-            token, stack, ties = _next(lo, stack)
-            tokens.append(token)
-            if ties is None:
-                continue
-            col = self.colours(lo)
-            box, phase = stack[0], stack[1]
-            items = box.lists[phase]
-            if phase == 3:
-                memo = self._box_colours.setdefault(tuple(lo), {})
-
-                def key(i):
-                    return (_box_colour(items[i][1], col, memo)
-                            + _box_colour(items[i][2], col, memo))
-            else:
-                def key(i):
-                    return tuple(col[a] for a in items[i][1])
-            stack = _take(lo, stack, min(ties, key=key))
-        return _complete(lo), tokens
-
-    def occurrences(self) -> list[list[tuple]]:
-        """Per referent: (place, args) of each use, where place numbers the
-        box path, kind, rel and argument position."""
-        if self._occurrences is None:
-            self._occurrences = [[] for _ in self.refs]
-            _collect_occurrences(self.top, (), {}, self._occurrences)
-        return self._occurrences
-
-    def colours(self, lo: list[int]) -> list[int]:
-        """Colour refinement of the partition lo by where referents occur
-        and with whom; an automorphism keeping lo keeps colours.  Colours
-        are hashes of sorted multisets: a collision only merges two colours."""
-        key = tuple(lo)
-        if key in self._colours:
-            return self._colours[key]
-        occurrences = self.occurrences()
-        col, count = lo, len(set(lo))
-        while True:
-            get = col.__getitem__
-            new = [hash((col[r], tuple(sorted([(place, tuple(map(get, args)))
-                                               for place, args in occ]))))
-                   for r, occ in enumerate(occurrences)]
-            if len(set(new)) <= count:
-                self._colours[key] = new
-                return new
-            col, count = new, len(set(new))
 
     def first_numbering(self, nu: list[int], col: list[int]) -> list[int]:
         """The least, in uid order, of the numberings nu composed with an
@@ -530,6 +458,24 @@ def _partition_map(lo1: list[int], lo2: list[int]) -> Optional[tuple]:
     return tuple(tau)
 
 
+def _colours(n: int, top: Box) -> list[int]:
+    """Colour refinement of the referents 0..n-1 of top by where (box path,
+    kind, rel, argument position) they occur and with whom; automorphisms
+    keep colours.  Colours are hashes of sorted multisets: a collision only
+    merges two colours."""
+    occurrences: list[list[tuple]] = [[] for _ in range(n)]
+    _collect_occurrences(top, (), {}, occurrences)
+    col, count = [0] * n, 1
+    while True:
+        get = col.__getitem__
+        new = [hash((col[r], tuple(sorted([(place, tuple(map(get, args)))
+                                           for place, args in occ]))))
+               for r, occ in enumerate(occurrences)]
+        if len(set(new)) <= count:
+            return new
+        col, count = new, len(set(new))
+
+
 def _collect_occurrences(box: Box, path: tuple, places: dict, out: list) -> None:
     def use(a: int, place: tuple, args: tuple) -> None:
         out[a].append((places.setdefault(place, len(places)), args))
@@ -544,17 +490,3 @@ def _collect_occurrences(box: Box, path: tuple, places: dict, out: list) -> None
     for rel, res, scope in dups:
         _collect_occurrences(res, path + ((rel, 0),), places, out)
         _collect_occurrences(scope, path + ((rel, 1),), places, out)
-
-
-def _box_colour(box: Box, col: list[int], memo: dict[Box, tuple]) -> tuple:
-    """The box's items under col, sorted; memo holds the boxes done under col."""
-    c = memo.get(box)
-    if c is None:
-        universe, preds, mems, dups = box.lists
-        c = memo[box] = (
-            tuple(sorted(col[a] for a in universe)),
-            *(tuple(sorted((rel, tuple(col[a] for a in args)) for rel, args in items))
-              for items in (preds, mems)),
-            tuple(sorted((rel,) + _box_colour(res, col, memo) + _box_colour(scope, col, memo)
-                         for rel, res, scope in dups)))
-    return c

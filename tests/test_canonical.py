@@ -10,10 +10,10 @@ directive) and of the three reading-heavy benchmark families rebuilt from
 the built-in vocabulary, symmetric discourses, and seeded random DRSs, which
 also put referents outside every universe or in several, and repeat one
 structure with group and individual referents swapped.  Together they take
-every path of the search: a tie branch, a group take, automorphism pruning,
-a lockstep step, a group token owed in lockstep, a dive and the search for
-the first numbering.  Symmetric inputs too large for the reference are held
-to their known form within a time bound.
+every path of the search: a tie branch, a group take, automorphism pruning
+by a partition map, a lockstep step, a group token owed in lockstep and the
+search for the first numbering.  Symmetric inputs too large for the
+reference are held to their known form within a time bound.
 """
 
 import itertools
@@ -275,16 +275,14 @@ def test_group_token_owed_in_lockstep():
 def test_inputs_take_every_search_path(monkeypatch):
     """The inputs above branch on a tie, take tied items as a group, prune a
     branch by an automorphism, step several entries in lockstep, drain a
-    queued group token there, dive to a leaf and search for the first
-    numbering, each at least once, so the reference checks cover every
-    path."""
+    queued group token there and search for the first numbering, each at
+    least once, so the reference checks cover every path."""
     import sys
     import udrs.canonical as canonical
     seen: Counter = Counter()
     prune = canonical._Labelling.prune
     take_group = canonical._take_group
     first_numbering = canonical._Labelling.first_numbering
-    dive = canonical._Labelling.dive
     next_token = canonical._next
 
     def counting_next(lo, stack):
@@ -295,12 +293,8 @@ def test_inputs_take_every_search_path(monkeypatch):
                 seen["queued token in lockstep"] += 1
         return next_token(lo, stack)
 
-    def counting_dive(self, e):
-        seen["dive"] += 1
-        return dive(self, e)
-
-    def counting_prune(self, frontier, branched):
-        kept = prune(self, frontier, branched)
+    def counting_prune(self, frontier):
+        kept = prune(self, frontier)
         seen["tie branch"] += 1  # the frontier holds two entries only after a tie
         seen["automorphism pruning"] += len(frontier) - len(kept)
         return kept
@@ -316,7 +310,6 @@ def test_inputs_take_every_search_path(monkeypatch):
     monkeypatch.setattr(canonical._Labelling, "prune", counting_prune)
     monkeypatch.setattr(canonical, "_take_group", counting_take_group)
     monkeypatch.setattr(canonical._Labelling, "first_numbering", counting_first_numbering)
-    monkeypatch.setattr(canonical._Labelling, "dive", counting_dive)
     monkeypatch.setattr(canonical, "_next", counting_next)
     inputs = [(text, ()) for text in that_chains() + quantified_pairs() + CHAINS
               + DISCOURSES + S_FAMILY]
@@ -330,7 +323,7 @@ def test_inputs_take_every_search_path(monkeypatch):
             canonical_labelling(random_drs(rng))
     canonical_labelling(two_copies_owing_a_group_token())
     assert all(seen[path] for path in ("tie branch", "group take", "automorphism pruning",
-                                       "lockstep step", "queued token in lockstep", "dive",
+                                       "lockstep step", "queued token in lockstep",
                                        "first_numbering")), dict(seen)
 
 
