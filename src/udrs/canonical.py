@@ -25,6 +25,13 @@ pruning after McKay & Piperno, "Practical graph isomorphism, II" (2014),
 cut down to DRS trees.  Every branch still alive has emitted the same
 tokens, so that one stream, folded back into nested tuples, is the least
 shape.
+
+A tree is forced when no list of any of its boxes holds two items of one
+rel.  Its search never ties, so it is one path, which _walk follows while
+building the nested shape.  Its automorphisms only permute referents in the
+same universes and in no condition; those share a cell of the walk's final
+partition, which _complete numbers in uid order, so that numbering is
+already the first and needs no first_numbering.
 """
 
 from __future__ import annotations
@@ -55,10 +62,15 @@ def label_boxes(refs: list[DiscourseReferent],
     lexicographic order of the referents' numbers taken in uid order.  Any
     two of them differ by an automorphism, which changes the display names
     only when it swaps a group referent with an individual one, so the
-    first is searched for only when a refined colour holds both sorts.
+    first is searched for only when a refined colour holds both sorts.  A
+    forced tree (see Box) is walked instead of searched, and its numbering
+    in the walk's final partition is the first.
     """
+    lo = [0] * len(refs)
+    if top.forced:
+        return _walk(lo, top), dict(zip(refs, _complete(lo)))
     search = _Labelling(refs, top)
-    lo, tokens = search.run([0] * len(refs))
+    lo, tokens = search.run(lo)
     nu = _complete(lo)
     if len({r.sort for r in refs}) == 2:
         col = _colours(len(refs), top)
@@ -92,9 +104,11 @@ class Box:
     items in the order the search tries them: 0 the universe, 1 the
     predicates (rel, args) sorted, 2 the memberships (None, (element,
     group)) sorted, 3 the duplexes (rel, res, scope) by rel and _low.  The
-    constructor sorts the lists it is given in place."""
+    constructor sorts the lists it is given in place.  forced: no list
+    holds two items of one rel (memberships all have rel None) and every
+    nested box is forced, so no search over the tree can tie."""
 
-    __slots__ = ("lists", "key")
+    __slots__ = ("lists", "key", "forced")
 
     def __init__(self, universe: tuple[int, ...], preds: list[tuple], mems: list[tuple],
                  dups: list[tuple]):
@@ -105,6 +119,27 @@ class Box:
             dups.sort(key=lambda t: (t[0], _low(t[1]), _low(t[2])))
         self.lists = (universe, preds, mems, dups)
         self.key = None
+        self.forced = (len(mems) < 2 and len({rel for rel, _ in preds}) == len(preds)
+                       and len({t[0] for t in dups}) == len(dups)
+                       and all(res.forced and scope.forced for _, res, scope in dups))
+
+
+def _walk(lo: list[int], box: Box) -> tuple:
+    """The shape of a forced box, lo changing as the search's would: refine
+    the universe, number each item in turn, then the duplexes in rel order,
+    restrictor before scope (see the module docstring)."""
+    universe, preds, mems, dups = box.lists
+    return (_refine(lo, universe),
+            tuple([(rel, _numbered(lo, args)) for rel, args in preds]),
+            tuple([_numbered(lo, args) for _, args in mems]),
+            tuple([(rel, _walk(lo, res), _walk(lo, scope)) for rel, res, scope in dups]))
+
+
+def _numbered(lo: list[int], args: tuple[int, ...]) -> tuple[int, ...]:
+    """The least numbers of args under lo, then given to them."""
+    got = _greedy(lo, args)
+    _individualize(lo, args)
+    return got
 
 
 def _low(box: Box) -> int:

@@ -2,8 +2,10 @@
 
 In this fresh interpreter, ``import udrs``, the default lexicon and a first
 ``build_session`` must load none of the reading or serialization layers and
-none of the standard modules only they or the command line need; the full
-pipeline after them must still load no ``dataclasses``.  Exits nonzero with
+none of the standard modules only they or the command line need; a second
+``build_session`` and ``to_json_str``, which is all a parse to JSON runs,
+must not load ``udrs.canonical``; the full pipeline after them must still
+load no ``dataclasses``.  Exits nonzero with
 the offending modules otherwise.  Needs only the installed package (or
 ``src`` on ``PYTHONPATH``), not pytest, which itself imports ``dataclasses``.
 """
@@ -27,11 +29,13 @@ def main() -> None:
         sys.exit(f"import udrs and a first build_session loaded {sorted(early)}")
 
     session, _ = udrs.build_session("Every lawyer hired a secretary.")
+    if not udrs.to_json_str(session.udrs).startswith("{"):
+        sys.exit("to_json_str gave no JSON object")
+    if "udrs.canonical" in sys.modules:
+        sys.exit("build_session and to_json_str loaded udrs.canonical")
     readings = udrs.enumerate_readings(session.udrs)
     if len(readings) != 2 or not all(udrs.render_drs(d) for d in readings):
         sys.exit(f"expected 2 rendered readings, got {len(readings)}")
-    if not udrs.to_json_str(session.udrs).startswith("{"):
-        sys.exit("to_json_str gave no JSON object")
     if "dataclasses" in loaded_since(before):
         sys.exit("the full pipeline loaded dataclasses")
     if udrs.enumerate_readings is not sys.modules["udrs.readings"].enumerate_readings:

@@ -10,10 +10,12 @@ directive) and of the three reading-heavy benchmark families rebuilt from
 the built-in vocabulary, symmetric discourses, and seeded random DRSs, which
 also put referents outside every universe or in several, and repeat one
 structure with group and individual referents swapped.  Together they take
-every path of the search: a tie branch, a group take, automorphism pruning
-by a partition map, a lockstep step, a group token owed in lockstep and the
-search for the first numbering.  Symmetric inputs too large for the
-reference are held to their known form within a time bound.
+every path of the labelling: the walk over a tree that cannot tie, and in
+the search a tie branch, a group take, automorphism pruning by a partition
+map, a lockstep step, a group token owed in lockstep and the search for the
+first numbering.  The walk is also held to the search it stands in for, on
+every tree it takes.  Symmetric inputs too large for the reference are held
+to their known form within a time bound.
 """
 
 import itertools
@@ -24,8 +26,8 @@ from collections import Counter
 import pytest
 
 from conftest import (
-    analyze, corpus_cases, quantified_pairs, session_for_case, that_chains,
-    wide_discourses,
+    analyze, corpus_cases, each_verdict, quantified_pairs, session_for_case,
+    that_chains, wide_discourses,
 )
 from oracle import (
     all_referents, reference_canonical, reference_json, reference_names,
@@ -34,6 +36,7 @@ from oracle import (
 from test_scope_search import CHAINS, DISCOURSES
 from udrs.core import GROUP, INDIVIDUAL, DiscourseReferent
 from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
+import udrs.canonical as canonical
 from udrs.canonical import canonical_labelling
 from udrs.readings import (
     DRS, DuplexCondition, build_drs, canonical_form, check_binding,
@@ -272,18 +275,25 @@ def test_group_token_owed_in_lockstep():
     assert_matches_reference(two_copies_owing_a_group_token())
 
 
+def family_inputs() -> list[tuple]:
+    """(text, directives) of every generated and benchmark family above."""
+    inputs = [(text, ()) for text in that_chains() + quantified_pairs() + CHAINS
+              + DISCOURSES + S_FAMILY]
+    return inputs + wide_discourses() + P_FAMILY + [(t, dirs) for t, dirs, _ in SYMMETRIC]
+
+
 def test_inputs_take_every_search_path(monkeypatch):
     """The inputs above branch on a tie, take tied items as a group, prune a
     branch by an automorphism, step several entries in lockstep, drain a
     queued group token there and search for the first numbering, each at
     least once, so the reference checks cover every path."""
     import sys
-    import udrs.canonical as canonical
     seen: Counter = Counter()
     prune = canonical._Labelling.prune
     take_group = canonical._take_group
     first_numbering = canonical._Labelling.first_numbering
     next_token = canonical._next
+    walk = canonical._walk
 
     def counting_next(lo, stack):
         caller = sys._getframe(1)  # from run while its frontier holds several: lockstep
@@ -307,14 +317,16 @@ def test_inputs_take_every_search_path(monkeypatch):
         seen["first_numbering"] += 1
         return first_numbering(self, nu, col)
 
+    def counting_walk(lo, box):
+        seen["walk"] += 1
+        return walk(lo, box)
+
     monkeypatch.setattr(canonical._Labelling, "prune", counting_prune)
     monkeypatch.setattr(canonical, "_take_group", counting_take_group)
     monkeypatch.setattr(canonical._Labelling, "first_numbering", counting_first_numbering)
     monkeypatch.setattr(canonical, "_next", counting_next)
-    inputs = [(text, ()) for text in that_chains() + quantified_pairs() + CHAINS
-              + DISCOURSES + S_FAMILY]
-    inputs += wide_discourses() + P_FAMILY + [(text, dirs) for text, dirs, _ in SYMMETRIC]
-    for text, directives in inputs:
+    monkeypatch.setattr(canonical, "_walk", counting_walk)
+    for text, directives in family_inputs():
         for d in scoped_drss(analyze(text, disambiguate=directives).udrs):
             canonical_labelling(d)
     for seed in range(12):
@@ -322,9 +334,85 @@ def test_inputs_take_every_search_path(monkeypatch):
         for _ in range(25):
             canonical_labelling(random_drs(rng))
     canonical_labelling(two_copies_owing_a_group_token())
-    assert all(seen[path] for path in ("tie branch", "group take", "automorphism pruning",
-                                       "lockstep step", "queued token in lockstep",
+    assert all(seen[path] for path in ("walk", "tie branch", "group take",
+                                       "automorphism pruning", "lockstep step",
+                                       "queued token in lockstep",
                                        "first_numbering")), dict(seen)
+
+
+# --- The walk over trees that cannot tie ----------------------------------------
+
+def compiled_trees():
+    """(refs, top) of every scoped DRS of the inputs above, as the reading
+    table compiles it, and of random_drs seeds 0-199, as _compile does."""
+    udrss = [u for case in corpus_cases() for _, u in each_verdict(case)]
+    udrss += [analyze(text, disambiguate=directives).udrs
+              for text, directives in family_inputs()]
+    for u in udrss:
+        for d in scoped_drss(u):
+            yield d._compiled
+    for seed in range(200):
+        rng = random.Random(seed)
+        for _ in range(25):
+            yield canonical._compile(random_drs(rng))
+
+
+def test_walk_is_the_search_it_replaces():
+    """On every forced tree, the walk gives the shape and final partition of
+    the search plus _fold, and first_numbering keeps the walk's numbering:
+    it is already the first in uid order."""
+    forced = 0
+    for refs, top in compiled_trees():
+        if not top.forced:
+            continue
+        forced += 1
+        lo = [0] * len(refs)
+        shape = canonical._walk(lo, top)
+        search = canonical._Labelling(refs, top)
+        searched_lo, tokens = search.run([0] * len(refs))
+        assert (shape, lo) == (canonical._fold(tokens), searched_lo)
+        nu = canonical._complete(lo)
+        assert search.first_numbering(list(nu), canonical._colours(len(refs), top)) == nu
+    assert forced > 2000
+
+
+X, Y, G = DiscourseReferent(1), DiscourseReferent(2), DiscourseReferent(3, GROUP)
+
+
+def box(refs=(), preds=(), mems=(), dups=()) -> DRS:
+    return DRS(frozenset(refs), frozenset(preds), frozenset(mems), frozenset(dups))
+
+
+def every(res: DRS, scope: DRS) -> DuplexCondition:
+    return DuplexCondition("every", res, scope)
+
+
+# one per way a tree can tie; the last ties only in a nested box
+CAN_TIE = {
+    "two predicates of one rel": box((X, Y), {("p", (X,)), ("p", (Y,))}),
+    "two memberships": box((X, Y, G), mems={(X, G), (Y, G)}),
+    "two duplexes of one rel": box((G,), {("p", (G,))}, dups={
+        every(box((X,), {("q", (X,))}), box(preds={("r", (X, G))})),
+        every(box((Y,), {("q", (Y,))}), box(preds={("r", (Y, G))}))}),
+    "a tie in a nested box only": box((G,), {("p", (G,))}, {(X, G)}, {
+        every(box((X, Y), {("q", (X,)), ("q", (Y,))}), box(preds={("r", (X, Y))}))}),
+}
+
+
+@pytest.mark.parametrize("name", CAN_TIE)
+def test_trees_that_can_tie_are_searched(monkeypatch, name):
+    d = CAN_TIE[name]
+    top = canonical._compile(d)[1]
+    assert not top.forced
+    if name == "a tie in a nested box only":
+        ((_, res, scope),) = top.lists[3]
+        assert (res.forced, scope.forced) == (False, True)
+    runs = []
+    run = canonical._Labelling.run
+    monkeypatch.setattr(canonical._Labelling, "run",
+                        lambda self, lo: runs.append(lo) or run(self, lo))
+    assert_matches_reference(d)
+    assert runs
 
 
 # --- Symmetric inputs beyond the reference --------------------------------------

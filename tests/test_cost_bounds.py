@@ -4,8 +4,8 @@ The benchmark's inputs are short and shallow, so a search that does far
 more work than it needs on long or deep inputs still reads level there.
 These tests count the steps of two searches by monkeypatching, not by wall
 time: labelling a discourse that repeats one structure grows linearly with
-its length, and the scope search runs a bounded number of checks per
-scoping it finds.
+its length, a reading that cannot tie is labelled without a search step,
+and the scope search runs a bounded number of checks per scoping it finds.
 """
 
 import itertools
@@ -14,8 +14,8 @@ import pytest
 
 import udrs.canonical as canonical
 import udrs.readings as readings
-from conftest import NOUNS, analyze
-from udrs.readings import enumerate_readings, enumerate_scopings
+from conftest import NOUNS, analyze, quantified_pairs
+from udrs.readings import build_drs, enumerate_readings, enumerate_scopings
 
 
 def counted(monkeypatch, module, name: str) -> list[int]:
@@ -45,7 +45,25 @@ def test_labelling_grows_linearly_with_repeats(monkeypatch, sentences, times):
         steps[0] = 0
         assert len(enumerate_readings(u)) == 1
         counts.append(steps[0])
+    assert all(counts), counts  # these trees tie: a walk would make the bound vacuous
     assert all(b <= 2.5 * a for a, b in zip(counts, counts[1:])), counts
+
+
+@pytest.mark.parametrize("text", ["Every lawyer hired a secretary."] + quantified_pairs())
+def test_forced_readings_take_no_search_step(monkeypatch, text):
+    """A reading none of whose boxes holds two items of one rel is labelled
+    by the walk alone: the search's step function never runs for it."""
+    steps = counted(monkeypatch, canonical, "_next")
+    u = analyze(text).udrs
+    forced = 0
+    for placement in enumerate_scopings(u):
+        d = build_drs(u, placement)
+        if d._compiled[1].forced:
+            forced += 1
+            steps[0] = 0
+            assert d.labelling
+            assert steps[0] == 0
+    assert forced
 
 
 def that_chain(depth: int) -> str:
