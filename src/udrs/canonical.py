@@ -12,19 +12,19 @@ The search runs on boxes over referent indices (Box), the referents
 numbered in uid order.  Two compilers feed it: _compile turns a DRS into
 such boxes (canonical_labelling), and the reading layer's per-UDRS table
 builds them with each scoping's DRS and hands them to label_boxes.  The
-search emits the least shape token by token in the order shapes compare: a
-box's universe, predicates, memberships, then duplexes (restrictor, then
-scope), each list closed by _END.  Numbers are committed through an ordered
+search steps through the shape in the order shapes compare: a box's
+universe, predicates, memberships, then duplexes (restrictor, then scope),
+each list closed by _END.  Numbers are committed through an ordered
 partition lo: lo[i] is the first number of the cell referent i sits in, and
 it takes one number of that cell.  A universe moves its referents to the
 front of their cells; the least next item gives each of its referents the
-first number of its cell.  The search branches only on tied items, and
-drops a branch when the map of a kept branch's partition onto its own is an
-automorphism taking one to the other: individualization and automorphism
-pruning after McKay & Piperno, "Practical graph isomorphism, II" (2014),
-cut down to DRS trees.  Every branch still alive has emitted the same
-tokens, so that one stream, folded back into nested tuples, is the least
-shape.
+first number of its cell.  The search branches only on tied items, keeps
+the branches whose next token is least, and drops a branch when the map of
+a kept branch's partition onto its own is an automorphism taking one to the
+other: individualization and automorphism pruning after McKay & Piperno,
+"Practical graph isomorphism, II" (2014), cut down to DRS trees.  It
+returns its final partition; the least shape is read off the tree under any
+numbering within it (_shape).
 
 A tree is forced when no list of any of its boxes holds two items of one
 rel.  Its search never ties, so it is one path, which _walk follows while
@@ -45,7 +45,6 @@ if TYPE_CHECKING:
     from .readings import DRS
 
 _END = (0,)  # ends a list; less than every (1, element) token
-_item = itemgetter(1)  # the element of a (1, element) token
 
 
 def canonical_labelling(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
@@ -58,55 +57,51 @@ def label_boxes(refs: list[DiscourseReferent],
     """The canonical form and numbering of a DRS compiled to boxes over the
     indices of refs, the referents in uid order: the search itself.
 
-    Of the numberings with the least shape, the one returned is the first in
-    lexicographic order of the referents' numbers taken in uid order.  Any
-    two of them differ by an automorphism, which changes the display names
-    only when it swaps a group referent with an individual one, so the
-    first is searched for only when a refined colour holds both sorts.  A
-    forced tree (see Box) is walked instead of searched, and its numbering
+    The form is the top box's _shape under a numbering within the search's
+    final partition.  Any two numberings with the least shape differ by an
+    automorphism, which changes the display names only when it swaps a
+    group referent with an individual one.  So only when a refined colour
+    holds both sorts is the first of them searched for, in lexicographic
+    order of the referents' numbers taken in uid order; otherwise the
+    search's own is kept, which may follow the order of same-rel duplexes
+    (see Box) while the names do not.  A forced tree (see Box) is walked
+    instead of searched, building its shape as it goes, and its numbering
     in the walk's final partition is the first.
     """
     lo = [0] * len(refs)
     if top.forced:
         return _walk(lo, top), dict(zip(refs, _complete(lo)))
     search = _Labelling(refs, top)
-    lo, tokens = search.run(lo)
-    nu = _complete(lo)
+    nu = _complete(search.run(lo))
+    shape = _shape(top, nu)
     if len({r.sort for r in refs}) == 2:
         col = _colours(len(refs), top)
         group_colours = {c for c, r in zip(col, refs) if r.sort == GROUP}
         if any(c in group_colours for c, r in zip(col, refs) if r.sort != GROUP):
             nu = search.first_numbering(nu, col)
-    return _fold(tokens), dict(zip(refs, nu))
+    return shape, dict(zip(refs, nu))
 
 
-def _fold(tokens: list) -> tuple:
-    """The shape a search's token stream spells, as nested tuples."""
-
-    def box(i: int) -> tuple[tuple, int]:
-        """The box whose universe token is at i; where its tokens end."""
-        j = tokens.index(_END, i + 1)  # closes the predicates
-        k = tokens.index(_END, j + 1)  # closes the memberships
-        dups, m = [], k + 1
-        while tokens[m] != _END:
-            res, after = box(m + 1)
-            scope, after = box(after)
-            dups.append((tokens[m][1], res, scope))
-            m = after
-        return (tokens[i], tuple(map(_item, tokens[i + 1:j])),
-                tuple(t[1][1] for t in tokens[j + 1:k]), tuple(dups)), m + 1
-
-    return box(0)[0]
+def _shape(box: Box, nu: list[int]) -> tuple:
+    """The box's shape under the numbering nu (index -> number), each part
+    sorted."""
+    universe, preds, mems, dups = box.lists
+    return (tuple(sorted([nu[a] for a in universe])),
+            tuple(sorted([(rel, tuple([nu[a] for a in args])) for rel, args in preds])),
+            tuple(sorted([tuple([nu[a] for a in args]) for _, args in mems])),
+            tuple(sorted([(rel, _shape(res, nu), _shape(scope, nu))
+                          for rel, res, scope in dups])))
 
 
 class Box:
     """A DRS box over referent indices.  lists[phase] holds its distinct
     items in the order the search tries them: 0 the universe, 1 the
     predicates (rel, args) sorted, 2 the memberships (None, (element,
-    group)) sorted, 3 the duplexes (rel, res, scope) by rel and _low.  The
-    constructor sorts the lists it is given in place.  forced: no list
-    holds two items of one rel (memberships all have rel None) and every
-    nested box is forced, so no search over the tree can tie."""
+    group)) sorted, 3 the duplexes (rel, res, scope) by rel, those of one
+    rel in the order given.  The constructor sorts the lists it is given in
+    place.  forced: no list holds two items of one rel (memberships all
+    have rel None) and every nested box is forced, so no search over the
+    tree can tie."""
 
     __slots__ = ("lists", "key", "forced")
 
@@ -115,8 +110,8 @@ class Box:
         for items in (preds, mems):
             if len(items) > 1:
                 items.sort()
-        if len(dups) > 1:  # the order sets which tie is tried first
-            dups.sort(key=lambda t: (t[0], _low(t[1]), _low(t[2])))
+        if len(dups) > 1:
+            dups.sort(key=itemgetter(0))
         self.lists = (universe, preds, mems, dups)
         self.key = None
         self.forced = (len(mems) < 2 and len({rel for rel, _ in preds}) == len(preds)
@@ -140,13 +135,6 @@ def _numbered(lo: list[int], args: tuple[int, ...]) -> tuple[int, ...]:
     got = _greedy(lo, args)
     _individualize(lo, args)
     return got
-
-
-def _low(box: Box) -> int:
-    """The least index in the box, or -1 where a duplex has an empty box."""
-    universe, preds, mems, dups = box.lists
-    return min([*universe, *(a for _, args in preds + mems for a in args),
-                *(min(_low(res), _low(scope)) for _, res, scope in dups)], default=-1)
 
 
 def _compile(d: DRS) -> tuple[list[DiscourseReferent], Box]:
@@ -357,16 +345,15 @@ class _Labelling:
         self.identity = range(len(refs))
         self.automorphic: dict[tuple, bool] = {}
 
-    def run(self, lo: list[int]) -> tuple[list[int], list]:
-        """The least-shape search from partition lo: a final partition and
-        the tokens of the least shape.
+    def run(self, lo: list[int]) -> list[int]:
+        """The least-shape search from partition lo: a final partition, any
+        numbering within which gives the least shape that keeps lo.
 
         A lone entry runs on in place to its next tie.  Several entries step
         in lockstep, and only those that emit the least token stay.  An
         entry at a tie splits into one child per tied item, each on its own
         copy of the partition, and the children are pruned (prune).
         """
-        tokens: list = []
         frontier = [(list(lo), (self.top, 0, (), (), None))]
         while True:
             if len(frontier) == 1:
@@ -374,9 +361,8 @@ class _Labelling:
                 ties = None
                 while ties is None:
                     if stack is None:
-                        return lo, tokens
-                    token, stack, ties = _next(lo, stack)
-                    tokens.append(token)
+                        return lo
+                    _, stack, ties = _next(lo, stack)
                 stepped = [(lo, stack, ties)]
             else:
                 best = None
@@ -386,9 +372,8 @@ class _Labelling:
                         best, stepped = token, [(lo, stack, ties)]
                     elif token == best:
                         stepped.append((lo, stack, ties))
-                tokens.append(best)
                 if stepped[0][1] is None:
-                    return stepped[0][0], tokens
+                    return stepped[0][0]
             children = []
             for lo, stack, ties in stepped:
                 if ties is None:
@@ -450,16 +435,17 @@ class _Labelling:
         automorphism.
 
         Greedily picks each referent's image t: some automorphism extends
-        the images picked so far by r -> t exactly when fixing the sources
-        first and fixing the images first give searches of equal shape.
+        the images picked so far by r -> t exactly when the least shape with
+        the sources numbered first equals the one with the images numbered
+        first (shape_fixing: a search from that partition, read by _shape).
         """
         n = len(nu)
 
-        def shape_fixing(order: list[int]) -> list:
+        def shape_fixing(order: list[int]) -> tuple:
             lo = [len(order)] * n
             for j, r in enumerate(order):
                 lo[r] = j
-            return self.run(lo)[1]
+            return _shape(self.top, _complete(self.run(lo)))
 
         images: list[int] = []
         for i in range(n):

@@ -75,17 +75,7 @@ def yield_tokens(node: DerivationNode) -> list[str]:
     """The token string a derivation covers (inverse of parse)."""
     if node.construction == LEXICAL:
         return [] if node.word == SILENT else [node.word]
-    out = []
-    if node.construction == COORD:
-        out.extend(yield_tokens(node.head))
-        out.extend(yield_tokens(node.nonhead))
-    elif node.construction == HEAD_SUBJ:
-        out.extend(yield_tokens(node.nonhead))  # subject precedes VP head
-        out.extend(yield_tokens(node.head))
-    else:
-        out.extend(yield_tokens(node.head))
-        if node.nonhead is not None:
-            out.extend(yield_tokens(node.nonhead))
+    out = [token for child in _surface_order(node) for token in yield_tokens(child)]
     if node.trailing_sep:
         out.append(SEP)
     return out
@@ -188,6 +178,8 @@ def bracketed(node: DerivationNode, indent: int = 0) -> str:
 
 
 def _surface_order(node: DerivationNode) -> list[DerivationNode]:
+    """The node's children in the order their words come: a subject before
+    its VP head, otherwise head first."""
     if node.construction == HEAD_SUBJ:
         return [node.nonhead, node.head]
     return node.children()

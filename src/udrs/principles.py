@@ -137,9 +137,8 @@ def bind_noun(noun: Sign, slot: SubcatSlot) -> Sign:
     pred = next(c for c in noun.udrs.conds if isinstance(c, Predicate))
     if pred.label == slot.bind_label:
         return noun  # already instantiated against this determiner
-    bound = entry_noun(pred.rel, noun.word, noun.agr or "sg",
-                       label=slot.bind_label, dref=slot.bind_dref)
-    return bound
+    return entry_noun(pred.rel, noun.word, noun.agr or "sg",
+                      label=slot.bind_label, dref=slot.bind_dref)
 
 
 def combine_head_subj(head: Sign, subj: Sign, ctx: Derivation) -> CombinatorResult:

@@ -31,7 +31,7 @@ the referents, and render_drs and drs_to_json name referents x<i>/X<i> by
 the numbering that gives it; both come from one labelling search, in
 canonical.py, that each DRS value runs at most once, on the boxes its
 table built or, for a DRS made by hand, on boxes compiled from the DRS.
-The printers print the shape that search emits.
+The printers print the least shape that labelling returns.
 """
 
 from __future__ import annotations

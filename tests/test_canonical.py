@@ -14,8 +14,9 @@ every path of the labelling: the walk over a tree that cannot tie, and in
 the search a tie branch, a group take, automorphism pruning by a partition
 map, a lockstep step, a group token owed in lockstep and the search for the
 first numbering.  The walk is also held to the search it stands in for, on
-every tree it takes.  Symmetric inputs too large for the reference are held
-to their known form within a time bound.
+every tree it takes, and every form to the oracle's shape under the
+numbering that comes with it.  Symmetric inputs too large for the reference
+are held to their known form within a time bound.
 """
 
 import itertools
@@ -30,8 +31,8 @@ from conftest import (
     that_chains, wide_discourses,
 )
 from oracle import (
-    all_referents, reference_canonical, reference_json, reference_names,
-    reference_render,
+    _shape as oracle_shape, all_referents, reference_canonical, reference_json,
+    reference_names, reference_render,
 )
 from test_scope_search import CHAINS, DISCOURSES
 from udrs.core import GROUP, INDIVIDUAL, DiscourseReferent
@@ -342,25 +343,31 @@ def test_inputs_take_every_search_path(monkeypatch):
 
 # --- The walk over trees that cannot tie ----------------------------------------
 
-def compiled_trees():
-    """(refs, top) of every scoped DRS of the inputs above, as the reading
-    table compiles it, and of random_drs seeds 0-199, as _compile does."""
+def compiled_drss():
+    """Every scoped DRS of the inputs above, carrying its tree as the
+    reading table compiles it, and random_drs seeds 0-199, which _compile
+    compiles when they are labelled."""
     udrss = [u for case in corpus_cases() for _, u in each_verdict(case)]
     udrss += [analyze(text, disambiguate=directives).udrs
               for text, directives in family_inputs()]
     for u in udrss:
-        for d in scoped_drss(u):
-            yield d._compiled
+        yield from scoped_drss(u)
     for seed in range(200):
         rng = random.Random(seed)
         for _ in range(25):
-            yield canonical._compile(random_drs(rng))
+            yield random_drs(rng)
+
+
+def compiled_trees():
+    """(refs, top) of every DRS of compiled_drss."""
+    for d in compiled_drss():
+        yield getattr(d, "_compiled", None) or canonical._compile(d)
 
 
 def test_walk_is_the_search_it_replaces():
     """On every forced tree, the walk gives the shape and final partition of
-    the search plus _fold, and first_numbering keeps the walk's numbering:
-    it is already the first in uid order."""
+    the search read by _shape, and first_numbering keeps the walk's
+    numbering: it is already the first in uid order."""
     forced = 0
     for refs, top in compiled_trees():
         if not top.forced:
@@ -369,11 +376,54 @@ def test_walk_is_the_search_it_replaces():
         lo = [0] * len(refs)
         shape = canonical._walk(lo, top)
         search = canonical._Labelling(refs, top)
-        searched_lo, tokens = search.run([0] * len(refs))
-        assert (shape, lo) == (canonical._fold(tokens), searched_lo)
+        searched_lo = search.run([0] * len(refs))
+        searched = canonical._shape(top, canonical._complete(searched_lo))
+        assert (shape, lo) == (searched, searched_lo)
         nu = canonical._complete(lo)
         assert search.first_numbering(list(nu), canonical._colours(len(refs), top)) == nu
     assert forced > 2000
+
+
+def test_form_is_the_oracle_shape_under_the_numbering():
+    """On every DRS of compiled_drss, walked or searched, the form is the
+    oracle's shape of the DRS under the numbering the labelling returns."""
+    paths = Counter()
+    for d in compiled_drss():
+        compiled = getattr(d, "_compiled", None) or canonical._compile(d)
+        paths[compiled[1].forced] += 1
+        assert canonical_form(d) == oracle_shape(d, d.labelling[1])
+    assert paths[True] > 4000 and paths[False] > 4000, paths
+
+
+def two_duplexes_of_one_rel(sorts: tuple) -> tuple[list, tuple]:
+    """Referents over sorts and the two orders of top box 0 with p(0) and,
+    for 1 and for 2, a duplex every(q(i)) (r(i, 0)): the duplexes share a
+    rel, and one swaps with the other by an automorphism."""
+    refs = [DiscourseReferent(uid, sort) for uid, sort in enumerate(sorts)]
+
+    def top(order):
+        dups = [("every", canonical.Box((i,), [("q", (i,))], [], []),
+                 canonical.Box((), [("r", (i, 0))], [], [])) for i in order]
+        return canonical.Box((0,), [("p", (0,))], [], dups)
+
+    return refs, (top((1, 2)), top((2, 1)))
+
+
+@pytest.mark.parametrize("sorts", [(INDIVIDUAL,) * 3, (INDIVIDUAL, INDIVIDUAL, GROUP)],
+                         ids=("one sort", "both sorts"))
+def test_duplex_order_changes_no_form_or_sort(sorts):
+    """Same-rel duplexes given in either order give the same form and the
+    same sort at every number, so the same display names."""
+    refs, tops = two_duplexes_of_one_rel(sorts)
+    labelled, numberings = [], []
+    for top in tops:
+        assert not top.forced
+        form, numbering = canonical.label_boxes(refs, top)
+        labelled.append((form, sorted((i, r.sort) for r, i in numbering.items())))
+        numberings.append(numbering)
+    assert labelled[0] == labelled[1]
+    if len(set(sorts)) == 1:  # the order is live: it picks which referent is 1
+        assert numberings[0] != numberings[1]
 
 
 X, Y, G = DiscourseReferent(1), DiscourseReferent(2), DiscourseReferent(3, GROUP)
