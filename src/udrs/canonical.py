@@ -386,12 +386,15 @@ class _Labelling:
 
     def prune(self, frontier: list[tuple]) -> list[tuple]:
         """Drop each entry that the map of a kept entry's partition onto its
-        own, cell by cell, shows to be an automorphic image of that entry."""
-        kept: list[tuple] = []
+        own, cell by cell, shows to be an automorphic image of that entry.
+        Each entry's cells are listed once per prune."""
+        kept: list[tuple] = []  # (entry, its cells)
         for e in frontier:
-            if not any(self.maps_onto(_partition_map(k[0], e[0]), k, e) for k in kept):
-                kept.append(e)
-        return kept
+            cells = _cells(e[0])
+            if not any(self.maps_onto(_partition_map(k_cells, cells, len(e[0])), k, e)
+                       for k, k_cells in kept):
+                kept.append((e, cells))
+        return [e for e, _ in kept]
 
     def own_key(self, box: Box) -> tuple:
         if box.key is None:
@@ -460,18 +463,24 @@ class _Labelling:
         return [nu[t] for t in images]
 
 
-def _partition_map(lo1: list[int], lo2: list[int]) -> Optional[tuple]:
-    """A map taking partition lo1 cell by cell onto lo2 that moves only the
-    referents the two cells do not share; None if the cells differ in size."""
-    cells1: dict[int, list[int]] = {}
-    cells2: dict[int, list[int]] = {}
-    for r, s in enumerate(lo1):
-        cells1.setdefault(s, []).append(r)
-    for r, s in enumerate(lo2):
-        cells2.setdefault(s, []).append(r)
-    tau = list(range(len(lo1)))
+def _cells(lo: list[int]) -> dict[int, list[int]]:
+    """The cells of partition lo: each cell's referents, ascending."""
+    cells: dict[int, list[int]] = {}
+    for r, s in enumerate(lo):
+        cells.setdefault(s, []).append(r)
+    return cells
+
+
+def _partition_map(cells1: dict[int, list[int]], cells2: dict[int, list[int]],
+                   n: int) -> Optional[tuple]:
+    """A map taking the n referents' partition with cells1 cell by cell onto
+    the one with cells2 that moves only the referents the two cells do not
+    share; None if the cells differ in size."""
+    tau = list(range(n))
     for s, m1 in cells1.items():
         m2 = cells2.get(s, ())
+        if m1 == m2:
+            continue  # the cell moves nothing
         if len(m2) != len(m1):
             return None
         for x, y in zip([r for r in m1 if r not in m2], [r for r in m2 if r not in m1]):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional
 
 
 class UDRSError(Exception):
@@ -339,16 +339,21 @@ class Closure:
     fixpoint activation of conditional constraints whose antecedent's strict
     relation became derivable.
 
-    Identity constraints merge labels into classes (union-find), numbered in
-    uid order of their least-uid labels, the representatives.  Bit j of
-    class i's weak row is set when i >= j, bit i always; a bit-parallel
-    Warshall closes the rows, ORing row k into every row that has bit k.
-    Class i's strict row ORs the weak rows of the targets of the strict
-    edges that leave the classes in i's weak row.  A conditional fires on a
-    bit of a strict row: its consequent a >= b ORs row b into every row with
-    bit a, which keeps the rows closed, and the strict rows are derived
-    again until none fires.  ``activated`` lists the fired conditionals in
-    firing order, each round's in the order the constraint set iterates.
+    One pass over the constraints collects the domain, the labels they
+    mention, and sorts the constraints into weak and strict edges,
+    identities and conditionals.  ``classes`` maps each label of the
+    domain, in uid order, to its class: identity constraints merge labels
+    into classes (union-find, run only when there is an identity), numbered
+    in uid order of their least-uid labels, the representatives.  Bit j of
+    class i's row in ``weak_rows`` is set when i >= j, bit i always; a
+    bit-parallel Warshall closes the rows, ORing row k into every row that
+    has bit k.  Class i's row in ``strict_rows`` ORs the weak rows of the
+    targets of the strict edges that leave the classes in i's weak row.  A
+    conditional fires on a bit of a strict row: its consequent a >= b ORs
+    row b into every row with bit a, which keeps the rows closed, and the
+    strict rows are derived again until none fires.  ``activated`` lists
+    the fired conditionals in firing order, each round's in the order the
+    constraint set iterates.
 
     A round that derives a strict cycle raises CycleError.  It names the
     least-uid representative of a class strictly subordinate to itself,
@@ -357,95 +362,88 @@ class Closure:
 
     def __init__(self, constraints: Iterable[SubordConstraint]):
         self.constraints = frozenset(constraints)
-        index: dict[Label, int] = {}  # labels as ints, in order of first mention
-        ends = [[index.setdefault(l, len(index))
-                 for l in (c.left, c.right, *(c.antecedent or ()))]
-                for c in self.constraints]
-        self.domain: set[Label] = set(index)
-        labels = list(index)
-        parent = list(range(len(labels)))
+        domain: set[Label] = set()
+        edges, same, pending = [], [], []
+        for c in self.constraints:
+            kind, left, right, antecedent = c
+            domain.add(left)
+            domain.add(right)
+            if antecedent:
+                domain.update(antecedent)
+                pending.append(c)
+            elif kind == IDENTITY:
+                same.append(c)
+            else:
+                edges.append(c)
+        self.domain = domain
+        labels = sorted(domain)  # uid order: uids are unique
+        classes = self.classes = dict(zip(labels, range(len(labels))))
+        reps = labels
+        if same:
+            parent = list(range(len(labels)))
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            return i
+            def find(i: int) -> int:
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                return i
 
-        for c, (i, j, *_) in zip(self.constraints, ends):
-            if c.kind == IDENTITY:
-                parent[find(i)] = find(j)
-        self._reps: list[Label] = []
-        number: dict[int, int] = {}  # union-find root -> class
-        cls = [0] * len(labels)
-        for i in sorted(range(len(labels)), key=lambda i: labels[i].uid):
-            cls[i] = number.setdefault(find(i), len(number))
-            if cls[i] == len(self._reps):
-                self._reps.append(labels[i])
-        self._class = dict(zip(labels, cls))
+            for c in same:
+                parent[find(classes[c.left])] = find(classes[c.right])
+            reps, number = [], {}  # number: union-find root -> class
+            for i, l in enumerate(labels):
+                classes[l] = k = number.setdefault(find(i), len(number))
+                if k == len(reps):
+                    reps.append(l)
 
-        rows = self._weak = [1 << k for k in range(len(self._reps))]
-        strict_edges, pending = [], []
-        for c, ints in zip(self.constraints, ends):
-            if c.kind == CONDITIONAL:
-                pending.append((c, *[cls[i] for i in ints]))
-            elif c.kind != IDENTITY:
-                a, b = cls[ints[0]], cls[ints[1]]
-                rows[a] |= 1 << b
-                if c.kind == STRICT:
-                    strict_edges.append((a, b))
+        rows = self.weak_rows = [1 << k for k in range(len(reps))]
+        strict_edges = []
+        for kind, left, right, _ in edges:
+            a, b = classes[left], classes[right]
+            rows[a] |= 1 << b
+            if kind == STRICT:
+                strict_edges.append((a, b))
         for k, row in enumerate(rows):
             if row != 1 << k:
                 rows[:] = [r | row if r >> k & 1 else r for r in rows]
+        pending = [(c, classes[c.antecedent[0]], classes[c.antecedent[1]]) for c in pending]
         self.activated: list[SubordConstraint] = []
         while True:
             via = [0] * len(rows)  # via[a]: what a's strict successors dominate
             for a, b in strict_edges:
                 via[a] |= rows[b]
-            self._strict = [0] * len(rows)
+            srows = [0] * len(rows)
             for a, below in enumerate(via):
                 if below:
-                    self._strict = [s | below if r >> a & 1 else s
-                                    for r, s in zip(rows, self._strict)]
-            cyclic = [i for i, s in enumerate(self._strict) if s >> i & 1]
-            if cyclic:
-                raise CycleError(self._reps[cyclic[0]])
-            fired = [p for p in pending if self._strict[p[3]] >> p[4] & 1]
+                    srows = [s | below if r >> a & 1 else s for r, s in zip(rows, srows)]
+            self.strict_rows = srows
+            for i, s in enumerate(srows):
+                if s >> i & 1:
+                    raise CycleError(reps[i])
+            fired = [p for p in pending if srows[p[1]] >> p[2] & 1]
             if not fired:
                 break
             pending = [p for p in pending if p not in fired]
-            for c, a, b, _, _ in fired:
+            for c, _, _ in fired:
                 self.activated.append(c)
-                below = rows[b]  # whatever has bit a gains row b: still closed
+                below = rows[classes[c.right]]  # what has bit a gains row b: still closed
+                a = classes[c.left]
                 rows[:] = [r | below if r >> a & 1 else r for r in rows]
 
     # queries -----------------------------------------------------------
 
     def identical(self, a: Label, b: Label) -> bool:
-        i = self._class.get(a)
-        return a == b or (i is not None and i == self._class.get(b))
+        i = self.classes.get(a)
+        return a == b or (i is not None and i == self.classes.get(b))
 
     def strictly(self, a: Label, b: Label) -> bool:
         """a > b derivable."""
-        i, j = self._class.get(a), self._class.get(b)
-        return i is not None and j is not None and self._strict[i] >> j & 1 == 1
+        i, j = self.classes.get(a), self.classes.get(b)
+        return i is not None and j is not None and self.strict_rows[i] >> j & 1 == 1
 
     def weakly(self, a: Label, b: Label) -> bool:
         """a >= b derivable (identity and strict both imply it)."""
-        i, j = self._class.get(a), self._class.get(b)
-        return a == b or (i is not None and j is not None and self._weak[i] >> j & 1 == 1)
-
-    def representative(self, l: Label) -> Label:
-        """The label that stands for l's identity class in derived_pairs()."""
-        return self._reps[self._class[l]] if l in self._class else l
-
-    def derived_pairs(self) -> Iterator[tuple[Label, Label, bool]]:
-        """Every derived a >= b between distinct class representatives.
-
-        The flag is True when a > b is derivable.
-        """
-        for i, (a, row, strict_row) in enumerate(zip(self._reps, self._weak, self._strict)):
-            for j, b in enumerate(self._reps):
-                if j != i and row >> j & 1:
-                    yield a, b, strict_row >> j & 1 == 1
+        i, j = self.classes.get(a), self.classes.get(b)
+        return a == b or (i is not None and j is not None and self.weak_rows[i] >> j & 1 == 1)
 
 
 def closure(constraints: Iterable[SubordConstraint]) -> Closure:
@@ -465,7 +463,9 @@ def check_udrs(u: UDRS) -> list[Violation]:
 
     Checks: no strict cycles; if a top label is mentioned it dominates every
     other mentioned label; every label used by a condition occurs in the
-    constraint set's domain.
+    constraint set's domain.  Top dominance is read off the top class's weak
+    row: when it holds every class and the domain every mentioned label,
+    there is nothing to list.
     """
     try:
         c = closure(u.subord)
@@ -473,20 +473,25 @@ def check_udrs(u: UDRS) -> list[Violation]:
         return [Violation("cycle", f"strict cycle through {e.label}")]
     violations = []
     mentioned = u.labels()
+    loose = len(mentioned) > len(c.domain)  # a label outside every constraint
     tops = [l for l in mentioned if l.is_top]
     if tops:
         top = tops[0]
-        for l in sorted(mentioned, key=lambda l: l.uid):
-            if l != top and not c.weakly(top, l):
-                violations.append(Violation("top", f"{top} does not dominate {l}"))
-    cond_labels = set()
-    for cond in u.conds:
-        cond_labels.add(cond.label)
-        if isinstance(cond, Quantifier):
-            cond_labels.update((cond.res, cond.scope))
-    for l in sorted(cond_labels, key=lambda l: l.uid):
-        if l not in c.domain:
-            violations.append(Violation("orphan", f"{l} not in constraint domain"))
+        row = c.weak_rows[c.classes[top]] if top in c.classes else 0
+        if loose or row != (1 << len(c.weak_rows)) - 1:
+            for l in sorted(mentioned):
+                j = c.classes.get(l)
+                if l != top and (j is None or not row >> j & 1):
+                    violations.append(Violation("top", f"{top} does not dominate {l}"))
+    if loose:
+        cond_labels = set()
+        for cond in u.conds:
+            cond_labels.add(cond.label)
+            if isinstance(cond, Quantifier):
+                cond_labels.update((cond.res, cond.scope))
+        for l in sorted(cond_labels):
+            if l not in c.domain:
+                violations.append(Violation("orphan", f"{l} not in constraint domain"))
     return violations
 
 

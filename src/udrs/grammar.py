@@ -82,14 +82,20 @@ def yield_tokens(node: DerivationNode) -> list[str]:
 
 
 def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> list[DerivationNode]:
-    """All parses of one sentence segment (CKY over the fragment grammar)."""
+    """All parses of one sentence segment (CKY over the fragment grammar).
+
+    Span (i, j) tries only the split points k whose cell (i, k) is filled:
+    ends[i] lists those k, ascending, since cells fill in order of width."""
     n = len(tokens)
     if n == 0:
         raise ParseFailure(offset, "empty sentence")
     cells: dict[tuple[int, int], list[tuple[tuple, DerivationNode]]] = {}
+    ends: list[list[int]] = [[] for _ in range(n)]
 
     def add(i: int, j: int, cat: tuple, node: DerivationNode) -> None:
         cell = cells.setdefault((i, j), [])
+        if not cell:
+            ends[i].append(j)
         cell.append((cat, node))
         if cat == ("v", "intrans"):      # intransitive verb projects to VP directly
             cell.append((("vp",), node))
@@ -102,17 +108,21 @@ def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> list[De
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
-            for k in range(i + 1, j):
-                for lcat, lnode in cells.get((i, k), []):
-                    for rcat, rnode in cells.get((k, j), []):
+            for k in ends[i]:
+                if k >= j:
+                    break  # (i, j) itself, filled in this loop
+                right = cells.get((k, j))
+                if right is None:
+                    continue
+                for lcat, lnode in cells[i, k]:
+                    for rcat, rnode in right:
                         made = _combine(lcat, lnode, rcat, rnode)
                         if made is not None:
                             add(i, j, *made)
 
     parses = [node for cat, node in cells.get((0, n), []) if cat == ("s",)]
     if not parses:
-        reached = max((j for (i, j) in cells if i == 0 and cells[(i, j)]), default=0)
-        raise ParseFailure(offset + reached, "no sentence parse")
+        raise ParseFailure(offset + ends[0][-1], "no sentence parse")
     return parses
 
 

@@ -9,11 +9,12 @@ candidate: a candidate that realizes the antecedent's strict relation must
 also satisfy the consequent.  This layer only places labels: a UDRS whose
 plurals still wait on disambiguation (plurals.pl_dis_*) has no readings.
 
-The search backtracks over label classes with the constraints compiled to
-small ints.  Each check is filed under the class whose placement completes
-it, the derived relations of the Closure narrow every class's candidate
-boxes before the search, and once the box forest is fixed "inside or
-equal" is one lookup in a box's ancestor set.  Accessibility (Kamp &
+The search backtracks over label classes, numbered as the Closure numbers
+them, and is compiled from the closure's weak and strict bit rows: one
+check per set bit, filed under the class whose placement completes it, and
+per class the candidate boxes, a bit mask narrowed by the rows of the
+classes pinned to boxes.  Once the box forest is fixed "inside or equal"
+is one lookup in a box's ancestor set.  Accessibility (Kamp &
 Reyle, From Discourse to Logic, 1993) is one more kind of check, kept only
 where the closure does not imply it, so no scoping is built only to be
 refused; check_binding is the same test on a finished DRS.
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 from .core import (
     CONDITIONAL, GROUP, QUANT_NAMES, STRICT, WEAK, Arg, CycleError,
     DiscourseReferent, Label, Membership, Predicate, Quantifier, ReferentIntro,
-    UDRS, UDRSError, closure, condition_args, strict,
+    UDRS, UDRSError, closure, condition_args, strict, weak,
 )
 
 if TYPE_CHECKING:
@@ -111,7 +112,6 @@ def enumerate_scopings(u: UDRS) -> list[dict[Label, tuple]]:
 
 def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
     """enumerate_scopings one at a time, each built when it is asked for."""
-    mentioned = sorted(u.labels(), key=lambda l: l.uid)
     duplexes = sorted((cond for cond in u.conds if isinstance(cond, Quantifier)),
                       key=lambda d: d.label.uid)
     # Every placement puts a duplex label in the parent box of both its boxes,
@@ -125,20 +125,19 @@ def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
         except CycleError as e:
             raise InconsistentConstraints(str(e)) from None
         return  # no box forest can nest the duplexes as the constraints ask
+    loose = [l for l in (*u.ls, *(cond.label for cond in u.conds)) if l not in c.domain]
+    if loose:  # a label in no constraint is a class of its own, numbered in uid order
+        c = closure(c.constraints.union(weak(l, l) for l in loose))
 
-    # Label classes become ints in uid order of their first label; positions
-    # are ints too: 0 is TOP_BOX, 2i+1 and 2i+2 the res and scope of duplex i.
-    index: dict[Label, int] = {}
-    label_class = [index.setdefault(c.representative(l), len(index)) for l in mentioned]
-    class_of = dict(zip(mentioned, label_class))
-    n = len(index)
-    rel = [[0] * n for _ in range(n)]  # rel[a][b]: 1 if a >= b, 2 if a > b
-    for a, b, is_strict in c.derived_pairs():
-        rel[index[a]][index[b]] = 2 if is_strict else 1
-
+    # Label classes are ints, as the closure numbers them: in uid order of
+    # their least labels.  Positions are ints too: 0 is TOP_BOX, 2i+1 and
+    # 2i+2 the res and scope of duplex i.
+    class_of = c.classes  # every mentioned label, in uid order
+    weak_rows, strict_rows = c.weak_rows, c.strict_rows
+    n = len(weak_rows)
     boxes: list[tuple] = [TOP_BOX]
     pin: list[Optional[int]] = [None] * n
-    for l, k in zip(mentioned, label_class):
+    for l, k in class_of.items():
         if l.is_top:
             pin[k] = 0
     for i, d in enumerate(duplexes):
@@ -155,31 +154,37 @@ def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
     # Checks (kind, a, b, x, y) ask for a >= b, a conditional only once
     # x > y.  They are every derived relation between two classes, which
     # holds in every scoping and subsumes the weak, strict and identity
-    # constraints, plus the conditionals the closure cannot discharge.  Each
-    # is filed under the search depth whose assignment completes it: 0 for
-    # pinned and host classes (checked once per box forest), j for the j-th
-    # rest class.
-    checks = [(STRICT if rel[a][b] == 2 else WEAK, a, b, a, a)
-              for a in range(n) for b in range(n) if rel[a][b]]
-    for sc in u.subord:
-        if sc.kind == CONDITIONAL:
-            a, b = class_of[sc.left], class_of[sc.right]
-            x, y = (class_of[l] for l in sc.antecedent)
-            if a != b and x != y and not rel[a][b]:
-                checks.append((CONDITIONAL, a, b, x, y))
-    access = _access_checks(u, class_of, rel, pin)
-    if access is None:
-        return  # a referent introduced nowhere is bound in no scoping
+    # constraints, plus the conditionals the closure cannot discharge.  A
+    # class in TOP_BOX contains every box, so of its relations only the
+    # strict ones are checked.  Each check is filed under the search depth
+    # whose assignment completes it: 0 for pinned and host classes (checked
+    # once per box forest), j for the j-th rest class.
     depth = [0] * n
     for j, k in enumerate(rest_vars, 1):
         depth[k] = j
     filed: list[list[tuple]] = [[] for _ in range(len(rest_vars) + 1)]
-    for check in checks:
-        filed[max(depth[k] for k in check[1:])].append(check)
+    for a, (row, strict_row) in enumerate(zip(weak_rows, strict_rows)):
+        row = strict_row if pin[a] == 0 else row ^ 1 << a
+        while row:
+            low = row & -row
+            b = low.bit_length() - 1
+            filed[max(depth[a], depth[b])].append(
+                (STRICT if strict_row & low else WEAK, a, b, a, a))
+            row ^= low
+    for sc in u.subord:
+        if sc.kind == CONDITIONAL:
+            a, b = class_of[sc.left], class_of[sc.right]
+            x, y = (class_of[l] for l in sc.antecedent)
+            if a != b and x != y and not weak_rows[a] >> b & 1:
+                filed[max(depth[a], depth[b], depth[x], depth[y])].append(
+                    (CONDITIONAL, a, b, x, y))
+    access = _access_checks(u, class_of, weak_rows, pin)
+    if access is None:
+        return  # a referent introduced nowhere is bound in no scoping
     for check in access:
-        filed[max(depth[k] for k in (check[2], *check[3]))].append(check)
+        filed[max(depth[check[2]], *(depth[i] for i in check[3]))].append(check)
 
-    candidates = _closure_candidates(rel, pin, len(boxes))
+    candidates = _closure_candidates(weak_rows, strict_rows, pin, len(boxes))
     owned = {k: {b for i, h in enumerate(hosts) if h == k for b in (2 * i + 1, 2 * i + 2)}
              for k in host_vars}
     # parent[p]: the box that box p sits in, once its duplex label is placed.
@@ -187,6 +192,7 @@ def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
     # found the strict cycle that nesting implies.
     parent: list[Optional[int]] = [None] + [pin[k] for k in hosts for _ in (0, 1)]
     pos: list[Optional[int]] = list(pin)
+    mentioned, label_class = list(class_of), list(class_of.values())
 
     def place_hosts(i: int) -> Iterator[dict[Label, tuple]]:
         if i == len(host_vars):
@@ -233,15 +239,15 @@ def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
     yield from place_hosts(0)
 
 
-def _access_checks(u: UDRS, class_of: dict[Label, int], rel: list[list[int]],
+def _access_checks(u: UDRS, class_of: dict[Label, int], weak_rows: list[int],
                    pin: list[Optional[int]]) -> Optional[list[tuple]]:
     """The accessibility checks, or None when a used referent has no intro.
 
     A referent used at class v is bound when one of its intro classes i
     sits at pos(v) or above it, or in the res box of a duplex whose scope
-    box is pos(v) or above it.  The closure implies that when i is v or
-    derived >= v, or is pinned to a res box whose scope box's class is v or
-    derived >= v; any other use gets a check (_ACCESS, i, v, intros, None).
+    box is pos(v) or above it.  The closure implies that when bit v is in
+    the weak row of i, or of the class of the scope box beside i's pinned
+    res box; any other use gets a check (_ACCESS, i, v, intros, None).
     """
     intros: dict[DiscourseReferent, set[int]] = {}
     uses = set()
@@ -260,7 +266,7 @@ def _access_checks(u: UDRS, class_of: dict[Label, int], rel: list[list[int]],
             return None
         for i in at:
             s = box_class[pin[i] + 1] if pin[i] and pin[i] & 1 else i
-            if v in (i, s) or rel[i][v] or rel[s][v]:
+            if (weak_rows[i] | weak_rows[s]) >> v & 1:
                 break
         else:
             at = tuple(at)
@@ -281,48 +287,62 @@ def _all_hold(checks: list[tuple], pos: list, anc: list[set[int]]) -> bool:
     return True
 
 
-def _closure_candidates(rel: list[list[int]], pin: list[Optional[int]],
-                        n_boxes: int) -> list[list[int]]:
-    """Per class, the positions its derived relations to pinned classes allow.
+def _closure_candidates(weak_rows: list[int], strict_rows: list[int],
+                        pin: list[Optional[int]], n_boxes: int) -> list[list[int]]:
+    """Per unpinned class, the positions its derived relations to pinned
+    classes allow ([] for a pinned class).
 
     What holds in every placement: TOP_BOX contains every other box, box p
     lies in box q when q's class is derived >= p's, the res and scope boxes
     of a duplex are disjoint, and so is everything inside each of them.
+    Sets of positions are bit masks, bit p for box p.
     """
-    box_class = [None] * n_boxes
+    box_class = [0] * n_boxes  # TOP_BOX's entry is never read
     for k, p in enumerate(pin):
         if p:
             box_class[p] = k
-
-    def within(p: int, q: int) -> bool:
-        return q == 0 or p == q or (p != 0 and rel[box_class[q]][box_class[p]] > 0)
-
-    def contains(p: int, q: int) -> bool:  # properly
-        return q != 0 and (p == 0 or rel[box_class[p]][box_class[q]] == 2)
-
-    siblings = [(r, r + 1) for r in range(1, n_boxes, 2)]
-    boxes = range(n_boxes)
-    # nest[p][q]: can box p lie in or equal box q, and properly?
-    nest = [[(False, False)] * n_boxes for _ in boxes]
-    for p in boxes:
-        for q in boxes:
-            apart = contains(p, q) or any(
-                within(p, r) and within(q, s) or within(p, s) and within(q, r)
-                for r, s in siblings)
-            nest[p][q] = (not apart, not apart and p != q)
+    inner = range(1, n_boxes)
+    full = (1 << n_boxes) - 1
+    # within[q]: the boxes that lie in or equal box q in every placement
+    within = [full] + [sum(1 << p for p in inner if weak_rows[box_class[q]] >> box_class[p] & 1)
+                       for q in inner]
+    # may_lie_in[q] and may_hold[q]: the boxes that box q may lie in or
+    # equal, and that may lie in or equal box q.  Neither holds a box
+    # inside the sibling of a box that holds q; a box q lies in properly
+    # cannot lie in q, and q cannot lie in a box it properly holds.
+    may_lie_in, may_hold = [1], [full]
+    for q in inner:
+        k, apart = box_class[q], 0
+        for r in range(1, n_boxes, 2):
+            if within[r] >> q & 1:
+                apart |= within[r + 1]
+            if within[r + 1] >> q & 1:
+                apart |= within[r]
+        over = 1 | sum(1 << p for p in inner if strict_rows[box_class[p]] >> k & 1)
+        under = sum(1 << p for p in inner if strict_rows[k] >> box_class[p] & 1)
+        may_lie_in.append(full & ~(apart | under))
+        may_hold.append(full & ~(apart | over))
+    pinned = [(w, q) for w, q in enumerate(pin) if q is not None]
+    dominated = 0
+    for row in strict_rows:
+        dominated |= row
 
     out = []
-    for v in range(len(pin)):
-        dominated = any(row[v] == 2 for row in rel)
-        fits = []
-        for p in boxes:
-            if p == 0 and dominated:
-                continue  # something must properly contain it
-            if all((not rel[w][v] or nest[p][q][rel[w][v] - 1])
-                   and (not rel[v][w] or nest[q][p][rel[v][w] - 1])
-                   for w, q in enumerate(pin) if q is not None):
-                fits.append(p)
-        out.append(fits)
+    for v, p in enumerate(pin):
+        if p is not None:
+            out.append([])
+            continue
+        fits = full ^ 1 if dominated >> v & 1 else full  # what is dominated is not on top
+        for w, q in pinned:
+            if strict_rows[w] >> v & 1:
+                fits &= may_hold[q] & ~(1 << q)
+            elif weak_rows[w] >> v & 1:
+                fits &= may_hold[q]
+            if strict_rows[v] >> w & 1:
+                fits &= may_lie_in[q] & ~(1 << q)
+            elif weak_rows[v] >> w & 1:
+                fits &= may_lie_in[q]
+        out.append([p for p in range(n_boxes) if fits >> p & 1])
     return out
 
 

@@ -46,6 +46,12 @@ first UDRS document writer and label namer: a naming walk over sorted
 conditions, nested dicts, then ``json.dumps``.  They are kept verbatim (but
 for names) so that the one-pass writer can be held to the same bytes and
 names.
+
+``reference_parse_sentence`` is the library's first chart parser for one
+sentence, a dense CKY that tries every split point of every span, with its
+combination rules; it is kept verbatim (but for names) so that the parser
+that splits only at filled cells can be held to the same derivations, in
+the same order, and the same failures.
 """
 
 from __future__ import annotations
@@ -60,6 +66,10 @@ from udrs.core import (
     ReferentIntro, SubordConstraint, UDRS, UDRSError, weak,
 )
 from udrs.delay import MalformedNP, PendingKey
+from udrs.grammar import (
+    FUNCTIONAL, HEAD_COMP, HEAD_SUBJ, LEXICAL, DerivationNode, ParseFailure,
+)
+from udrs.lexicon import Lexicon
 from udrs.readings import (
     DRS, TOP_BOX, DuplexCondition, InconsistentConstraints, UnresolvedSlot,
 )
@@ -853,3 +863,55 @@ def reference_to_json(u: UDRS) -> dict:
     return {"ls": {"max": lname(u.ls.l_max), "min": lname(u.ls.l_min)},
             "subord": sub_docs,
             "conds": cond_docs}
+
+
+# --- The first chart parser -----------------------------------------------------
+
+def reference_parse_sentence(tokens: list[str], offset: int,
+                             lexicon: Lexicon) -> list[DerivationNode]:
+    """All parses of one sentence segment (CKY over the fragment grammar)."""
+    n = len(tokens)
+    if n == 0:
+        raise ParseFailure(offset, "empty sentence")
+    cells: dict[tuple[int, int], list[tuple[tuple, DerivationNode]]] = {}
+
+    def add(i: int, j: int, cat: tuple, node: DerivationNode) -> None:
+        cell = cells.setdefault((i, j), [])
+        cell.append((cat, node))
+        if cat == ("v", "intrans"):      # intransitive verb projects to VP directly
+            cell.append((("vp",), node))
+
+    for i, tok in enumerate(tokens):
+        if tok not in lexicon:
+            raise ParseFailure(offset + i, f"unknown word {tok!r}")
+        add(i, i + 1, lexicon.category(tok), DerivationNode(LEXICAL, word=tok))
+
+    for width in range(2, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            for k in range(i + 1, j):
+                for lcat, lnode in cells.get((i, k), []):
+                    for rcat, rnode in cells.get((k, j), []):
+                        made = _reference_combine(lcat, lnode, rcat, rnode)
+                        if made is not None:
+                            add(i, j, *made)
+
+    parses = [node for cat, node in cells.get((0, n), []) if cat == ("s",)]
+    if not parses:
+        reached = max((j for (i, j) in cells if i == 0 and cells[(i, j)]), default=0)
+        raise ParseFailure(offset + reached, "no sentence parse")
+    return parses
+
+
+def _reference_combine(lcat, lnode, rcat, rnode):
+    if lcat[0] == "det" and rcat[0] == "n" and lcat[1] == rcat[1]:
+        return ("np", lcat[1]), DerivationNode(HEAD_COMP, head=lnode, nonhead=rnode)
+    if lcat == ("v", "trans") and rcat[0] == "np":
+        return ("vp",), DerivationNode(HEAD_COMP, head=lnode, nonhead=rnode)
+    if lcat == ("v", "clause") and rcat == ("cs",):
+        return ("vp",), DerivationNode(HEAD_COMP, head=lnode, nonhead=rnode)
+    if lcat == ("comp",) and rcat == ("s",):
+        return ("cs",), DerivationNode(FUNCTIONAL, head=lnode, nonhead=rnode)
+    if lcat[0] == "np" and rcat == ("vp",):
+        return ("s",), DerivationNode(HEAD_SUBJ, head=rnode, nonhead=lnode)
+    return None

@@ -2,6 +2,8 @@
 
 Random constraint sets over a few labels, cycles included, must give the
 same derived relations, classes, fired conditionals and cycle verdicts.
+The relations are compared label by label through the queries, and class
+by class as the bit rows hold them, weak and strict.
 Only the label a CycleError names may differ: it follows the rule pinned
 in test_cycle_names_least_uid_representative.
 """
@@ -37,15 +39,26 @@ def derive(cls, constraints):
         return None
 
 
-def identity_class(c, l) -> frozenset:
-    """The labels of c's domain that share l's representative, and l."""
-    rep = c.representative(l)
-    return frozenset({l} | {m for m in c.domain if c.representative(m) == rep})
+def members(c) -> list:
+    """The closure's classes by number, each as its set of labels."""
+    out = [set() for _ in c.weak_rows]
+    for l, k in c.classes.items():
+        out[k].add(l)
+    return [frozenset(m) for m in out]
 
 
 def class_pairs(c) -> set:
+    """Every derived a >= b between distinct classes of the closure, read
+    off its bit rows, with a flag for a > b."""
+    by_number = members(c)
+    return {(by_number[i], by_number[j], c.strict_rows[i] >> j & 1 == 1)
+            for i, row in enumerate(c.weak_rows) for j in range(len(by_number))
+            if i != j and row >> j & 1}
+
+
+def reference_class_pairs(c) -> set:
     """derived_pairs() with each representative replaced by its class."""
-    return {(identity_class(c, a), identity_class(c, b), s)
+    return {(frozenset(c.eq_class(a)), frozenset(c.eq_class(b)), s)
             for a, b, s in c.derived_pairs()}
 
 
@@ -61,15 +74,19 @@ def test_matches_reference_closure():
             cyclic += 1
             continue
         acyclic += 1
+        by_number = members(got)
+        assert list(got.classes) == sorted(got.domain, key=lambda l: l.uid)
+        # classes are numbered in uid order of their least labels
+        assert [min(m) for m in by_number] == sorted(min(m) for m in by_number)
+        assert set(by_number) == {frozenset(want.eq_class(a)) for a in want.domain}
         for a in labels:
-            assert identity_class(got, a) == identity_class(want, a)
             for b in labels:
                 assert got.identical(a, b) == want.identical(a, b)
                 assert got.weakly(a, b) == want.weakly(a, b), (a, b, constraints)
                 assert got.strictly(a, b) == want.strictly(a, b), (a, b, constraints)
         assert got.activated == want.activated
         assert got.domain == want.domain
-        assert class_pairs(got) == class_pairs(want)
+        assert class_pairs(got) == reference_class_pairs(want)
     assert cyclic > 500 and acyclic > 500  # both verdicts are exercised
 
 

@@ -1,9 +1,19 @@
-import pytest
+import pathlib
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import corpus_cases
+from oracle import reference_parse_sentence
 from udrs.grammar import (
-    COORD, FUNCTIONAL, SEP, SILENT, ParseFailure, bracketed, parse, tokenize,
-    yield_tokens,
+    COORD, FUNCTIONAL, SEP, SILENT, ParseFailure, _parse_sentence, bracketed,
+    parse, tokenize, yield_tokens,
 )
+from udrs.lexicon import Lexicon
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestTokenize:
@@ -131,3 +141,70 @@ def test_bracketed_rendering():
     text = bracketed(deriv)
     assert "(john)" in text and "(left)" in text
     assert "[head_subj" in text
+
+
+# --- The chart parser against the first, dense one -------------------------------
+
+def segments(tokens: list[str]) -> list[tuple[int, list[str]]]:
+    """The sentence segments parse hands to _parse_sentence, with offsets."""
+    out, start = [], 0
+    for i, tok in enumerate(tokens):
+        if tok == SEP:
+            out.append((start, tokens[start:i]))
+            start = i + 1
+    if start < len(tokens):
+        out.append((start, tokens[start:]))
+    return out
+
+
+def outcome(parser, tokens: list[str], offset: int) -> object:
+    try:
+        return [bracketed(node) for node in parser(tokens, offset, Lexicon.default())]
+    except ParseFailure as e:
+        return e.position, str(e)
+
+
+def assert_same_parses(text: str) -> int:
+    """Each segment of text parses as the dense CKY parses it, or fails
+    at the same token with the same message; how many segments failed."""
+    failed = 0
+    for offset, seg in segments(tokenize(text)):
+        mine = outcome(_parse_sentence, seg, offset)
+        assert mine == outcome(reference_parse_sentence, seg, offset), (text, offset)
+        failed += isinstance(mine, tuple)
+    return failed
+
+
+def catalogue_texts() -> list[str]:
+    """The texts of the benchmark's four catalogues at seeds 7 and 8."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        from workloads import CATALOGUES, generate, read_vocabulary
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    vocab = read_vocabulary()
+    return [inp.text for make in CATALOGUES.values() for seed in (7, 8)
+            for inp in generate(make(), seed, vocab)]
+
+
+def test_corpus_parses_match_dense_cky():
+    for case in corpus_cases():
+        assert_same_parses(case.input)
+
+
+def test_catalogue_parses_match_dense_cky():
+    texts = catalogue_texts()
+    failed = sum(assert_same_parses(text) for text in texts)
+    assert len(texts) > 500 and failed  # the catalogues hold unparsable inputs too
+
+
+WORDS = sorted({line.split("#", 1)[0].split()[0]
+                for line in (ROOT / "src" / "udrs" / "data" / "fragment.lex")
+                .read_text("utf-8").splitlines()
+                if line.split("#", 1)[0].strip()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(WORDS + ["."]), max_size=14))
+def test_token_strings_parse_as_dense_cky(words):
+    assert_same_parses(" ".join(words))

@@ -5,7 +5,8 @@
 order, ``udrs parse --readings`` output and the golden corpus follow it.
 Inputs: the golden corpus, every `that`-chain of depth 2 and 3 over
 {every, a, name}, every two-sentence quantified discourse with one or two
-`every` per sentence, and random constraint supersets of the corpus.
+`every` per sentence, random constraint supersets of the corpus, and
+hand-built UDRSs that mention a label outside every constraint.
 Reading sets are also held to the brute-force oracle where it is fast
 enough; test_readings.py does the same for the corpus.
 """
@@ -19,7 +20,14 @@ import pytest
 from conftest import (
     analyze, corpus_cases, each_verdict, random_superset, session_for_case,
 )
-from oracle import oracle_readings, reference_scopings
+from oracle import (
+    oracle_readings, reference_build_drs, reference_check_binding,
+    reference_scopings,
+)
+from udrs.core import (
+    EVERY, LS, Predicate, Quantifier, ReferentIntro, conditional, fresh_label,
+    fresh_referent, make_udrs, top_label, weak,
+)
 from udrs.readings import (
     InconsistentConstraints, canonical_form, enumerate_readings,
     enumerate_scopings,
@@ -121,6 +129,40 @@ def test_random_supersets_match_reference():
         outcomes.add("inconsistent" if mine is InconsistentConstraints
                      else "empty" if not mine else "scoped")
     assert outcomes == {"inconsistent", "empty", "scoped"}
+
+
+def loose_label_udrs(where: str):
+    """top >= every(res r, scope s) >= v, where v uses the referent r
+    introduces, plus a label that no constraint mentions: a condition's
+    label, the LS's lower label, or a label only a conditional's antecedent
+    names.  The loose label's uid comes before the constrained ones but
+    top's, so each numbering of the label classes shows in the order of
+    the scopings."""
+    top, loose = top_label(), fresh_label()
+    q, r, s, v, w = (fresh_label() for _ in range(5))
+    x, y = fresh_referent(), fresh_referent()
+    conds = [Quantifier(q, EVERY, r, s), ReferentIntro(r, x), Predicate(r, "lawyer", (x,)),
+             Predicate(v, "leave", (x,)), ReferentIntro(w, y), Predicate(w, "clerk", (y,))]
+    subord = [weak(top, q), weak(s, v), weak(top, w)]
+    ls = LS(top, top)
+    if where == "condition":
+        conds.append(Predicate(loose, "met", (x, y)))
+    elif where == "ls":
+        ls = LS(top, loose)
+    else:  # v >= w once top > loose
+        subord.append(conditional(top, loose, v, w))
+    return make_udrs(ls, subord, conds)
+
+
+@pytest.mark.parametrize("where", ["condition", "ls", "antecedent"])
+def test_label_outside_every_constraint_matches_reference(where):
+    """A mentioned label that no constraint names is a class of its own,
+    placed in uid order among the others."""
+    u = loose_label_udrs(where)
+    mine = enumerate_scopings(u)
+    assert mine == [p for p in reference_scopings(u)
+                    if not reference_check_binding(reference_build_drs(u, p))]
+    assert len(mine) > 1
 
 
 def test_every_depth_4_chain_is_fast():
