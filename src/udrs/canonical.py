@@ -1,12 +1,12 @@
 """Reading identity: the canonical numbering of a scoped DRS's referents.
 
-Two scoped DRSs are the same reading when a renaming of referents maps one
-onto the other.  Under a numbering of the referents by 0..n-1 a box's shape
-is (universe, predicates, memberships, duplexes), each part a sorted tuple
-of numbered items and a duplex (rel, restrictor shape, scope shape).  The
-canonical numberings are those under which the shape is least; that least
-shape is the reading's identity (readings.canonical_form), and the first
-canonical numbering names the referents when a reading is printed.
+Two scoped DRSs are the same reading when a renaming of referents that
+keeps their sorts maps one onto the other.  Under a numbering of them by
+0..n-1 a box's shape is (universe, predicates, memberships, duplexes),
+each part a sorted tuple of numbered items and a duplex (rel, restrictor
+shape, scope shape).  The least shape, over the numberings that respect an
+order of the referents that renaming keeps, is the reading's identity
+(readings.canonical_form), and a numbering giving it names the referents.
 
 The search runs on boxes over referent indices (Box), the referents
 numbered in uid order.  Two compilers feed it: _compile turns a DRS into
@@ -21,25 +21,32 @@ front of their cells; the least next item gives each of its referents the
 first number of its cell.  The search branches only on tied items, keeps
 the branches whose next token is least, and drops a branch when the map of
 a kept branch's partition onto its own is an automorphism taking one to the
-other: individualization and automorphism pruning after McKay & Piperno,
-"Practical graph isomorphism, II" (2014), cut down to DRS trees.  It
-returns its final partition; the least shape is read off the tree under any
-numbering within it (_shape).
+other: individualization–refinement and automorphism pruning after McKay &
+Piperno, "Practical graph isomorphism, II" (2014), cut down to DRS trees.
+It returns its final partition; the least shape is read off the tree under
+any numbering within it (_shape).
+
+The search starts from the colour refinement of the referents (_ranks),
+which tells apart before the first branch what only later relations would,
+so repeated structure is not a branch per tie.  Its cells each hold one
+sort, in an order renaming keeps, so no automorphism swaps a group with an
+individual and every numbering within the final partition prints the same.
 
 A tree is forced when no list of any of its boxes holds two items of one
-rel.  Its search never ties, so it is one path, which _walk follows while
-building the nested shape.  Its automorphisms only permute referents in the
-same universes and in no condition; those share a cell of the walk's final
-partition, which _complete numbers in uid order, so that numbering is
-already the first and needs no first_numbering.
+rel.  Its search never ties, so it is one path, which _walk follows from
+the all-zero partition while building the nested shape, least over all
+numberings.  Its automorphisms only permute referents in the same universes
+and in no condition; those share a cell of the walk's final partition,
+which _complete numbers in uid order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional
 
-from .core import GROUP, DiscourseReferent
+from .core import DiscourseReferent
 
 if TYPE_CHECKING:
     from .readings import DRS
@@ -57,29 +64,17 @@ def label_boxes(refs: list[DiscourseReferent],
     """The canonical form and numbering of a DRS compiled to boxes over the
     indices of refs, the referents in uid order: the search itself.
 
-    The form is the top box's _shape under a numbering within the search's
-    final partition.  Any two numberings with the least shape differ by an
-    automorphism, which changes the display names only when it swaps a
-    group referent with an individual one.  So only when a refined colour
-    holds both sorts is the first of them searched for, in lexicographic
-    order of the referents' numbers taken in uid order; otherwise the
-    search's own is kept, which may follow the order of same-rel duplexes
-    (see Box) while the names do not.  A forced tree (see Box) is walked
-    instead of searched, building its shape as it goes, and its numbering
-    in the walk's final partition is the first.
+    A forced tree (see Box) is walked from the all-zero partition, building
+    its shape as it goes.  Any other is searched from its refined colours
+    (_ranks), and its form is the top box's _shape under a numbering within
+    the search's final partition: any two such differ by an automorphism,
+    which keeps each number's sort and so the display names.
     """
-    lo = [0] * len(refs)
     if top.forced:
+        lo = [0] * len(refs)
         return _walk(lo, top), dict(zip(refs, _complete(lo)))
-    search = _Labelling(refs, top)
-    nu = _complete(search.run(lo))
-    shape = _shape(top, nu)
-    if len({r.sort for r in refs}) == 2:
-        col = _colours(len(refs), top)
-        group_colours = {c for c, r in zip(col, refs) if r.sort == GROUP}
-        if any(c in group_colours for c, r in zip(col, refs) if r.sort != GROUP):
-            nu = search.first_numbering(nu, col)
-    return shape, dict(zip(refs, nu))
+    nu = _complete(_Labelling(refs, top).run(_ranks(refs, top)))
+    return _shape(top, nu), dict(zip(refs, nu))
 
 
 def _shape(box: Box, nu: list[int]) -> tuple:
@@ -433,35 +428,6 @@ class _Labelling:
                 return False
         return st1 is st2
 
-    def first_numbering(self, nu: list[int], col: list[int]) -> list[int]:
-        """The least, in uid order, of the numberings nu composed with an
-        automorphism.
-
-        Greedily picks each referent's image t: some automorphism extends
-        the images picked so far by r -> t exactly when the least shape with
-        the sources numbered first equals the one with the images numbered
-        first (shape_fixing: a search from that partition, read by _shape).
-        """
-        n = len(nu)
-
-        def shape_fixing(order: list[int]) -> tuple:
-            lo = [len(order)] * n
-            for j, r in enumerate(order):
-                lo[r] = j
-            return _shape(self.top, _complete(self.run(lo)))
-
-        images: list[int] = []
-        for i in range(n):
-            candidates = sorted((t for t in range(n) if t not in images and col[t] == col[i]),
-                                key=lambda t: nu[t])
-            image = candidates[-1]  # the last one left needs no test
-            if len(candidates) > 1:
-                want = shape_fixing(list(range(i + 1)))
-                image = next((t for t in candidates[:-1]
-                              if shape_fixing(images + [t]) == want), image)
-            images.append(image)
-        return [nu[t] for t in images]
-
 
 def _cells(lo: list[int]) -> dict[int, list[int]]:
     """The cells of partition lo: each cell's referents, ascending."""
@@ -488,35 +454,37 @@ def _partition_map(cells1: dict[int, list[int]], cells2: dict[int, list[int]],
     return tuple(tau)
 
 
-def _colours(n: int, top: Box) -> list[int]:
-    """Colour refinement of the referents 0..n-1 of top by where (box path,
-    kind, rel, argument position) they occur and with whom; automorphisms
-    keep colours.  Colours are hashes of sorted multisets: a collision only
-    merges two colours."""
-    occurrences: list[list[tuple]] = [[] for _ in range(n)]
-    _collect_occurrences(top, (), {}, occurrences)
-    col, count = [0] * n, 1
-    while True:
-        get = col.__getitem__
-        new = [hash((col[r], tuple(sorted([(place, tuple(map(get, args)))
-                                           for place, args in occ]))))
-               for r, occ in enumerate(occurrences)]
-        if len(set(new)) <= count:
-            return new
-        col, count = new, len(set(new))
+def _ranks(refs: list[DiscourseReferent], top: Box) -> list[int]:
+    """The partition lo that colour refinement gives the referents of top.
+    The first colour is the sort.  Each round adds the sorted occurrences,
+    each (box path as (rel, 0 res / 1 scope) steps, kind, rel, argument
+    position, the arguments' colours), until no colour splits.  A colour is
+    how many referents have a lesser one: a value renaming keeps."""
+    occurrences: list[list[tuple]] = [[] for _ in refs]
+
+    def collect(box: Box, path: tuple) -> None:
+        universe, preds, mems, dups = box.lists
+        for a in universe:
+            occurrences[a].append(((path, 0), ()))
+        for kind, items in ((1, preds), (2, mems)):
+            for rel, args in items:
+                for j, a in enumerate(args):
+                    occurrences[a].append(((path, kind, rel, j), args))
+        for rel, res, scope in dups:
+            collect(res, path + ((rel, 0),))
+            collect(scope, path + ((rel, 1),))
+
+    collect(top, ())
+    lo, new = None, _firsts([r.sort for r in refs])
+    while new != lo and len(set(new)) < len(new):  # a colour split, and one can split
+        lo, get = new, new.__getitem__
+        new = _firsts([(lo[r], tuple(sorted([(place, tuple(map(get, args)))
+                                             for place, args in occ])))
+                       for r, occ in enumerate(occurrences)])
+    return new
 
 
-def _collect_occurrences(box: Box, path: tuple, places: dict, out: list) -> None:
-    def use(a: int, place: tuple, args: tuple) -> None:
-        out[a].append((places.setdefault(place, len(places)), args))
-
-    universe, preds, mems, dups = box.lists
-    for a in universe:
-        use(a, (path, 0), ())
-    for phase, items in ((1, preds), (2, mems)):
-        for rel, args in items:
-            for j, a in enumerate(args):
-                use(a, (path, phase, rel, j), args)
-    for rel, res, scope in dups:
-        _collect_occurrences(res, path + ((rel, 0),), places, out)
-        _collect_occurrences(scope, path + ((rel, 1),), places, out)
+def _firsts(values: list) -> list[int]:
+    """For each value, how many of the values are less."""
+    order = sorted(values)
+    return [bisect_left(order, v) for v in values]

@@ -26,13 +26,13 @@ condition over those numbers.  Per scoping, one pass over the labels
 buckets the conditions by box and builds both the DRS and its boxes over
 referent indices, the input of the labelling search.
 
-Two scoped DRSs are the same reading when a renaming of referents maps one
-onto the other.  canonical_form is the least shape over all numberings of
-the referents, and render_drs and drs_to_json name referents x<i>/X<i> by
-the numbering that gives it; both come from one labelling search, in
-canonical.py, that each DRS value runs at most once, on the boxes its
-table built or, for a DRS made by hand, on boxes compiled from the DRS.
-The printers print the least shape that labelling returns.
+Two scoped DRSs are the same reading when a renaming of referents that
+keeps their sorts maps one onto the other.  canonical_form is the least
+shape over the numberings of the referents that canonical.py tries, and
+render_drs and drs_to_json name referents x<i>/X<i> by the numbering that
+gives it; both come from one labelling search there, which each DRS value
+runs at most once, on the boxes its table built or, for a DRS made by hand,
+on boxes compiled from the DRS.  The printers print the shape it returns.
 """
 
 from __future__ import annotations
@@ -509,11 +509,11 @@ def _group(conds: list, ground: dict[Arg, DiscourseReferent],
 # --- Reading identity ----------------------------------------------------------
 
 def canonical_form(d: DRS) -> tuple:
-    """Reading identity: the least shape over all renamings of referents.
-
-    Two DRSs have the same canonical form exactly when a renaming of
-    referents maps one onto the other.
-    """
+    """Reading identity: the least shape over the numberings of referents
+    that canonical.py tries (all of them when no box can tie).  A renaming
+    that keeps sorts keeps it, and equal forms mean some renaming maps one
+    DRS onto the other; a tree that can tie gives groups the lesser
+    numbers, so a renaming that swaps sorts may change its form."""
     return d.labelling[0]
 
 

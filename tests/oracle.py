@@ -35,7 +35,11 @@ the determiner put between the NP's distinguished labels, can be held to it.
 
 ``reference_canonical`` is the library's first reading identity: the least
 shape over every permutation of the referents (n!), with the first
-permutation that reaches it as the display numbering.
+permutation that reaches it as the display numbering.  It is still the
+identity of a reading none of whose boxes can tie (``can_tie``).  A reading
+that can tie is identified by ``refined_canonical``: the least shape over
+the numberings that respect ``reference_ranks``, a colour refinement of the
+referents written here over ``DRS``, apart from the library's.
 ``reference_render`` and ``reference_json`` are the first reading printers,
 given the display names ``reference_names`` makes from that numbering.
 They are kept verbatim so that the canonical labelling can be held to the
@@ -600,6 +604,71 @@ def reference_canonical(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
         if best is None or shape < best:
             best, best_perm = shape, naming
     return best, best_perm
+
+
+def can_tie(d: DRS) -> bool:
+    """Whether some box of d holds two predicates of one rel, two
+    memberships, or two duplexes of one rel."""
+    rels = [rel for rel, _ in d.predicates]
+    dup_rels = [dup.rel for dup in d.duplexes]
+    return (len(set(rels)) < len(rels) or len(d.memberships) > 1
+            or len(set(dup_rels)) < len(dup_rels)
+            or any(can_tie(dup.res) or can_tie(dup.scope) for dup in d.duplexes))
+
+
+def reference_ranks(d: DRS) -> dict[DiscourseReferent, int]:
+    """Colour refinement of d's referents.  The first colour is the sort.
+    Each round colours a referent by its colour and the sorted list of its
+    occurrences, each (place, the arguments' colours), until no colour
+    splits.  A place is (path, 0) in a universe, (path, 1, rel, position)
+    in a predicate and (path, 2, None, position) in a membership; a path
+    lists (rel, 0 for the restrictor or 1 for the scope) from the top box.
+    A colour is the number of referents whose colour is less."""
+    occurrences: dict[DiscourseReferent, list] = {r: [] for r in all_referents(d)}
+
+    def visit(box: DRS, path: tuple) -> None:
+        for r in box.referents:
+            occurrences[r].append(((path, 0), ()))
+        for rel, args in box.predicates:
+            for j, a in enumerate(args):
+                occurrences[a].append(((path, 1, rel, j), args))
+        for e, g in box.memberships:
+            for j, a in enumerate((e, g)):
+                occurrences[a].append(((path, 2, None, j), (e, g)))
+        for dup in box.duplexes:
+            visit(dup.res, path + ((dup.rel, 0),))
+            visit(dup.scope, path + ((dup.rel, 1),))
+
+    def lesser(key: dict) -> dict:
+        return {r: sum(k < key[r] for k in key.values()) for r in key}
+
+    visit(d, ())
+    colour = lesser({r: r.sort for r in occurrences})
+    while True:
+        new = lesser({r: (colour[r], sorted((place, [colour[a] for a in args])
+                                            for place, args in occ))
+                      for r, occ in occurrences.items()})
+        if len(set(new.values())) == len(set(colour.values())):
+            return new
+        colour = new
+
+
+def refined_canonical(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
+    """The least shape over the numberings that respect reference_ranks
+    (a referent of lesser colour gets a lesser number), and the first of
+    them (in permutation order over referents sorted by uid) that gives
+    it: each colour's referents take every order of its numbers."""
+    refs = sorted(all_referents(d), key=lambda r: r.uid)
+    colour = reference_ranks(d)
+    cells = [[r for r in refs if colour[r] == c] for c in sorted(set(colour.values()))]
+    numbers = [range(colour[cell[0]], colour[cell[0]] + len(cell)) for cell in cells]
+    best, best_naming = None, None
+    for orders in itertools.product(*map(itertools.permutations, numbers)):
+        naming = {r: i for cell, order in zip(cells, orders) for r, i in zip(cell, order)}
+        candidate = (_shape(d, naming), [naming[r] for r in refs])
+        if best is None or candidate < best:
+            best, best_naming = candidate, naming
+    return best[0], best_naming
 
 
 def reference_names(naming: dict[DiscourseReferent, int]) -> dict[DiscourseReferent, str]:

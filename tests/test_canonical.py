@@ -1,22 +1,28 @@
-"""The canonical labelling against the permutation reference.
+"""The canonical labelling against the permutation references.
 
 ``canonical_form``, ``render_drs`` and ``drs_to_json`` must give exactly
-what ``oracle.reference_canonical`` and the reference printers give: the
-same least shape (so dedup keeps the same readings) and byte-identical text
-and JSON.  Inputs: every scoped DRS with at most 7 referents of the golden
-corpus, of generated families (E: `that`-chains, Q: two quantified
-sentences, S: name+indefinite discourses, P: plural discourses under every
-directive) and of the three reading-heavy benchmark families rebuilt from
-the built-in vocabulary, symmetric discourses, and seeded random DRSs, which
-also put referents outside every universe or in several, and repeat one
-structure with group and individual referents swapped.  Together they take
+what the oracle and the reference printers give: byte-identical text and
+JSON and the same form.  A reading none of whose boxes can tie is held to
+``oracle.reference_canonical``, the least shape over all numberings; one
+that can tie to ``oracle.refined_canonical``, the least shape over the
+numberings that respect the oracle's own colour refinement.  On every
+input set, forms are equal exactly when ``reference_canonical``'s are, so
+dedup keeps the same readings.  Inputs: every scoped DRS with at most 7
+referents of the golden corpus, of generated families (E: `that`-chains,
+Q: two quantified sentences, S: name+indefinite discourses, P: plural
+discourses under every directive) and of the three reading-heavy benchmark
+families rebuilt from the built-in vocabulary, symmetric discourses, and
+seeded random DRSs, which also put referents outside every universe or in
+several, and repeat one structure with group and individual referents
+swapped.  Together they take
 every path of the labelling: the walk over a tree that cannot tie, and in
 the search a tie branch, a group take, automorphism pruning by a partition
-map, a lockstep step, a group token owed in lockstep and the search for the
-first numbering.  The walk is also held to the search it stands in for, on
-every tree it takes, and every form to the oracle's shape under the
-numbering that comes with it.  Symmetric inputs too large for the reference
-are held to their known form within a time bound.
+map, a lockstep step and a group token owed in lockstep.  The walk is also
+held to the search it stands in for, on every tree it takes, and every form
+to the oracle's shape under the numbering that comes with it.  Renaming
+the referents of a tree that can tie changes none of its printed text.
+Symmetric inputs too large for the reference are held to their known form
+within a time bound.
 """
 
 import itertools
@@ -31,8 +37,8 @@ from conftest import (
     that_chains, wide_discourses,
 )
 from oracle import (
-    _shape as oracle_shape, all_referents, reference_canonical, reference_json,
-    reference_names, reference_render,
+    _shape as oracle_shape, all_referents, can_tie, reference_canonical, reference_json,
+    reference_names, reference_ranks, reference_render, refined_canonical,
 )
 from test_scope_search import CHAINS, DISCOURSES
 from udrs.core import GROUP, INDIVIDUAL, DiscourseReferent
@@ -84,19 +90,32 @@ def scoped_drss(u) -> list[DRS]:
     return [d for d in drss if not check_binding(d)]
 
 
-def assert_matches_reference(d: DRS) -> None:
-    shape, naming = reference_canonical(d)
+def assert_matches_reference(d: DRS) -> tuple:
+    """Hold d's form and printed text to the oracle; reference_canonical's
+    form of d."""
+    least = reference_canonical(d)
+    shape, naming = refined_canonical(d) if can_tie(d) else least
     names = reference_names(naming)
     assert canonical_form(d) == shape
     assert render_drs(d) == reference_render(d, names)
     assert drs_to_json(d) == reference_json(d, names)
+    return least[0]
+
+
+def check_all(drss: list[DRS]) -> None:
+    """Hold each DRS to the oracle, and their forms to be equal exactly
+    when reference_canonical's are.  That holds on sets where no two DRSs
+    are mapped onto each other only by renamings that swap a group with an
+    individual, as on every input set here; for such a pair a tree that
+    can tie gets two forms (test_a_renaming_that_swaps_sorts)."""
+    pairs = {(canonical_form(d), assert_matches_reference(d)) for d in drss}
+    assert len(pairs) == len({form for form, _ in pairs}) == len({least for _, least in pairs})
 
 
 def check_small(u) -> None:
     drss = [d for d in scoped_drss(u) if len(all_referents(d)) <= MAX_REFERENTS]
     assert drss
-    for d in drss:
-        assert_matches_reference(d)
+    check_all(drss)
 
 
 @pytest.mark.parametrize("case", corpus_cases(), ids=lambda c: c.name)
@@ -198,11 +217,38 @@ def random_drs(rng: random.Random) -> DRS:
     return d
 
 
+def shuffled_uids(d: DRS, rng: random.Random) -> DRS:
+    """d with its referents' uids shuffled among them, sorts kept."""
+    refs = sorted(all_referents(d), key=lambda r: r.uid)
+    uids = [r.uid for r in refs]
+    rng.shuffle(uids)
+    return rename(d, {r: DiscourseReferent(uid, r.sort) for r, uid in zip(refs, uids)})
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_drss(seed):
+    """Each random DRS and a copy with its uids shuffled, as one input set."""
     rng = random.Random(seed)
-    for _ in range(25):
-        assert_matches_reference(random_drs(rng))
+    drss = [random_drs(rng) for _ in range(25)]
+    check_all(drss + [shuffled_uids(d, rng) for d in drss])
+
+
+def test_renaming_a_tree_that_can_tie_changes_no_printed_text():
+    """The names come from the form and the sorts, not from the uids: with
+    the uids of a tree that can tie shuffled, render_drs and drs_to_json
+    print the same bytes."""
+    shuffled = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        for _ in range(25):
+            d = random_drs(rng)
+            if not can_tie(d):
+                continue
+            e = shuffled_uids(d, rng)
+            shuffled += e != d
+            assert render_drs(e) == render_drs(d)
+            assert drs_to_json(e) == drs_to_json(d)
+    assert shuffled > 1000
 
 
 # --- Printing where name order is not number order ---------------------------
@@ -243,10 +289,9 @@ def test_printers_re_sort_out_of_name_order(monkeypatch):
 
 
 def test_group_and_individual_swapped_by_an_automorphism():
-    """Two duplexes alike but for one referent's sort: several numberings
-    give the least shape, and the names must come from the first one in uid
-    order, as in the reference; a search that keeps whichever it meets
-    first names them the other way round for half of these."""
+    """Two duplexes alike but for one referent's sort: without sorts in the
+    colours, a map swapping the two would be an automorphism of the shape.
+    The names follow the sorts, whichever uid order they come in."""
     x, empty = DiscourseReferent(1), frozenset()
 
     def duplex(u):
@@ -254,17 +299,33 @@ def test_group_and_individual_swapped_by_an_automorphism():
                                             empty, empty),
                                DRS(empty, frozenset({("r", (u, x))}), empty, empty))
 
+    printed = set()
     for uids in ((4, 5), (5, 4)):
         for sorts in ((INDIVIDUAL, GROUP), (GROUP, INDIVIDUAL)):
             a, b = (DiscourseReferent(uid, sort) for uid, sort in zip(uids, sorts))
-            assert_matches_reference(DRS(frozenset({x}), frozenset({("p", (x,))}), empty,
-                                         frozenset({duplex(a), duplex(b)})))
+            d = DRS(frozenset({x}), frozenset({("p", (x,))}), empty,
+                    frozenset({duplex(a), duplex(b)}))
+            assert_matches_reference(d)
+            printed.add(render_drs(d))
+    assert len(printed) == 1
 
 
 def two_copies_owing_a_group_token() -> DRS:
+    """random_drs(Random(225)), 25th draw: two copies of one universe-less
+    box of groups.  Its search steps several entries in lockstep while they
+    still owe the tokens of items taken as a group."""
+    a, b = DiscourseReferent(5800, GROUP), DiscourseReferent(8171, GROUP)
+    c, d = DiscourseReferent(15800, GROUP), DiscourseReferent(18171, GROUP)
+    preds = {("p", (a,)), ("p", (b,)), ("p", (b, b)),
+             ("p", (c,)), ("p", (d,)), ("p", (d, d))}
+    return DRS(frozenset(), frozenset(preds), frozenset({(b, a), (d, c)}), frozenset())
+
+
+def two_copies_of_a_group_and_an_individual() -> DRS:
     """random_drs(Random(22)), 7th draw: two copies of one universe-less
-    box, sorts swapped.  Its search steps several entries in lockstep while
-    they still owe the tokens of items taken as a group."""
+    box, each with a group and an individual referent.  Before sorts were
+    the first colour, this was the input whose search owed a group token in
+    lockstep; it is kept as a case of copies mixing both sorts."""
     a, b = DiscourseReferent(5401, GROUP), DiscourseReferent(7872)
     c, d = DiscourseReferent(15401, GROUP), DiscourseReferent(17872)
     preds = {("p", (a,)), ("r", (a, a)), ("p", (b,)), ("r", (b,)),
@@ -273,7 +334,7 @@ def two_copies_owing_a_group_token() -> DRS:
 
 
 def test_group_token_owed_in_lockstep():
-    assert_matches_reference(two_copies_owing_a_group_token())
+    check_all([two_copies_owing_a_group_token(), two_copies_of_a_group_and_an_individual()])
 
 
 def family_inputs() -> list[tuple]:
@@ -285,14 +346,13 @@ def family_inputs() -> list[tuple]:
 
 def test_inputs_take_every_search_path(monkeypatch):
     """The inputs above branch on a tie, take tied items as a group, prune a
-    branch by an automorphism, step several entries in lockstep, drain a
-    queued group token there and search for the first numbering, each at
-    least once, so the reference checks cover every path."""
+    branch by an automorphism, step several entries in lockstep and drain a
+    queued group token there, each at least once, so the reference checks
+    cover every path."""
     import sys
     seen: Counter = Counter()
     prune = canonical._Labelling.prune
     take_group = canonical._take_group
-    first_numbering = canonical._Labelling.first_numbering
     next_token = canonical._next
     walk = canonical._walk
 
@@ -314,17 +374,12 @@ def test_inputs_take_every_search_path(monkeypatch):
         seen["group take"] += 1
         return take_group(*args)
 
-    def counting_first_numbering(self, nu, col):
-        seen["first_numbering"] += 1
-        return first_numbering(self, nu, col)
-
     def counting_walk(lo, box):
         seen["walk"] += 1
         return walk(lo, box)
 
     monkeypatch.setattr(canonical._Labelling, "prune", counting_prune)
     monkeypatch.setattr(canonical, "_take_group", counting_take_group)
-    monkeypatch.setattr(canonical._Labelling, "first_numbering", counting_first_numbering)
     monkeypatch.setattr(canonical, "_next", counting_next)
     monkeypatch.setattr(canonical, "_walk", counting_walk)
     for text, directives in family_inputs():
@@ -337,8 +392,7 @@ def test_inputs_take_every_search_path(monkeypatch):
     canonical_labelling(two_copies_owing_a_group_token())
     assert all(seen[path] for path in ("walk", "tie branch", "group take",
                                        "automorphism pruning", "lockstep step",
-                                       "queued token in lockstep",
-                                       "first_numbering")), dict(seen)
+                                       "queued token in lockstep")), dict(seen)
 
 
 # --- The walk over trees that cannot tie ----------------------------------------
@@ -366,8 +420,7 @@ def compiled_trees():
 
 def test_walk_is_the_search_it_replaces():
     """On every forced tree, the walk gives the shape and final partition of
-    the search read by _shape, and first_numbering keeps the walk's
-    numbering: it is already the first in uid order."""
+    the search from the all-zero partition, read by _shape."""
     forced = 0
     for refs, top in compiled_trees():
         if not top.forced:
@@ -375,12 +428,9 @@ def test_walk_is_the_search_it_replaces():
         forced += 1
         lo = [0] * len(refs)
         shape = canonical._walk(lo, top)
-        search = canonical._Labelling(refs, top)
-        searched_lo = search.run([0] * len(refs))
+        searched_lo = canonical._Labelling(refs, top).run([0] * len(refs))
         searched = canonical._shape(top, canonical._complete(searched_lo))
         assert (shape, lo) == (searched, searched_lo)
-        nu = canonical._complete(lo)
-        assert search.first_numbering(list(nu), canonical._colours(len(refs), top)) == nu
     assert forced > 2000
 
 
@@ -435,6 +485,38 @@ def box(refs=(), preds=(), mems=(), dups=()) -> DRS:
 
 def every(res: DRS, scope: DRS) -> DuplexCondition:
     return DuplexCondition("every", res, scope)
+
+
+def test_refinement_runs_until_no_colour_splits():
+    """A chain p(0, 1), p(1, 2), p(2, 3), p(3, 4) with q(0): each round of
+    refinement tells apart one more of the referents, and the form is the
+    one the last round gives, not the first."""
+    refs = [DiscourseReferent(uid) for uid in range(1, 6)]
+    d = box(refs, {("q", (refs[0],))} | {("p", pair) for pair in zip(refs, refs[1:])})
+    assert sorted(reference_ranks(d).values()) == list(range(5))
+    assert_matches_reference(d)
+
+
+def test_a_renaming_that_swaps_sorts():
+    """p(a), p(b), q(a), once with a a group and b an individual and once
+    with the sorts swapped: only a renaming that swaps a group with an
+    individual maps one onto the other.  The tree can tie, so its
+    numberings give groups the lesser numbers, and the two get the forms
+    with q(0) and q(1); reference_canonical, which sorts do not enter,
+    gives them one.  A forced tree, p(a), q(b), gets one form either way.
+    In both, a renaming that keeps sorts (the uids swapped) keeps the form."""
+    for preds, forms in (({("p", "a"), ("p", "b"), ("q", "a")}, 2),
+                         ({("p", "a"), ("q", "b")}, 1)):
+        least, by_sort_of_a = set(), {}
+        for uids in ((1, 2), (2, 1)):
+            for sorts in ((GROUP, INDIVIDUAL), (INDIVIDUAL, GROUP)):
+                refs = dict(zip("ab", (DiscourseReferent(u, s) for u, s in zip(uids, sorts))))
+                d = box(refs.values(), {(rel, (refs[name],)) for rel, name in preds})
+                least.add(assert_matches_reference(d))
+                by_sort_of_a.setdefault(sorts[0], set()).add(canonical_form(d))
+        assert len(least) == 1
+        assert all(len(f) == 1 for f in by_sort_of_a.values())
+        assert len(set.union(*by_sort_of_a.values())) == forms
 
 
 # one per way a tree can tie; the last ties only in a nested box
