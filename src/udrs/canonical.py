@@ -26,18 +26,21 @@ Piperno, "Practical graph isomorphism, II" (2014), cut down to DRS trees.
 It returns its final partition; the least shape is read off the tree under
 any numbering within it (_shape).
 
-The search starts from the colour refinement of the referents (_ranks),
-which tells apart before the first branch what only later relations would,
-so repeated structure is not a branch per tie.  Its cells each hold one
-sort, in an order renaming keeps, so no automorphism swaps a group with an
-individual and every numbering within the final partition prints the same.
+Every search starts from the sort partition (_firsts of the sorts), so
+groups take the lesser numbers and the order is one renaming keeps.  No
+automorphism then swaps a group with an individual, and every numbering
+within the final partition prints the same.  The search refines that
+partition by colour (_ranks) first, which tells apart before the first
+branch what only later relations would, so repeated structure is not a
+branch per tie.
 
 A tree is forced when no list of any of its boxes holds two items of one
 rel.  Its search never ties, so it is one path, which _walk follows from
-the all-zero partition while building the nested shape, least over all
-numberings.  Its automorphisms only permute referents in the same universes
-and in no condition; those share a cell of the walk's final partition,
-which _complete numbers in uid order.
+the sort partition while building the nested shape, least over the
+numberings that give groups the lesser numbers.  Its automorphisms only
+permute referents of one sort in the same universes and in no condition;
+those share a cell of the walk's final partition, which _complete numbers
+in uid order.
 """
 
 from __future__ import annotations
@@ -64,16 +67,17 @@ def label_boxes(refs: list[DiscourseReferent],
     """The canonical form and numbering of a DRS compiled to boxes over the
     indices of refs, the referents in uid order: the search itself.
 
-    A forced tree (see Box) is walked from the all-zero partition, building
-    its shape as it goes.  Any other is searched from its refined colours
-    (_ranks), and its form is the top box's _shape under a numbering within
-    the search's final partition: any two such differ by an automorphism,
-    which keeps each number's sort and so the display names.
+    Both start from the sort partition, groups before individuals.  A
+    forced tree (see Box) is walked from it, building its shape as it goes.
+    Any other is searched from its refined colours (_ranks), and its form is
+    the top box's _shape under a numbering within the search's final
+    partition.  Any two numberings within a final partition differ by an
+    automorphism, which keeps each number's sort and so the display names.
     """
+    lo = _firsts([r.sort for r in refs])
     if top.forced:
-        lo = [0] * len(refs)
         return _walk(lo, top), dict(zip(refs, _complete(lo)))
-    nu = _complete(_Labelling(refs, top).run(_ranks(refs, top)))
+    nu = _complete(_Labelling(refs, top).run(_ranks(lo, top)))
     return _shape(top, nu), dict(zip(refs, nu))
 
 
@@ -454,13 +458,14 @@ def _partition_map(cells1: dict[int, list[int]], cells2: dict[int, list[int]],
     return tuple(tau)
 
 
-def _ranks(refs: list[DiscourseReferent], top: Box) -> list[int]:
-    """The partition lo that colour refinement gives the referents of top.
-    The first colour is the sort.  Each round adds the sorted occurrences,
-    each (box path as (rel, 0 res / 1 scope) steps, kind, rel, argument
-    position, the arguments' colours), until no colour splits.  A colour is
-    how many referents have a lesser one: a value renaming keeps."""
-    occurrences: list[list[tuple]] = [[] for _ in refs]
+def _ranks(firsts: list[int], top: Box) -> list[int]:
+    """The partition lo that colour refinement gives the referents of top,
+    from their first colours, the sort partition.  Each round adds the
+    sorted occurrences, each (box path as (rel, 0 res / 1 scope) steps,
+    kind, rel, argument position, the arguments' colours), until no colour
+    splits.  A colour is how many referents have a lesser one: a value
+    renaming keeps."""
+    occurrences: list[list[tuple]] = [[] for _ in firsts]
 
     def collect(box: Box, path: tuple) -> None:
         universe, preds, mems, dups = box.lists
@@ -475,7 +480,7 @@ def _ranks(refs: list[DiscourseReferent], top: Box) -> list[int]:
             collect(scope, path + ((rel, 1),))
 
     collect(top, ())
-    lo, new = None, _firsts([r.sort for r in refs])
+    lo, new = None, firsts
     while new != lo and len(set(new)) < len(new):  # a colour split, and one can split
         lo, get = new, new.__getitem__
         new = _firsts([(lo[r], tuple(sorted([(place, tuple(map(get, args)))

@@ -36,7 +36,6 @@ class Session:
         self.sentence_signs: list[Sign] = []
         self.coord_deltas: list[tuple] = []
         self.coord_cond_deltas: list[tuple] = []
-        self.parses = 1  # of the input text; build_session keeps the first
 
     @property
     def udrs(self) -> UDRS:
@@ -82,7 +81,6 @@ def build_session(text: str, lexicon: Optional[Lexicon] = None,
         raise ParseFailure(0, "no input")
     roots = sentence_roots(derivations[0])
     session = Session(lexicon, rules)
-    session.parses = len(derivations)
     for root in roots:
         session.add(root)
     return session, roots
@@ -158,11 +156,6 @@ def _trace_semantics(session: Session, roots: list[DerivationNode]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _note_parses(session: Session) -> None:
-    if session.parses > 1:
-        print(f"note: {session.parses} parses; using the first", file=sys.stderr)
-
-
 def cmd_parse(args: argparse.Namespace) -> int:
     import json
     from .serialize import render_text, to_dot, to_json, to_json_str
@@ -172,7 +165,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
         raise UDRSError("no input: give a sentence")
     session, roots = build_directed_session(args.text, args.disambiguate or [],
                                             lexicon, rules)
-    _note_parses(session)
     u = session.udrs
 
     if args.trace_syntax:
@@ -269,7 +261,6 @@ def run_corpus(path: str, lexicon: Optional[Lexicon] = None,
         try:
             session, _ = build_directed_session(case.input, case.disambiguate,
                                                 lexicon, rules)
-            _note_parses(session)
             if case.expect_udrs is not None:
                 expected = json.loads(read_text(os.path.join(base, case.expect_udrs)))
                 got = to_json(session.udrs)

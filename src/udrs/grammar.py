@@ -56,7 +56,8 @@ class DerivationNode:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased word tokens; "." and sentence-level "and" become SEP."""
+    """Lowercased word tokens; a word ending in ".", "!" or "?" is followed
+    by SEP, and sentence-level "and" becomes SEP."""
     tokens = []
     for raw in text.split():
         word = raw.lower()
@@ -66,7 +67,7 @@ def tokenize(text: str) -> list[str]:
             tokens.append(SEP)
         elif word:
             tokens.append(word)
-        if raw.rstrip().endswith("."):
+        if raw.endswith((".", "!", "?")):
             tokens.append(SEP)
     return tokens
 
@@ -81,11 +82,14 @@ def yield_tokens(node: DerivationNode) -> list[str]:
     return out
 
 
-def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> list[DerivationNode]:
-    """All parses of one sentence segment (CKY over the fragment grammar).
+def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> DerivationNode:
+    """The parse of one sentence segment (CKY over the fragment grammar).
 
-    Span (i, j) tries only the split points k whose cell (i, k) is filled:
-    ends[i] lists those k, ascending, since cells fill in order of width."""
+    The grammar is unambiguous, so there is at most one: each word has one
+    category, an NP's width is fixed by its first word's category and a
+    VP's rule by its verb's.  Span (i, j) tries only the split points k
+    whose cell (i, k) is filled: ends[i] lists those k, ascending, since
+    cells fill in order of width."""
     n = len(tokens)
     if n == 0:
         raise ParseFailure(offset, "empty sentence")
@@ -120,10 +124,10 @@ def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> list[De
                         if made is not None:
                             add(i, j, *made)
 
-    parses = [node for cat, node in cells.get((0, n), []) if cat == ("s",)]
-    if not parses:
-        raise ParseFailure(offset + ends[0][-1], "no sentence parse")
-    return parses
+    for cat, node in cells.get((0, n), ()):
+        if cat == ("s",):
+            return node
+    raise ParseFailure(offset + ends[0][-1], "no sentence parse")
 
 
 def _combine(lcat, lnode, rcat, rnode):
@@ -141,7 +145,8 @@ def _combine(lcat, lnode, rcat, rnode):
 
 
 def parse(tokens: list[str], lexicon: Optional[Lexicon] = None) -> list[DerivationNode]:
-    """Every derivation the fragment grammar licenses for the token list.
+    """The derivation the fragment grammar licenses for the token list, in
+    a list: none for no tokens, else one (see _parse_sentence).
 
     Each sentence is wrapped in a silent root complementizer; multiple
     sentences (separated by SEP) fold left-associatively into coordination
@@ -159,20 +164,14 @@ def parse(tokens: list[str], lexicon: Optional[Lexicon] = None) -> list[Derivati
     if not segments:
         return []
 
-    per_segment: list[list[DerivationNode]] = []
+    derivation = None
     for offset, seg, has_sep in segments:
-        roots = []
-        for s_node in _parse_sentence(seg, offset, lexicon):
-            silent = DerivationNode(LEXICAL, word=SILENT)
-            roots.append(DerivationNode(FUNCTIONAL, head=silent, nonhead=s_node,
-                                        trailing_sep=has_sep))
-        per_segment.append(roots)
-
-    derivations = per_segment[0]
-    for roots in per_segment[1:]:
-        derivations = [DerivationNode(COORD, head=left, nonhead=right)
-                       for left in derivations for right in roots]
-    return derivations
+        root = DerivationNode(FUNCTIONAL, head=DerivationNode(LEXICAL, word=SILENT),
+                              nonhead=_parse_sentence(seg, offset, lexicon),
+                              trailing_sep=has_sep)
+        derivation = root if derivation is None else DerivationNode(
+            COORD, head=derivation, nonhead=root)
+    return [derivation]
 
 
 def bracketed(node: DerivationNode, indent: int = 0) -> str:

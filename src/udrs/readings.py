@@ -32,7 +32,8 @@ shape over the numberings of the referents that canonical.py tries, and
 render_drs and drs_to_json name referents x<i>/X<i> by the numbering that
 gives it; both come from one labelling search there, which each DRS value
 runs at most once, on the boxes its table built or, for a DRS made by hand,
-on boxes compiled from the DRS.  The printers print the shape it returns.
+on boxes compiled from the DRS.  The printers print the shape it returns,
+in number order.
 """
 
 from __future__ import annotations
@@ -510,10 +511,10 @@ def _group(conds: list, ground: dict[Arg, DiscourseReferent],
 
 def canonical_form(d: DRS) -> tuple:
     """Reading identity: the least shape over the numberings of referents
-    that canonical.py tries (all of them when no box can tie).  A renaming
-    that keeps sorts keeps it, and equal forms mean some renaming maps one
-    DRS onto the other; a tree that can tie gives groups the lesser
-    numbers, so a renaming that swaps sorts may change its form."""
+    that canonical.py tries, all of which give groups the lesser numbers.
+    A renaming that keeps sorts keeps it, and equal forms mean some
+    renaming maps one DRS onto the other, one that keeps sorts when the two
+    have as many groups, as the readings of one UDRS do."""
     return d.labelling[0]
 
 
@@ -578,33 +579,14 @@ def check_binding(d: DRS) -> list[str]:
 # --- Rendering -------------------------------------------------------------------
 
 def _printed(d: DRS) -> tuple[tuple, list[str]]:
-    """The reading's shape, each part in printed order, and the display name
-    of each canonical number: x<i>, or X<i> for a group.
-
-    The shape's parts are in number order, which is the names' string order
-    unless there are more than ten numbers or both sorts; only then is the
-    shape renumbered in name order and sorted again."""
+    """The reading's shape and the display name of each canonical number:
+    x<i>, or X<i> for a group.  The shape's parts are in number order, and
+    so is what the printers print."""
     shape, numbering = d.labelling
     names = [""] * len(numbering)
     for r, i in numbering.items():
         names[i] = f"X{i}" if r.sort == GROUP else f"x{i}"
-    if names != sorted(names):
-        by_name = sorted(range(len(names)), key=names.__getitem__)
-        rank = [0] * len(names)
-        for new, old in enumerate(by_name):
-            rank[old] = new
-        shape, names = _renumbered(shape, rank), [names[i] for i in by_name]
     return shape, names
-
-
-def _renumbered(box: tuple, rank: list[int]) -> tuple:
-    """The shape with each number i made rank[i], each part sorted again."""
-    universe, preds, members, duplexes = box
-    return (tuple(sorted(rank[a] for a in universe)),
-            tuple(sorted((rel, tuple(rank[a] for a in args)) for rel, args in preds)),
-            tuple(sorted((rank[e], rank[g]) for e, g in members)),
-            tuple(sorted((rel, _renumbered(res, rank), _renumbered(scope, rank))
-                         for rel, res, scope in duplexes)))
 
 
 def render_drs(d: DRS) -> str:

@@ -8,9 +8,12 @@ each run's exit code, stdout and stderr.  It then does the same for
 branching on every tie would not finish: the alternating discourse at 12
 sentences and the four-sentence cycle at 24 (the families that
 ``tests/test_cost_bounds.py`` counts steps on).
-Run it under two values of ``PYTHONHASHSEED`` and compare the two outputs:
-reading identity and the printed names must not follow set iteration order.
-Exits nonzero when no run succeeds, so that two equal outputs mean something.
+Run it under two values of ``PYTHONHASHSEED`` and compare each output with
+``tests/golden/corpus_readings.txt``: reading identity and the printed names
+must not follow set iteration order, and a change to a printed reading shows
+as a change to that file.  After a deliberate change, regenerate it with
+``python tests/corpus_readings.py > tests/golden/corpus_readings.txt``.
+Exits nonzero when no run succeeds, so that equal outputs mean something.
 """
 
 import subprocess

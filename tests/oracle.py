@@ -35,15 +35,23 @@ the determiner put between the NP's distinguished labels, can be held to it.
 
 ``reference_canonical`` is the library's first reading identity: the least
 shape over every permutation of the referents (n!), with the first
-permutation that reaches it as the display numbering.  It is still the
-identity of a reading none of whose boxes can tie (``can_tie``).  A reading
-that can tie is identified by ``refined_canonical``: the least shape over
-the numberings that respect ``reference_ranks``, a colour refinement of the
-referents written here over ``DRS``, apart from the library's.
+permutation that reaches it as the display numbering.  Sorts do not enter
+it, so equal forms of it say that some renaming maps one DRS onto the
+other; ``reference_identity`` adds the sort of each number, so equal keys
+of it say that a renaming that keeps sorts does.  The library's identity
+gives groups the lesser numbers: a reading none of whose boxes can tie
+(``can_tie``) is identified by ``sorted_canonical``, the least shape over
+the numberings that do, and one that can tie by ``refined_canonical``, the
+least shape over the numberings that respect ``reference_ranks``, a colour
+refinement of the referents (first colour the sort) written here over
+``DRS``, apart from the library's.  Both are ``_least_respecting`` over a
+colouring.
 ``reference_render`` and ``reference_json`` are the first reading printers,
-given the display names ``reference_names`` makes from that numbering.
-They are kept verbatim so that the canonical labelling can be held to the
-same forms, names and bytes.
+kept but for their order: they print each part in the order of the
+numbering they are given, as the library does, with the display names
+``reference_names`` makes from it, where the first printers sorted by name
+(x10 before x2).  The canonical labelling is held to them for the same
+forms, names and bytes.
 
 ``reference_to_json`` and ``reference_display_names`` are the library's
 first UDRS document writer and label namer: a naming walk over sorted
@@ -606,6 +614,23 @@ def reference_canonical(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
     return best, best_perm
 
 
+def reference_identity(d: DRS) -> tuple:
+    """The least (shape, sort of each number) over every permutation of the
+    referents: two DRSs share it exactly when a renaming that keeps sorts
+    maps one onto the other.  Its shape is reference_canonical's form."""
+    refs = sorted(all_referents(d), key=lambda r: r.uid)
+    best = None
+    for perm in itertools.permutations(range(len(refs))):
+        naming = {r: perm[i] for i, r in enumerate(refs)}
+        sorts = [""] * len(refs)
+        for r, i in naming.items():
+            sorts[i] = r.sort
+        candidate = (_shape(d, naming), tuple(sorts))
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
 def can_tie(d: DRS) -> bool:
     """Whether some box of d holds two predicates of one rel, two
     memberships, or two duplexes of one rel."""
@@ -656,10 +681,23 @@ def reference_ranks(d: DRS) -> dict[DiscourseReferent, int]:
 def refined_canonical(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
     """The least shape over the numberings that respect reference_ranks
     (a referent of lesser colour gets a lesser number), and the first of
-    them (in permutation order over referents sorted by uid) that gives
-    it: each colour's referents take every order of its numbers."""
+    them that gives it (see _least_respecting)."""
+    return _least_respecting(d, reference_ranks(d))
+
+
+def sorted_canonical(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
+    """The least shape over the numberings that give groups the lesser
+    numbers, and the first of them that gives it: refined_canonical with
+    the sorts as the only colours."""
+    sorts = {r: r.sort for r in all_referents(d)}
+    return _least_respecting(d, {r: sum(s < sorts[r] for s in sorts.values()) for r in sorts})
+
+
+def _least_respecting(d: DRS, colour: dict[DiscourseReferent, int]) -> tuple[tuple, dict]:
+    """The least shape over the numberings that respect colour, and the
+    first of them (in permutation order over referents sorted by uid) that
+    gives it: each colour's referents take every order of its numbers."""
     refs = sorted(all_referents(d), key=lambda r: r.uid)
-    colour = reference_ranks(d)
     cells = [[r for r in refs if colour[r] == c] for c in sorted(set(colour.values()))]
     numbers = [range(colour[cell[0]], colour[cell[0]] + len(cell)) for cell in cells]
     best, best_naming = None, None
@@ -678,32 +716,22 @@ def reference_names(naming: dict[DiscourseReferent, int]) -> dict[DiscourseRefer
 _REL_DISPLAY = {"distribution": "dist"}
 
 
-def _named_shape(d: DRS, names: dict[DiscourseReferent, str]) -> tuple:
-    return (
-        tuple(sorted(names[r] for r in d.referents)),
-        tuple(sorted((rel, tuple(names[a] for a in args))
-                     for rel, args in d.predicates)),
-        tuple(sorted((names[e], names[g]) for e, g in d.memberships)),
-        tuple(sorted((dup.rel, _named_shape(dup.res, names), _named_shape(dup.scope, names))
-                     for dup in d.duplexes)),
-    )
+def reference_render(d: DRS, naming: dict[DiscourseReferent, int]) -> str:
+    return "\n".join(_box_lines(d, naming, reference_names(naming)))
 
 
-def reference_render(d: DRS, names: dict[DiscourseReferent, str]) -> str:
-    return "\n".join(_box_lines(d, names))
-
-
-def _box_lines(d: DRS, names: dict[DiscourseReferent, str]) -> list[str]:
-    header = " ".join(sorted(names[r] for r in d.referents))
+def _box_lines(d: DRS, naming: dict[DiscourseReferent, int],
+               names: dict[DiscourseReferent, str]) -> list[str]:
+    header = " ".join(names[r] for r in sorted(d.referents, key=naming.__getitem__))
     body: list[list[str]] = []
-    for rel, args in sorted(d.predicates, key=lambda p: (p[0], [names[a] for a in p[1]])):
+    for rel, args in sorted(d.predicates, key=lambda p: (p[0], [naming[a] for a in p[1]])):
         body.append([f"{rel}({', '.join(names[a] for a in args)})"])
-    for e, g in sorted(d.memberships, key=lambda m: (names[m[0]], names[m[1]])):
+    for e, g in sorted(d.memberships, key=lambda m: (naming[m[0]], naming[m[1]])):
         body.append([f"{names[e]} in {names[g]}"])
-    for dup in sorted(d.duplexes, key=lambda x: (x.rel, _named_shape(x.res, names),
-                                                 _named_shape(x.scope, names))):
-        res_lines = _box_lines(dup.res, names)
-        scope_lines = _box_lines(dup.scope, names)
+    for dup in sorted(d.duplexes, key=lambda x: (x.rel, _shape(x.res, naming),
+                                                 _shape(x.scope, naming))):
+        res_lines = _box_lines(dup.res, naming, names)
+        scope_lines = _box_lines(dup.scope, naming, names)
         rel = _REL_DISPLAY.get(dup.rel, dup.rel)
         body.append(_join_duplex(res_lines, f"={rel}=>", scope_lines))
 
@@ -729,19 +757,21 @@ def _join_duplex(res: list[str], connector: str, scope: list[str]) -> list[str]:
     return lines
 
 
-def reference_json(d: DRS, names: dict[DiscourseReferent, str]) -> dict:
+def reference_json(d: DRS, naming: dict[DiscourseReferent, int]) -> dict:
+    names = reference_names(naming)
+
     def box(b: DRS) -> dict:
         conds: list[dict] = []
-        for rel, args in sorted(b.predicates, key=lambda p: (p[0], [names[a] for a in p[1]])):
+        for rel, args in sorted(b.predicates, key=lambda p: (p[0], [naming[a] for a in p[1]])):
             conds.append({"type": "pred", "rel": rel,
                           "args": [names[a] for a in args]})
-        for e, g in sorted(b.memberships, key=lambda m: (names[m[0]], names[m[1]])):
+        for e, g in sorted(b.memberships, key=lambda m: (naming[m[0]], naming[m[1]])):
             conds.append({"type": "member", "element": names[e], "group": names[g]})
-        for dup in sorted(b.duplexes, key=lambda x: (x.rel, _named_shape(x.res, names),
-                                                     _named_shape(x.scope, names))):
+        for dup in sorted(b.duplexes, key=lambda x: (x.rel, _shape(x.res, naming),
+                                                     _shape(x.scope, naming))):
             conds.append({"type": "duplex", "rel": _REL_DISPLAY.get(dup.rel, dup.rel),
                           "res": box(dup.res), "scope": box(dup.scope)})
-        return {"referents": sorted(names[r] for r in b.referents),
+        return {"referents": [names[r] for r in sorted(b.referents, key=naming.__getitem__)],
                 "conditions": conds}
 
     return box(d)

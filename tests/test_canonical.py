@@ -2,27 +2,34 @@
 
 ``canonical_form``, ``render_drs`` and ``drs_to_json`` must give exactly
 what the oracle and the reference printers give: byte-identical text and
-JSON and the same form.  A reading none of whose boxes can tie is held to
-``oracle.reference_canonical``, the least shape over all numberings; one
-that can tie to ``oracle.refined_canonical``, the least shape over the
-numberings that respect the oracle's own colour refinement.  On every
-input set, forms are equal exactly when ``reference_canonical``'s are, so
-dedup keeps the same readings.  Inputs: every scoped DRS with at most 7
-referents of the golden corpus, of generated families (E: `that`-chains,
-Q: two quantified sentences, S: name+indefinite discourses, P: plural
-discourses under every directive) and of the three reading-heavy benchmark
-families rebuilt from the built-in vocabulary, symmetric discourses, and
-seeded random DRSs, which also put referents outside every universe or in
-several, and repeat one structure with group and individual referents
-swapped.  Together they take
-every path of the labelling: the walk over a tree that cannot tie, and in
-the search a tie branch, a group take, automorphism pruning by a partition
-map, a lockstep step and a group token owed in lockstep.  The walk is also
-held to the search it stands in for, on every tree it takes, and every form
-to the oracle's shape under the numbering that comes with it.  Renaming
-the referents of a tree that can tie changes none of its printed text.
-Symmetric inputs too large for the reference are held to their known form
-within a time bound.
+JSON, printed in number order, and the same form.  A reading none of whose
+boxes can tie is held to ``oracle.sorted_canonical``, the least shape over
+the numberings that give groups the lesser numbers; one that can tie to
+``oracle.refined_canonical``, the least shape over the numberings that
+respect the oracle's own colour refinement.  On every input set, forms are
+equal exactly when the keys of ``oracle.reference_identity``, the least
+shape and sorts over all numberings, are: when a renaming that keeps sorts
+maps one DRS onto the other.  Where no renaming that swaps sorts maps one
+input onto another, as in every set but one here, that is when the forms
+of ``oracle.reference_canonical``, the least shape over all numberings,
+are equal, so dedup keeps the same readings.
+
+Inputs: every scoped DRS with at most 7 referents of the golden corpus, of
+generated families (E: `that`-chains, Q: two quantified sentences, S:
+name+indefinite discourses, P: plural discourses under every directive)
+and of the three reading-heavy benchmark families rebuilt from the
+built-in vocabulary, symmetric discourses, and seeded random DRSs, which
+also put referents outside every universe or in several, and repeat one
+structure with group and individual referents swapped.  Together they
+take every path of the labelling: the walk over a tree that cannot tie,
+and in the search a tie branch, a group take, automorphism pruning by a
+partition map, a lockstep step and a group token owed in lockstep.  The
+walk is also held to the search it stands in for, on every tree it takes,
+and every form to the oracle's shape under the numbering that comes with
+it.  Renaming the referents of any tree, sorts kept, changes none of its
+printed text, and readings of more than ten referents print x0 x1 x2 ...
+x10 in number order.  Symmetric inputs too large for the reference are
+held to their known form within a time bound.
 """
 
 import itertools
@@ -37,8 +44,8 @@ from conftest import (
     that_chains, wide_discourses,
 )
 from oracle import (
-    _shape as oracle_shape, all_referents, can_tie, reference_canonical, reference_json,
-    reference_names, reference_ranks, reference_render, refined_canonical,
+    _shape as oracle_shape, all_referents, can_tie, reference_canonical, reference_identity,
+    reference_json, reference_ranks, reference_render, refined_canonical, sorted_canonical,
 )
 from test_scope_search import CHAINS, DISCOURSES
 from udrs.core import GROUP, INDIVIDUAL, DiscourseReferent
@@ -91,25 +98,27 @@ def scoped_drss(u) -> list[DRS]:
 
 
 def assert_matches_reference(d: DRS) -> tuple:
-    """Hold d's form and printed text to the oracle; reference_canonical's
-    form of d."""
-    least = reference_canonical(d)
-    shape, naming = refined_canonical(d) if can_tie(d) else least
-    names = reference_names(naming)
+    """Hold d's form and printed text to the oracle; reference_identity's
+    key of d."""
+    shape, naming = refined_canonical(d) if can_tie(d) else sorted_canonical(d)
     assert canonical_form(d) == shape
-    assert render_drs(d) == reference_render(d, names)
-    assert drs_to_json(d) == reference_json(d, names)
-    return least[0]
+    assert render_drs(d) == reference_render(d, naming)
+    assert drs_to_json(d) == reference_json(d, naming)
+    return reference_identity(d)
 
 
-def check_all(drss: list[DRS]) -> None:
+def check_all(drss: list[DRS], sort_swapped: int = 0) -> None:
     """Hold each DRS to the oracle, and their forms to be equal exactly
-    when reference_canonical's are.  That holds on sets where no two DRSs
-    are mapped onto each other only by renamings that swap a group with an
-    individual, as on every input set here; for such a pair a tree that
-    can tie gets two forms (test_a_renaming_that_swaps_sorts)."""
+    when reference_identity's keys are: when a renaming that keeps sorts
+    maps one onto the other.  Where only renamings that swap a group with
+    an individual map two DRSs onto each other, they get two forms
+    (test_a_renaming_that_swaps_sorts) and reference_canonical one; the set
+    has sort_swapped more forms than reference_canonical has, so forms are
+    equal exactly when reference_canonical's are where that is 0."""
     pairs = {(canonical_form(d), assert_matches_reference(d)) for d in drss}
-    assert len(pairs) == len({form for form, _ in pairs}) == len({least for _, least in pairs})
+    keys = {key for _, key in pairs}
+    assert len(pairs) == len({form for form, _ in pairs}) == len(keys)
+    assert len(keys) - len({shape for shape, _ in keys}) == sort_swapped
 
 
 def check_small(u) -> None:
@@ -225,38 +234,55 @@ def shuffled_uids(d: DRS, rng: random.Random) -> DRS:
     return rename(d, {r: DiscourseReferent(uid, r.sort) for r, uid in zip(refs, uids)})
 
 
+# Seed 5 draws two DRSs that only a renaming swapping sorts maps onto each
+# other: a membership of two groups beside an individual, and of two
+# individuals beside a group.
+SORT_SWAPPED = {5: 1}
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_drss(seed):
     """Each random DRS and a copy with its uids shuffled, as one input set."""
     rng = random.Random(seed)
     drss = [random_drs(rng) for _ in range(25)]
-    check_all(drss + [shuffled_uids(d, rng) for d in drss])
+    check_all(drss + [shuffled_uids(d, rng) for d in drss], SORT_SWAPPED.get(seed, 0))
 
 
-def test_renaming_a_tree_that_can_tie_changes_no_printed_text():
+def test_renaming_a_tree_changes_no_printed_text():
     """The names come from the form and the sorts, not from the uids: with
-    the uids of a tree that can tie shuffled, render_drs and drs_to_json
+    the uids of any tree shuffled, forced or not, render_drs and drs_to_json
     print the same bytes."""
-    shuffled = 0
+    shuffled = Counter()
     for seed in range(200):
         rng = random.Random(seed)
         for _ in range(25):
             d = random_drs(rng)
-            if not can_tie(d):
-                continue
             e = shuffled_uids(d, rng)
-            shuffled += e != d
+            shuffled[can_tie(d)] += e != d
             assert render_drs(e) == render_drs(d)
             assert drs_to_json(e) == drs_to_json(d)
-    assert shuffled > 1000
+    assert shuffled[True] > 1000 and shuffled[False] > 500, shuffled
 
 
-# --- Printing where name order is not number order ---------------------------
-# Display names compare as strings: x10 comes before x2, and every X<i>
-# before every x<j>.  There the printers re-sort what they print, so they are
-# held to the reference printers on readings with more than ten referents and
-# on readings of both sorts, named by the library's own numbering (the
-# reference's n! search is out of reach at this size).
+def test_a_lone_universe_of_both_sorts_names_the_group_first():
+    """One individual and one group in a universe, in no condition: a forced
+    tree whose two referents no condition tells apart.  Under either uid
+    order the group is X0 and the individual x1."""
+    for uids in ((1, 2), (2, 1)):
+        x, g = DiscourseReferent(uids[0]), DiscourseReferent(uids[1], GROUP)
+        d = box((x, g))
+        assert not can_tie(d)
+        assert render_drs(d).splitlines()[1] == "| X0 x1 |"
+        assert drs_to_json(d) == {"referents": ["X0", "x1"], "conditions": []}
+        assert_matches_reference(d)
+
+
+# --- Printing in number order ----------------------------------------------------
+# Display names compare as strings: x10 comes before x2.  The printers print
+# in number order, x2 before x10, so they are held to the reference printers
+# on readings with more than ten referents and on readings of both sorts,
+# named by the library's own numbering (the reference's n! search is out of
+# reach at this size).
 
 LONG = [
     (" ".join(["A clerk hired a secretary."] * 6), ()),
@@ -268,12 +294,10 @@ LONG = [
 ]
 
 
-def test_printers_re_sort_out_of_name_order(monkeypatch):
-    import udrs.readings
-    ranks = []
-    renumbered = udrs.readings._renumbered
-    monkeypatch.setattr(udrs.readings, "_renumbered",
-                        lambda box, rank: ranks.append(len(rank)) or renumbered(box, rank))
+def test_printers_print_in_number_order():
+    """Readings with more than ten referents, and of both sorts, print
+    each part in number order, as the reference printers do under the
+    same numbering: the top universe reads x2 before x10."""
     drss = [d for text, directives in LONG
             for d in enumerate_readings(analyze(text, disambiguate=directives).udrs)]
     rng = random.Random(1995)
@@ -281,11 +305,16 @@ def test_printers_re_sort_out_of_name_order(monkeypatch):
         refs = [DiscourseReferent(uid, rng.choice((INDIVIDUAL, GROUP)))
                 for uid in range(rng.randint(11, 14))]
         drss.append(random_box(rng, refs, 2))
+    long = both_sorts = 0
     for d in drss:
-        names = reference_names(d.labelling[1])
-        assert render_drs(d) == reference_render(d, names)
-        assert drs_to_json(d) == reference_json(d, names)
-    assert {n > 10 for n in ranks} == {True, False}  # both reasons to re-sort
+        numbering = d.labelling[1]
+        assert render_drs(d) == reference_render(d, numbering)
+        assert drs_to_json(d) == reference_json(d, numbering)
+        header = [int(name[1:]) for name in drs_to_json(d)["referents"]]
+        assert header == sorted(header)
+        long += any(n >= 10 for n in header)
+        both_sorts += len({r.sort for r in numbering}) == 2
+    assert long and both_sorts
 
 
 def test_group_and_individual_swapped_by_an_automorphism():
@@ -420,15 +449,15 @@ def compiled_trees():
 
 def test_walk_is_the_search_it_replaces():
     """On every forced tree, the walk gives the shape and final partition of
-    the search from the all-zero partition, read by _shape."""
+    the search from the sort partition, read by _shape."""
     forced = 0
     for refs, top in compiled_trees():
         if not top.forced:
             continue
         forced += 1
-        lo = [0] * len(refs)
+        lo = canonical._firsts([r.sort for r in refs])
+        searched_lo = canonical._Labelling(refs, top).run(list(lo))
         shape = canonical._walk(lo, top)
-        searched_lo = canonical._Labelling(refs, top).run([0] * len(refs))
         searched = canonical._shape(top, canonical._complete(searched_lo))
         assert (shape, lo) == (searched, searched_lo)
     assert forced > 2000
@@ -500,23 +529,23 @@ def test_refinement_runs_until_no_colour_splits():
 def test_a_renaming_that_swaps_sorts():
     """p(a), p(b), q(a), once with a a group and b an individual and once
     with the sorts swapped: only a renaming that swaps a group with an
-    individual maps one onto the other.  The tree can tie, so its
-    numberings give groups the lesser numbers, and the two get the forms
-    with q(0) and q(1); reference_canonical, which sorts do not enter,
-    gives them one.  A forced tree, p(a), q(b), gets one form either way.
+    individual maps one onto the other.  Every numbering gives groups the
+    lesser numbers, so the two get the forms with q(0) and q(1);
+    reference_canonical, which sorts do not enter, gives them one.  The
+    forced tree p(a), q(b) gets two forms too, p(0), q(1) and p(1), q(0).
     In both, a renaming that keeps sorts (the uids swapped) keeps the form."""
-    for preds, forms in (({("p", "a"), ("p", "b"), ("q", "a")}, 2),
-                         ({("p", "a"), ("q", "b")}, 1)):
-        least, by_sort_of_a = set(), {}
+    for preds in ({("p", "a"), ("p", "b"), ("q", "a")}, {("p", "a"), ("q", "b")}):
+        least, keys, by_sort_of_a = set(), set(), {}
         for uids in ((1, 2), (2, 1)):
             for sorts in ((GROUP, INDIVIDUAL), (INDIVIDUAL, GROUP)):
                 refs = dict(zip("ab", (DiscourseReferent(u, s) for u, s in zip(uids, sorts))))
                 d = box(refs.values(), {(rel, (refs[name],)) for rel, name in preds})
-                least.add(assert_matches_reference(d))
+                keys.add(assert_matches_reference(d))
+                least.add(reference_canonical(d)[0])
                 by_sort_of_a.setdefault(sorts[0], set()).add(canonical_form(d))
-        assert len(least) == 1
+        assert len(least) == 1 and len(keys) == 2
         assert all(len(f) == 1 for f in by_sort_of_a.values())
-        assert len(set.union(*by_sort_of_a.values())) == forms
+        assert len(set.union(*by_sort_of_a.values())) == 2
 
 
 # one per way a tree can tie; the last ties only in a nested box
@@ -573,7 +602,7 @@ def test_symmetric_discourse_within_a_second(text, shape):
     elapsed = time.perf_counter() - t0
     assert form == shape
     header = text_out.splitlines()[1].strip("| ").split()
-    assert header == sorted(f"x{i}" for i in shape[0])
+    assert header == [f"x{i}" for i in shape[0]]
     assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 

@@ -217,16 +217,6 @@ class TestSession:
         tops = [l for l in session.udrs.labels() if l.is_top]
         assert len(tops) == 1
 
-    def test_parse_count_noted_by_the_cli_only(self, monkeypatch, capsys):
-        import udrs.cli
-        real_parse = udrs.cli.parse
-        monkeypatch.setattr(udrs.cli, "parse", lambda *a: real_parse(*a) * 2)
-        session, _ = build_session("John left.")
-        assert session.parses == 2
-        assert capsys.readouterr().err == ""
-        assert run(["parse", "John left."]) == 0
-        assert capsys.readouterr().err == "note: 2 parses; using the first\n"
-
     def test_session_leaves_the_callers_rules_alone(self):
         rules = KnowledgeRules()
         Session(None, rules)

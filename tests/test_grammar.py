@@ -1,4 +1,5 @@
 import pathlib
+import random
 import sys
 
 import pytest
@@ -34,6 +35,16 @@ class TestTokenize:
 
     def test_case_folding(self):
         assert tokenize("JOHN Left") == ["john", "left"]
+
+    def test_exclamation_and_question_marks_end_sentences(self):
+        assert tokenize("John left! Mary left? John left.") == [
+            "john", "left", SEP, "mary", "left", SEP, "john", "left", SEP]
+
+    @pytest.mark.parametrize("text", ["John left! Mary left.", "John left? Mary left!"])
+    def test_a_sentence_ending_in_a_mark_parses(self, text):
+        (deriv,) = parse(tokenize(text))
+        assert deriv.construction == COORD
+        assert yield_tokens(deriv) == ["john", "left", SEP, "mary", "left", SEP]
 
 
 class TestParse:
@@ -164,12 +175,17 @@ def outcome(parser, tokens: list[str], offset: int) -> object:
         return e.position, str(e)
 
 
+def one_parse(tokens: list[str], offset: int, lexicon: Lexicon) -> list:
+    return [_parse_sentence(tokens, offset, lexicon)]
+
+
 def assert_same_parses(text: str) -> int:
-    """Each segment of text parses as the dense CKY parses it, or fails
-    at the same token with the same message; how many segments failed."""
+    """Each segment of text parses as the dense CKY parses it, to its one
+    parse, or fails at the same token with the same message; how many
+    segments failed."""
     failed = 0
     for offset, seg in segments(tokenize(text)):
-        mine = outcome(_parse_sentence, seg, offset)
+        mine = outcome(one_parse, seg, offset)
         assert mine == outcome(reference_parse_sentence, seg, offset), (text, offset)
         failed += isinstance(mine, tuple)
     return failed
@@ -208,3 +224,41 @@ WORDS = sorted({line.split("#", 1)[0].split()[0]
 @given(st.lists(st.sampled_from(WORDS + ["."]), max_size=14))
 def test_token_strings_parse_as_dense_cky(words):
     assert_same_parses(" ".join(words))
+
+
+def random_sentence(rng: random.Random, by_cat: dict, depth: int) -> list[str]:
+    """A grammatical sentence over one word of each category: NP VP, the
+    VP intransitive, transitive or, above depth 0, a that-clause."""
+    def np() -> list[str]:
+        kind = rng.choice([cat for cat in by_cat if cat[0] in ("det", "np")])
+        return [by_cat[kind]] if kind[0] == "np" else [by_cat[kind], by_cat[("n", kind[1])]]
+
+    kind = rng.choice(["intrans", "trans", "clause"] if depth else ["intrans", "trans"])
+    if kind == "intrans":
+        return np() + [by_cat[("v", "intrans")]]
+    if kind == "trans":
+        return np() + [by_cat[("v", "trans")]] + np()
+    return np() + [by_cat[("v", "clause")], by_cat[("comp",)]] + random_sentence(
+        rng, by_cat, depth - 1)
+
+
+def test_at_most_one_parse_per_segment():
+    """The grammar is unambiguous: the dense CKY finds exactly one parse of
+    a grammatical sentence, the one _parse_sentence returns, and at most
+    one of any string of categories."""
+    lexicon = Lexicon.default()
+    by_cat: dict = {}
+    for word in WORDS:
+        by_cat.setdefault(lexicon.category(word), word)
+    rng = random.Random(1995)
+    for _ in range(300):
+        tokens = random_sentence(rng, by_cat, 3)
+        (node,) = reference_parse_sentence(tokens, 0, lexicon)
+        assert bracketed(_parse_sentence(tokens, 0, lexicon)) == bracketed(node)
+    words = sorted(by_cat.values())
+    for _ in range(3000):
+        tokens = rng.choices(words, k=rng.randint(1, 9))
+        try:
+            assert len(reference_parse_sentence(tokens, 0, lexicon)) <= 1
+        except ParseFailure:
+            pass
