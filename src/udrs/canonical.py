@@ -29,23 +29,29 @@ any numbering within it (_shape).
 Every search starts from the sort partition (_firsts of the sorts), so
 groups take the lesser numbers and the order is one renaming keeps.  No
 automorphism then swaps a group with an individual, and every numbering
-within the final partition prints the same.  The search refines that
-partition by colour (_ranks) first, which tells apart before the first
-branch what only later relations would, so repeated structure is not a
-branch per tie.
+within the final partition prints the same.  A tree that can tie (see Box)
+refines that partition by colour (_ranks) first, which tells apart before
+the first branch what only later relations would, so repeated structure is
+not a branch per tie.
 
-A tree is forced when no list of any of its boxes holds two items of one
-rel.  Its search never ties, so it is one path, which _walk follows from
-the sort partition while building the nested shape, least over the
-numberings that give groups the lesser numbers.  Its automorphisms only
-permute referents of one sort in the same universes and in no condition;
-those share a cell of the walk's final partition, which _complete numbers
-in uid order.
+From there the search is one path until it meets a real tie, and mostly it
+meets none: refinement leaves every referent its own colour.  _walk follows
+that path, building the nested shape as it goes: in each list it takes the
+items of one rel in order of their least token, and it stops where two
+items tie on it or two duplexes share a rel.  Only then does the search
+proper (_Labelling.run) run, over again from the same partition.  A walk's
+tokens come in the order shapes sort, so its shape is _shape's under any
+numbering within its final partition.  A tree with no two items of one rel
+in any list (forced) can never tie, and its automorphisms only permute
+referents of one sort in the same universes and in no condition; those
+share a cell of the walk's final partition, which _complete numbers in uid
+order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Optional
 
@@ -67,18 +73,23 @@ def label_boxes(refs: list[DiscourseReferent],
     """The canonical form and numbering of a DRS compiled to boxes over the
     indices of refs, the referents in uid order: the search itself.
 
-    Both start from the sort partition, groups before individuals.  A
-    forced tree (see Box) is walked from it, building its shape as it goes.
-    Any other is searched from its refined colours (_ranks), and its form is
-    the top box's _shape under a numbering within the search's final
+    Both start from the sort partition, groups before individuals, which a
+    tree that can tie (see Box) refines by colour (_ranks).  The tree is
+    walked from there, building its shape as it goes, unless the search
+    would branch: then its form is the top box's _shape under a numbering
+    within the final partition of the search (_Labelling.run) from the same
     partition.  Any two numberings within a final partition differ by an
     automorphism, which keeps each number's sort and so the display names.
     """
     lo = _firsts([r.sort for r in refs])
-    if top.forced:
-        return _walk(lo, top), dict(zip(refs, _complete(lo)))
-    nu = _complete(_Labelling(refs, top).run(_ranks(lo, top)))
-    return _shape(top, nu), dict(zip(refs, nu))
+    if not top.forced:
+        lo = _ranks(lo, top)
+    walked = list(lo)
+    try:
+        return _walk(walked, top), dict(zip(refs, _complete(walked)))
+    except _Tie:
+        nu = _complete(_Labelling(refs, top).run(lo))
+        return _shape(top, nu), dict(zip(refs, nu))
 
 
 def _shape(box: Box, nu: list[int]) -> tuple:
@@ -98,11 +109,11 @@ class Box:
     predicates (rel, args) sorted, 2 the memberships (None, (element,
     group)) sorted, 3 the duplexes (rel, res, scope) by rel, those of one
     rel in the order given.  The constructor sorts the lists it is given in
-    place.  forced: no list holds two items of one rel (memberships all
-    have rel None) and every nested box is forced, so no search over the
-    tree can tie."""
+    place.  flat: no list holds two items of one rel (memberships all have
+    rel None); forced: the box and every nested box are flat, so no search
+    over the tree can tie."""
 
-    __slots__ = ("lists", "key", "forced")
+    __slots__ = ("lists", "key", "flat", "forced")
 
     def __init__(self, universe: tuple[int, ...], preds: list[tuple], mems: list[tuple],
                  dups: list[tuple]):
@@ -113,24 +124,56 @@ class Box:
             dups.sort(key=itemgetter(0))
         self.lists = (universe, preds, mems, dups)
         self.key = None
-        self.forced = (len(mems) < 2 and len({rel for rel, _ in preds}) == len(preds)
-                       and len({t[0] for t in dups}) == len(dups)
-                       and all(res.forced and scope.forced for _, res, scope in dups))
+        self.flat = (len(mems) < 2 and len({rel for rel, _ in preds}) == len(preds)
+                     and len({t[0] for t in dups}) == len(dups))
+        self.forced = self.flat and all(res.forced and scope.forced for _, res, scope in dups)
+
+
+class _Tie(Exception):
+    """Raised by the walk where the search would branch."""
 
 
 def _walk(lo: list[int], box: Box) -> tuple:
-    """The shape of a forced box, lo changing as the search's would: refine
-    the universe, number each item in turn, then the duplexes in rel order,
-    restrictor before scope (see the module docstring)."""
+    """The shape of the box as the search from lo emits it while it does not
+    branch, lo changing as the search's would: refine the universe, take
+    the items of each list rel by rel, then the duplexes in rel order,
+    restrictor before scope (see the module docstring).  Raises _Tie where
+    two duplexes share a rel, and _taken where two items tie."""
     universe, preds, mems, dups = box.lists
+    if box.flat:  # one item per rel: each is taken as it comes
+        return (_refine(lo, universe),
+                tuple([(rel, _numbered(lo, args)) for rel, args in preds]),
+                tuple([_numbered(lo, args) for _, args in mems]),
+                tuple([(rel, _walk(lo, res), _walk(lo, scope)) for rel, res, scope in dups]))
+    if len({t[0] for t in dups}) < len(dups):
+        raise _Tie
     return (_refine(lo, universe),
-            tuple([(rel, _numbered(lo, args)) for rel, args in preds]),
-            tuple([_numbered(lo, args) for _, args in mems]),
+            _taken(lo, preds),
+            tuple([args for _, args in _taken(lo, mems)]),
             tuple([(rel, _walk(lo, res), _walk(lo, scope)) for rel, res, scope in dups]))
 
 
+def _taken(lo: list[int], items: list[tuple]) -> tuple:
+    """The (rel, numbers) of the items of a predicate or membership list in
+    the order the search takes them: rel by rel, those of one rel by least
+    token, each numbered as it is taken.  As each item taken is less than
+    the rest, they come sorted.  Raises _Tie where two items of one rel tie
+    for the least token."""
+    out = []
+    for rel, group in groupby(items, itemgetter(0)):
+        rest = [args for _, args in group]
+        while rest:
+            tokens = [_greedy(lo, args) for args in rest]
+            least = min(tokens)
+            if tokens.count(least) > 1:
+                raise _Tie
+            out.append((rel, _numbered(lo, rest.pop(tokens.index(least)))))
+    return tuple(out)
+
+
 def _numbered(lo: list[int], args: tuple[int, ...]) -> tuple[int, ...]:
-    """The least numbers of args under lo, then given to them."""
+    """The least numbers of args under lo, then given to them: one step of
+    the walk."""
     got = _greedy(lo, args)
     _individualize(lo, args)
     return got

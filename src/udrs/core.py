@@ -446,9 +446,23 @@ class Closure:
         return a == b or (i is not None and j is not None and self.weak_rows[i] >> j & 1 == 1)
 
 
+_last_closure: Optional[Closure] = None
+
+
 def closure(constraints: Iterable[SubordConstraint]) -> Closure:
-    """Compute derived relations; raises CycleError on a strict cycle."""
-    return Closure(constraints)
+    """Compute derived relations; raises CycleError on a strict cycle.
+
+    The last Closure built is kept and returned again for an equal
+    constraint set: the scope search of a parsed sentence closes the set
+    that check_udrs closed a moment before.  A Closure is only read once
+    built, so callers may share it."""
+    global _last_closure
+    constraints = frozenset(constraints)
+    last = _last_closure
+    if last is not None and last.constraints == constraints:
+        return last
+    _last_closure = Closure(constraints)
+    return _last_closure
 
 
 # --- Well-formedness ---------------------------------------------------------

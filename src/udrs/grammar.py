@@ -1,4 +1,4 @@
-"""Tokenizer and chart parser for the fragment.
+"""Tokenizer and one-pass parser for the fragment.
 
 The grammar is deliberately small: transitive/intransitive clauses,
 determiner NPs, names, "that"-complements, and sentence sequencing.  It
@@ -83,65 +83,66 @@ def yield_tokens(node: DerivationNode) -> list[str]:
 
 
 def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> DerivationNode:
-    """The parse of one sentence segment (CKY over the fragment grammar).
+    """The parse of one sentence segment, by one descent over the rules
 
-    The grammar is unambiguous, so there is at most one: each word has one
-    category, an NP's width is fixed by its first word's category and a
-    VP's rule by its verb's.  Span (i, j) tries only the split points k
-    whose cell (i, k) is filled: ends[i] lists those k, ascending, since
-    cells fill in order of width."""
+        S -> NP VP      NP -> det n | name | pronoun
+        CS -> that S    VP -> intransitive | transitive NP | clause-verb CS
+
+    The grammar is unambiguous: each word has one category, an NP's width
+    is fixed by its first word's and a VP's rule by its verb's, so from any
+    position each category has at most one analysis, which the descent
+    builds.  A segment that no S spans fails at the end of the longest
+    constituent that starts it: the first word, or the NP, VP, CS or S the
+    descent builds there."""
     n = len(tokens)
     if n == 0:
         raise ParseFailure(offset, "empty sentence")
-    cells: dict[tuple[int, int], list[tuple[tuple, DerivationNode]]] = {}
-    ends: list[list[int]] = [[] for _ in range(n)]
-
-    def add(i: int, j: int, cat: tuple, node: DerivationNode) -> None:
-        cell = cells.setdefault((i, j), [])
-        if not cell:
-            ends[i].append(j)
-        cell.append((cat, node))
-        if cat == ("v", "intrans"):      # intransitive verb projects to VP directly
-            cell.append((("vp",), node))
-
+    cats = []
     for i, tok in enumerate(tokens):
         if tok not in lexicon:
             raise ParseFailure(offset + i, f"unknown word {tok!r}")
-        add(i, i + 1, lexicon.category(tok), DerivationNode(LEXICAL, word=tok))
+        cats.append(lexicon.category(tok))
+    cats.append(("",))  # past the end: no rule reads it
 
-    for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
-            for k in ends[i]:
-                if k >= j:
-                    break  # (i, j) itself, filled in this loop
-                right = cells.get((k, j))
-                if right is None:
-                    continue
-                for lcat, lnode in cells[i, k]:
-                    for rcat, rnode in right:
-                        made = _combine(lcat, lnode, rcat, rnode)
-                        if made is not None:
-                            add(i, j, *made)
+    # Each returns (node, end) for the constituent that starts at i, or None.
+    def leaf(i: int) -> DerivationNode:
+        return DerivationNode(LEXICAL, word=tokens[i])
 
-    for cat, node in cells.get((0, n), ()):
-        if cat == ("s",):
-            return node
-    raise ParseFailure(offset + ends[0][-1], "no sentence parse")
+    def np(i: int) -> Optional[tuple[DerivationNode, int]]:
+        cat = cats[i]
+        if cat[0] == "np":
+            return leaf(i), i + 1
+        if cat[0] == "det" and cats[i + 1] == ("n", cat[1]):
+            return DerivationNode(HEAD_COMP, head=leaf(i), nonhead=leaf(i + 1)), i + 2
+        return None
 
+    def vp(i: int) -> Optional[tuple[DerivationNode, int]]:
+        cat = cats[i]
+        if cat == ("v", "intrans"):
+            return leaf(i), i + 1
+        if cat == ("v", "trans"):
+            comp = np(i + 1)
+        elif cat == ("v", "clause"):
+            comp = cs(i + 1)
+        else:
+            return None
+        return comp and (DerivationNode(HEAD_COMP, head=leaf(i), nonhead=comp[0]), comp[1])
 
-def _combine(lcat, lnode, rcat, rnode):
-    if lcat[0] == "det" and rcat[0] == "n" and lcat[1] == rcat[1]:
-        return ("np", lcat[1]), DerivationNode(HEAD_COMP, head=lnode, nonhead=rnode)
-    if lcat == ("v", "trans") and rcat[0] == "np":
-        return ("vp",), DerivationNode(HEAD_COMP, head=lnode, nonhead=rnode)
-    if lcat == ("v", "clause") and rcat == ("cs",):
-        return ("vp",), DerivationNode(HEAD_COMP, head=lnode, nonhead=rnode)
-    if lcat == ("comp",) and rcat == ("s",):
-        return ("cs",), DerivationNode(FUNCTIONAL, head=lnode, nonhead=rnode)
-    if lcat[0] == "np" and rcat == ("vp",):
-        return ("s",), DerivationNode(HEAD_SUBJ, head=rnode, nonhead=lnode)
-    return None
+    def cs(i: int) -> Optional[tuple[DerivationNode, int]]:
+        clause = s(i + 1) if cats[i] == ("comp",) else None
+        return clause and (DerivationNode(FUNCTIONAL, head=leaf(i), nonhead=clause[0]),
+                           clause[1])
+
+    def s(i: int) -> Optional[tuple[DerivationNode, int]]:
+        subject = np(i)
+        pred = subject and vp(subject[1])
+        return pred and (DerivationNode(HEAD_SUBJ, head=pred[0], nonhead=subject[0]), pred[1])
+
+    sentence = s(0)
+    if sentence is not None and sentence[1] == n:
+        return sentence[0]
+    longest = sentence or np(0) or vp(0) or cs(0)
+    raise ParseFailure(offset + (longest[1] if longest else 1), "no sentence parse")
 
 
 def parse(tokens: list[str], lexicon: Optional[Lexicon] = None) -> list[DerivationNode]:

@@ -190,7 +190,7 @@ def apply_pending_decisions(
     verdict.  A directive on a plural that is already classified the other
     way (by its verb, e.g. "gathered") is a conflict and raises.  Returns
     the (possibly unchanged) UDRS plus the constraint and condition deltas,
-    for tracing and monotonicity checks.
+    for tracing and monotonicity checks: empty when nothing was decided.
     """
     start = u
     waiting = set(u.bindings.values())
@@ -205,6 +205,8 @@ def apply_pending_decisions(
         verdict = decide(u, key, rules, index)
         if verdict != UNKNOWN:
             u = DISAMBIGUATE[verdict](u, key)
+    if u is start:
+        return u, set(), set()
     return u, set(u.subord - start.subord), set(u.conds - start.conds)
 
 

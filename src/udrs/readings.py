@@ -13,11 +13,14 @@ The search backtracks over label classes, numbered as the Closure numbers
 them, and is compiled from the closure's weak and strict bit rows: one
 check per set bit, filed under the class whose placement completes it, and
 per class the candidate boxes, a bit mask narrowed by the rows of the
-classes pinned to boxes.  Once the box forest is fixed "inside or equal"
-is one lookup in a box's ancestor set.  Accessibility (Kamp &
-Reyle, From Discourse to Logic, 1993) is one more kind of check, kept only
-where the closure does not imply it, so no scoping is built only to be
-refused; check_binding is the same test on a finished DRS.
+classes pinned to boxes.  A parsed UDRS already holds the constraints that
+put each duplex label above its two boxes, so its closure is the one
+check_udrs built a moment before (core.closure keeps the last it built).
+Once the box forest is fixed "inside or equal" is one lookup in a box's
+ancestor set.  Accessibility (Kamp & Reyle, From Discourse to Logic, 1993)
+is one more kind of check, kept only where the closure does not imply it,
+so no scoping is built only to be refused; check_binding is the same test
+on a finished DRS.
 
 Every scoping places the same conditions over the same referents, so a
 UDRS is compiled once for all its readings: a private table grounds each
@@ -112,14 +115,19 @@ def enumerate_scopings(u: UDRS) -> list[dict[Label, tuple]]:
 
 
 def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
-    """enumerate_scopings one at a time, each built when it is asked for."""
+    """enumerate_scopings one at a time, each built when it is asked for.
+
+    It closes u.subord with the nesting constraints added, or u.subord
+    itself where it holds them all, as a parsed UDRS does: then the closure
+    is the one check_udrs built, if nothing was closed since."""
     duplexes = sorted((cond for cond in u.conds if isinstance(cond, Quantifier)),
                       key=lambda d: d.label.uid)
     # Every placement puts a duplex label in the parent box of both its boxes,
     # so the closure may assume it: that only derives more necessary relations.
     nesting = [strict(d.label, b) for d in duplexes for b in (d.res, d.scope)]
+    subord = u.subord if u.subord.issuperset(nesting) else u.subord.union(nesting)
     try:
-        c = closure(u.subord.union(nesting))
+        c = closure(subord)
     except CycleError:
         try:
             closure(u.subord)

@@ -21,15 +21,15 @@ and of the three reading-heavy benchmark families rebuilt from the
 built-in vocabulary, symmetric discourses, and seeded random DRSs, which
 also put referents outside every universe or in several, and repeat one
 structure with group and individual referents swapped.  Together they
-take every path of the labelling: the walk over a tree that cannot tie,
-and in the search a tie branch, a group take, automorphism pruning by a
+take every path of the labelling: the walk, to its end or to a tie, and
+in the search a tie branch, a group take, automorphism pruning by a
 partition map, a lockstep step and a group token owed in lockstep.  The
-walk is also held to the search it stands in for, on every tree it takes,
-and every form to the oracle's shape under the numbering that comes with
-it.  Renaming the referents of any tree, sorts kept, changes none of its
-printed text, and readings of more than ten referents print x0 x1 x2 ...
-x10 in number order.  Symmetric inputs too large for the reference are
-held to their known form within a time bound.
+walk is also held to the search it stands in for, on every tree it walks
+to the end, and every form to the oracle's shape under the numbering that
+comes with it.  Renaming the referents of any tree, sorts kept, changes
+none of its printed text, and readings of more than ten referents print
+x0 x1 x2 ... x10 in number order.  Symmetric inputs too large for the
+reference are held to their known form within a time bound.
 """
 
 import itertools
@@ -374,10 +374,11 @@ def family_inputs() -> list[tuple]:
 
 
 def test_inputs_take_every_search_path(monkeypatch):
-    """The inputs above branch on a tie, take tied items as a group, prune a
-    branch by an automorphism, step several entries in lockstep and drain a
-    queued group token there, each at least once, so the reference checks
-    cover every path."""
+    """The inputs above walk trees to the end and to a tie, and in the
+    search branch on a tie, take tied items as a group, prune a branch by
+    an automorphism, step several entries in lockstep and drain a queued
+    group token there, each at least once, so the reference checks cover
+    every path."""
     import sys
     seen: Counter = Counter()
     prune = canonical._Labelling.prune
@@ -405,7 +406,11 @@ def test_inputs_take_every_search_path(monkeypatch):
 
     def counting_walk(lo, box):
         seen["walk"] += 1
-        return walk(lo, box)
+        try:
+            return walk(lo, box)
+        except canonical._Tie:
+            seen["walk to a tie"] += 1
+            raise
 
     monkeypatch.setattr(canonical._Labelling, "prune", counting_prune)
     monkeypatch.setattr(canonical, "_take_group", counting_take_group)
@@ -419,12 +424,12 @@ def test_inputs_take_every_search_path(monkeypatch):
         for _ in range(25):
             canonical_labelling(random_drs(rng))
     canonical_labelling(two_copies_owing_a_group_token())
-    assert all(seen[path] for path in ("walk", "tie branch", "group take",
-                                       "automorphism pruning", "lockstep step",
-                                       "queued token in lockstep")), dict(seen)
+    assert all(seen[path] for path in ("walk", "walk to a tie", "tie branch",
+                                       "group take", "automorphism pruning",
+                                       "lockstep step", "queued token in lockstep")), dict(seen)
 
 
-# --- The walk over trees that cannot tie ----------------------------------------
+# --- The walk, and the search it stands in for --------------------------------
 
 def compiled_drss():
     """Every scoped DRS of the inputs above, carrying its tree as the
@@ -448,19 +453,26 @@ def compiled_trees():
 
 
 def test_walk_is_the_search_it_replaces():
-    """On every forced tree, the walk gives the shape and final partition of
-    the search from the sort partition, read by _shape."""
-    forced = 0
+    """On every tree, from the partition its labelling starts from (the
+    sort partition, refined by colour where the tree can tie), the walk
+    either stops at a tie or gives the shape and final partition of the
+    search, read by _shape.  A forced tree never stops."""
+    paths = Counter()
     for refs, top in compiled_trees():
-        if not top.forced:
-            continue
-        forced += 1
         lo = canonical._firsts([r.sort for r in refs])
+        if not top.forced:
+            lo = canonical._ranks(lo, top)
         searched_lo = canonical._Labelling(refs, top).run(list(lo))
-        shape = canonical._walk(lo, top)
+        try:
+            shape = canonical._walk(lo, top)
+        except canonical._Tie:
+            assert not top.forced
+            paths["stopped"] += 1
+            continue
+        paths["forced" if top.forced else "refined"] += 1
         searched = canonical._shape(top, canonical._complete(searched_lo))
         assert (shape, lo) == (searched, searched_lo)
-    assert forced > 2000
+    assert paths["forced"] > 2000 and paths["refined"] > 2000 and paths["stopped"] > 1000, paths
 
 
 def test_form_is_the_oracle_shape_under_the_numbering():
@@ -548,7 +560,8 @@ def test_a_renaming_that_swaps_sorts():
         assert len(set.union(*by_sort_of_a.values())) == 2
 
 
-# one per way a tree can tie; the last ties only in a nested box
+# one per way a tree can tie; the last ties only in a nested box, where
+# refinement tells the tied referents apart
 CAN_TIE = {
     "two predicates of one rel": box((X, Y), {("p", (X,)), ("p", (Y,))}),
     "two memberships": box((X, Y, G), mems={(X, G), (Y, G)}),
@@ -562,18 +575,24 @@ CAN_TIE = {
 
 @pytest.mark.parametrize("name", CAN_TIE)
 def test_trees_that_can_tie_are_searched(monkeypatch, name):
+    """Each tree that can tie matches the reference, and the search runs
+    on it exactly when a tie survives the oracle's colour refinement; a
+    tree it leaves discrete is walked."""
     d = CAN_TIE[name]
     top = canonical._compile(d)[1]
     assert not top.forced
     if name == "a tie in a nested box only":
         ((_, res, scope),) = top.lists[3]
         assert (res.forced, scope.forced) == (False, True)
+    ranks = reference_ranks(d)
+    tied = len(set(ranks.values())) < len(ranks)
+    assert tied == (name != "a tie in a nested box only")
     runs = []
     run = canonical._Labelling.run
     monkeypatch.setattr(canonical._Labelling, "run",
                         lambda self, lo: runs.append(lo) or run(self, lo))
     assert_matches_reference(d)
-    assert runs
+    assert bool(runs) == tied
 
 
 # --- Symmetric inputs beyond the reference --------------------------------------

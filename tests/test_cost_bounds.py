@@ -5,8 +5,10 @@ more work than it needs on long or deep inputs still reads level there.
 These tests count the steps of two searches by monkeypatching, not by wall
 time: labelling a discourse that repeats one structure, or alternates or
 cycles through a few, grows linearly with its length, a reading that
-cannot tie is labelled without a search step, and the scope search runs a
-bounded number of checks per scoping it finds.
+cannot tie, or that colour refinement leaves without a tie, is labelled
+without a search step, a `that`-chain's constraint set is closed once
+from parse to readings, and the scope search runs a bounded number of
+checks per scoping it finds.
 """
 
 import itertools
@@ -14,8 +16,10 @@ import itertools
 import pytest
 
 import udrs.canonical as canonical
+import udrs.core as core
 import udrs.readings as readings
 from conftest import NOUNS, analyze, quantified_pairs
+from udrs.cli import build_session
 from udrs.readings import build_drs, enumerate_readings, enumerate_scopings
 
 
@@ -43,18 +47,23 @@ CYCLE = "John hired a lawyer. Mary met a clerk. John hired a student. Mary met a
     (CYCLE, (1, 2, 4, 8)),
 ], ids=("two-sentence repeat", "one-sentence repeat", "alternating", "four-sentence cycle"))
 def test_labelling_grows_linearly_with_repeats(monkeypatch, sentences, times):
-    """Each doubling of the discourse at most multiplies the labelling
-    search's steps by 2.5; quadratic growth would multiply them by 4.  Each
-    doubling is checked as soon as it is counted, so a search that grows
-    exponentially fails before the next length runs for hours."""
-    steps = counted(monkeypatch, canonical, "_next")
+    """Each doubling of the discourse at most multiplies the labelling's
+    steps, the walk's and the search's together, by 2.5; quadratic growth
+    would multiply them by 4.  A walk step is a token the search would
+    emit: an item numbered, and per box walked its universe and the ends of
+    its three lists.  Each doubling is checked as soon as it is counted, so
+    a search that grows exponentially fails before the next length runs for
+    hours."""
+    items = counted(monkeypatch, canonical, "_numbered")
+    boxes = counted(monkeypatch, canonical, "_walk")
+    search_steps = counted(monkeypatch, canonical, "_next")
     counts = []
     for k in times:
         u = analyze(" ".join([sentences] * k)).udrs
-        steps[0] = 0
+        items[0] = boxes[0] = search_steps[0] = 0
         assert len(enumerate_readings(u)) == 1
-        counts.append(steps[0])
-        assert counts[-1], counts  # these trees tie: a walk would make the bound vacuous
+        counts.append(items[0] + 4 * boxes[0] + search_steps[0])
+        assert counts[-1], counts  # a count that missed a path would make the bound vacuous
         assert len(counts) == 1 or counts[-1] <= 2.5 * counts[-2], counts
 
 
@@ -80,6 +89,36 @@ def that_chain(depth: int) -> str:
     nouns = itertools.cycle(NOUNS)
     nps = [f"{('every', 'a')[i % 2]} {next(nouns)}" for i in range(depth)]
     return (" believed that ".join(nps) + " left.").capitalize()
+
+
+@pytest.mark.parametrize("depth", range(2, 13))
+def test_a_that_chain_is_closed_once(monkeypatch, depth):
+    """Building the session checks the sentence's constraint set, and the
+    scope search closes that same set: the closure built for the check is
+    the one the search reads."""
+    builds = counted(monkeypatch, core, "Closure")
+    session, _ = build_session(that_chain(depth))
+    assert enumerate_readings(session.udrs)
+    assert builds[0] == 1
+
+
+@pytest.mark.parametrize("text", [
+    "John believed that Mary believed that a lawyer left.",
+    "Every lawyer believed that a clerk believed that John left.",
+])
+def test_readings_refinement_unties_take_no_search_step(monkeypatch, text):
+    """Two believe predicates in one box can tie, but colour refinement
+    tells their believers apart, so every reading is walked and the
+    search's step function never runs."""
+    steps = counted(monkeypatch, canonical, "_next")
+    u = analyze(text).udrs
+    unforced = 0
+    for placement in enumerate_scopings(u):
+        d = build_drs(u, placement)
+        unforced += not d._compiled[1].forced
+        assert d.labelling
+    assert unforced
+    assert steps[0] == 0
 
 
 @pytest.mark.parametrize("depth", range(2, 13))

@@ -154,7 +154,7 @@ def test_bracketed_rendering():
     assert "[head_subj" in text
 
 
-# --- The chart parser against the first, dense one -------------------------------
+# --- The one-pass parser against the first, dense one ---------------------------
 
 def segments(tokens: list[str]) -> list[tuple[int, list[str]]]:
     """The sentence segments parse hands to _parse_sentence, with offsets."""
@@ -212,6 +212,26 @@ def test_catalogue_parses_match_dense_cky():
     texts = catalogue_texts()
     failed = sum(assert_same_parses(text) for text in texts)
     assert len(texts) > 500 and failed  # the catalogues hold unparsable inputs too
+
+
+@pytest.mark.parametrize("text,position", [
+    ("hired a lawyer every lawyer", 3),       # a VP starts the segment
+    ("believed that John left Mary", 4),      # a VP with a clause
+    ("that John left John", 3),               # a CS
+    ("every lawyer left John", 3),            # an S that stops short
+    ("John believed that every lawyer", 1),   # an NP: the clause has no VP
+    ("the lawyers", 2),                       # an NP alone
+    ("left John", 1),                         # an intransitive VP
+    ("lawyer left", 1),                       # a noun: no constituent but the word
+])
+def test_failure_at_the_longest_constituent_that_starts_the_segment(text, position):
+    """A segment no S spans fails at the end of the longest constituent
+    that starts it, as the dense CKY reports, also where that constituent
+    is not an S."""
+    assert assert_same_parses(text) == 1
+    with pytest.raises(ParseFailure) as info:
+        parse(tokenize(text))
+    assert info.value.position == position
 
 
 WORDS = sorted({line.split("#", 1)[0].split()[0]
