@@ -35,10 +35,11 @@ the first branch what only later relations would, so repeated structure is
 not a branch per tie.
 
 From there the search is one path until it meets a real tie, and mostly it
-meets none: refinement leaves every referent its own colour.  _walk follows
-that path, building the nested shape as it goes: in each list it takes the
-items of one rel in order of their least token, and it stops where two
-items tie on it or two duplexes share a rel.  Only then does the search
+meets none: refinement leaves every referent its own colour, and then that
+partition is the numbering, read off by _shape with no step.  Otherwise
+_walk follows that path, building the nested shape as it goes: in each
+list it takes the items of one rel in order of their least token, and it
+stops where two items tie on it or two duplexes share a rel.  Only then does the search
 proper (_Labelling.run) run, over again from the same partition.  A walk's
 tokens come in the order shapes sort, so its shape is _shape's under any
 numbering within its final partition.  A tree with no two items of one rel
@@ -74,16 +75,20 @@ def label_boxes(refs: list[DiscourseReferent],
     indices of refs, the referents in uid order: the search itself.
 
     Both start from the sort partition, groups before individuals, which a
-    tree that can tie (see Box) refines by colour (_ranks).  The tree is
-    walked from there, building its shape as it goes, unless the search
-    would branch: then its form is the top box's _shape under a numbering
-    within the final partition of the search (_Labelling.run) from the same
-    partition.  Any two numberings within a final partition differ by an
-    automorphism, which keeps each number's sort and so the display names.
+    tree that can tie (see Box) refines by colour (_ranks).  Where that
+    leaves every referent its own cell, the partition is the numbering.
+    Otherwise the tree is walked from there, building its shape as it goes,
+    unless the search would branch: then its form is the top box's _shape
+    under a numbering within the final partition of the search
+    (_Labelling.run) from the same partition.  Any two numberings within a
+    final partition differ by an automorphism, which keeps each number's
+    sort and so the display names.
     """
     lo = _firsts([r.sort for r in refs])
     if not top.forced:
         lo = _ranks(lo, top)
+        if len(set(lo)) == len(lo):  # discrete: no step can change it, so it numbers
+            return _shape(top, lo), dict(zip(refs, lo))
     walked = list(lo)
     try:
         return _walk(walked, top), dict(zip(refs, _complete(walked)))
@@ -182,28 +187,28 @@ def _numbered(lo: list[int], args: tuple[int, ...]) -> tuple[int, ...]:
 def _compile(d: DRS) -> tuple[list[DiscourseReferent], Box]:
     """The referents in uid order and the DRS as boxes over their indices."""
     found: set[DiscourseReferent] = set()
-
-    def collect(drs: DRS) -> None:
-        found.update(drs.referents)
-        for _, args in drs.predicates:
-            found.update(args)
-        for pair in drs.memberships:
-            found.update(pair)
-        for x in drs.duplexes:
-            collect(x.res)
-            collect(x.scope)
-
-    collect(d)
+    _collect_referents(d, found)
     refs = sorted(found, key=attrgetter("uid"))
-    num = {r: i for i, r in enumerate(refs)}.__getitem__
+    return refs, _indexed(d, {r: i for i, r in enumerate(refs)}.__getitem__)
 
-    def walk(drs: DRS) -> Box:
-        return Box(tuple(map(num, drs.referents)),
-                   [(rel, tuple(map(num, args))) for rel, args in drs.predicates],
-                   [(None, (num(e), num(g))) for e, g in drs.memberships],
-                   [(x.rel, walk(x.res), walk(x.scope)) for x in drs.duplexes])
 
-    return refs, walk(d)
+def _collect_referents(drs: DRS, found: set[DiscourseReferent]) -> None:
+    found.update(drs.referents)
+    for _, args in drs.predicates:
+        found.update(args)
+    for pair in drs.memberships:
+        found.update(pair)
+    for x in drs.duplexes:
+        _collect_referents(x.res, found)
+        _collect_referents(x.scope, found)
+
+
+def _indexed(drs: DRS, num) -> Box:
+    """The DRS as a box over the indices num gives its referents."""
+    return Box(tuple(map(num, drs.referents)),
+               [(rel, tuple(map(num, args))) for rel, args in drs.predicates],
+               [(None, (num(e), num(g))) for e, g in drs.memberships],
+               [(x.rel, _indexed(x.res, num), _indexed(x.scope, num)) for x in drs.duplexes])
 
 
 def _key(box: Box, tau) -> tuple:
@@ -509,20 +514,7 @@ def _ranks(firsts: list[int], top: Box) -> list[int]:
     splits.  A colour is how many referents have a lesser one: a value
     renaming keeps."""
     occurrences: list[list[tuple]] = [[] for _ in firsts]
-
-    def collect(box: Box, path: tuple) -> None:
-        universe, preds, mems, dups = box.lists
-        for a in universe:
-            occurrences[a].append(((path, 0), ()))
-        for kind, items in ((1, preds), (2, mems)):
-            for rel, args in items:
-                for j, a in enumerate(args):
-                    occurrences[a].append(((path, kind, rel, j), args))
-        for rel, res, scope in dups:
-            collect(res, path + ((rel, 0),))
-            collect(scope, path + ((rel, 1),))
-
-    collect(top, ())
+    _occurrences(top, (), occurrences)
     lo, new = None, firsts
     while new != lo and len(set(new)) < len(new):  # a colour split, and one can split
         lo, get = new, new.__getitem__
@@ -530,6 +522,21 @@ def _ranks(firsts: list[int], top: Box) -> list[int]:
                                              for place, args in occ])))
                        for r, occ in enumerate(occurrences)])
     return new
+
+
+def _occurrences(box: Box, path: tuple, occurrences: list[list[tuple]]) -> None:
+    """Add to occurrences[a] each place referent a occurs in box and the
+    boxes in it, as _ranks colours them."""
+    universe, preds, mems, dups = box.lists
+    for a in universe:
+        occurrences[a].append(((path, 0), ()))
+    for kind, items in ((1, preds), (2, mems)):
+        for rel, args in items:
+            for j, a in enumerate(args):
+                occurrences[a].append(((path, kind, rel, j), args))
+    for rel, res, scope in dups:
+        _occurrences(res, path + ((rel, 0),), occurrences)
+        _occurrences(scope, path + ((rel, 1),), occurrences)
 
 
 def _firsts(values: list) -> list[int]:

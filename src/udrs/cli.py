@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from .core import UDRS, UDRSError, read_text
@@ -136,24 +137,27 @@ def _trace_semantics(session: Session, roots: list[DerivationNode]) -> str:
         return constraint_text(c.kind, n(c.left), n(c.right),
                                [n(l) for l in c.antecedent or ()])
 
-    def walk(node: DerivationNode, depth: int) -> None:
-        pad = "  " * depth
-        if node.construction == "lexical":
-            lines.append(f"{pad}{node.word}")
-            return
-        delta = ", ".join(sorted(text(c) for c in node.introduced))
-        lines.append(f"{pad}{node.construction}" + (f"  +{{{delta}}}" if delta else ""))
-        for child in node.children():
-            walk(child, depth + 1)
-
     for i, root in enumerate(roots, 1):
         lines.append(f"sentence {i}:")
-        walk(root, 1)
+        _trace_node(root, 1, text, lines)
     for i, delta in enumerate(session.coord_deltas, 1):
         if delta:
             shown = ", ".join(sorted(text(c) for c in delta))
             lines.append(f"discourse {i}: +{{{shown}}}")
     return "\n".join(lines) + "\n"
+
+
+def _trace_node(node: DerivationNode, depth: int, text, lines: list[str]) -> None:
+    """Add the node's line and its subtree's to lines, constraints shown by
+    text."""
+    pad = "  " * depth
+    if node.construction == "lexical":
+        lines.append(f"{pad}{node.word}")
+        return
+    delta = ", ".join(sorted(text(c) for c in node.introduced))
+    lines.append(f"{pad}{node.construction}" + (f"  +{{{delta}}}" if delta else ""))
+    for child in node.children():
+        _trace_node(child, depth + 1, text, lines)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -291,7 +295,11 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return run_corpus(args.file, lexicon, rules)
 
 
+@lru_cache(maxsize=1)
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once: argparse's formatters and
+    sections refer to each other, so each parser built is garbage for the
+    cycle collector."""
     import argparse
     ap = argparse.ArgumentParser(
         prog="udrs",

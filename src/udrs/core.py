@@ -486,11 +486,17 @@ def check_udrs(u: UDRS) -> list[Violation]:
     except CycleError as e:
         return [Violation("cycle", f"strict cycle through {e.label}")]
     violations = []
-    mentioned = u.labels()
+    cond_labels = set()
+    for cond in u.conds:
+        cond_labels.add(cond.label)
+        if isinstance(cond, Quantifier):
+            cond_labels.update((cond.res, cond.scope))
+    # u.labels(), without walking the constraints again: the domain holds theirs
+    mentioned = c.domain | cond_labels | {u.ls.l_max, u.ls.l_min}
     loose = len(mentioned) > len(c.domain)  # a label outside every constraint
     tops = [l for l in mentioned if l.is_top]
     if tops:
-        top = tops[0]
+        top = min(tops)  # the least uid, should a UDRS mention two
         row = c.weak_rows[c.classes[top]] if top in c.classes else 0
         if loose or row != (1 << len(c.weak_rows)) - 1:
             for l in sorted(mentioned):
@@ -498,11 +504,6 @@ def check_udrs(u: UDRS) -> list[Violation]:
                 if l != top and (j is None or not row >> j & 1):
                     violations.append(Violation("top", f"{top} does not dominate {l}"))
     if loose:
-        cond_labels = set()
-        for cond in u.conds:
-            cond_labels.add(cond.label)
-            if isinstance(cond, Quantifier):
-                cond_labels.update((cond.res, cond.scope))
         for l in sorted(cond_labels):
             if l not in c.domain:
                 violations.append(Violation("orphan", f"{l} not in constraint domain"))

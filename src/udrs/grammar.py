@@ -91,9 +91,9 @@ def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> Derivat
     The grammar is unambiguous: each word has one category, an NP's width
     is fixed by its first word's and a VP's rule by its verb's, so from any
     position each category has at most one analysis, which the descent
-    builds.  A segment that no S spans fails at the end of the longest
-    constituent that starts it: the first word, or the NP, VP, CS or S the
-    descent builds there."""
+    (_s, _np, _vp, _cs below) builds.  A segment that no S spans fails at
+    the end of the longest constituent that starts it: the first word, or
+    the NP, VP, CS or S the descent builds there."""
     n = len(tokens)
     if n == 0:
         raise ParseFailure(offset, "empty sentence")
@@ -103,46 +103,58 @@ def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> Derivat
             raise ParseFailure(offset + i, f"unknown word {tok!r}")
         cats.append(lexicon.category(tok))
     cats.append(("",))  # past the end: no rule reads it
-
-    # Each returns (node, end) for the constituent that starts at i, or None.
-    def leaf(i: int) -> DerivationNode:
-        return DerivationNode(LEXICAL, word=tokens[i])
-
-    def np(i: int) -> Optional[tuple[DerivationNode, int]]:
-        cat = cats[i]
-        if cat[0] == "np":
-            return leaf(i), i + 1
-        if cat[0] == "det" and cats[i + 1] == ("n", cat[1]):
-            return DerivationNode(HEAD_COMP, head=leaf(i), nonhead=leaf(i + 1)), i + 2
-        return None
-
-    def vp(i: int) -> Optional[tuple[DerivationNode, int]]:
-        cat = cats[i]
-        if cat == ("v", "intrans"):
-            return leaf(i), i + 1
-        if cat == ("v", "trans"):
-            comp = np(i + 1)
-        elif cat == ("v", "clause"):
-            comp = cs(i + 1)
-        else:
-            return None
-        return comp and (DerivationNode(HEAD_COMP, head=leaf(i), nonhead=comp[0]), comp[1])
-
-    def cs(i: int) -> Optional[tuple[DerivationNode, int]]:
-        clause = s(i + 1) if cats[i] == ("comp",) else None
-        return clause and (DerivationNode(FUNCTIONAL, head=leaf(i), nonhead=clause[0]),
-                           clause[1])
-
-    def s(i: int) -> Optional[tuple[DerivationNode, int]]:
-        subject = np(i)
-        pred = subject and vp(subject[1])
-        return pred and (DerivationNode(HEAD_SUBJ, head=pred[0], nonhead=subject[0]), pred[1])
-
-    sentence = s(0)
+    sentence = _s(tokens, cats, 0)
     if sentence is not None and sentence[1] == n:
         return sentence[0]
-    longest = sentence or np(0) or vp(0) or cs(0)
+    longest = (sentence or _np(tokens, cats, 0) or _vp(tokens, cats, 0)
+               or _cs(tokens, cats, 0))
     raise ParseFailure(offset + (longest[1] if longest else 1), "no sentence parse")
+
+
+# The descent's rules, one function each: the (node, end) of the
+# constituent of the rule's category that starts at token i, or None.  cats
+# holds each token's category and one entry past the end.  They are module
+# functions, not closures over the segment: a nested function that calls
+# itself or a sibling is a reference cycle, which only the cycle collector
+# frees.
+
+def _leaf(tokens: list[str], i: int) -> DerivationNode:
+    return DerivationNode(LEXICAL, word=tokens[i])
+
+
+def _np(tokens: list[str], cats: list[tuple], i: int) -> Optional[tuple[DerivationNode, int]]:
+    cat = cats[i]
+    if cat[0] == "np":
+        return _leaf(tokens, i), i + 1
+    if cat[0] == "det" and cats[i + 1] == ("n", cat[1]):
+        return (DerivationNode(HEAD_COMP, head=_leaf(tokens, i), nonhead=_leaf(tokens, i + 1)),
+                i + 2)
+    return None
+
+
+def _vp(tokens: list[str], cats: list[tuple], i: int) -> Optional[tuple[DerivationNode, int]]:
+    cat = cats[i]
+    if cat == ("v", "intrans"):
+        return _leaf(tokens, i), i + 1
+    if cat == ("v", "trans"):
+        comp = _np(tokens, cats, i + 1)
+    elif cat == ("v", "clause"):
+        comp = _cs(tokens, cats, i + 1)
+    else:
+        return None
+    return comp and (DerivationNode(HEAD_COMP, head=_leaf(tokens, i), nonhead=comp[0]), comp[1])
+
+
+def _cs(tokens: list[str], cats: list[tuple], i: int) -> Optional[tuple[DerivationNode, int]]:
+    clause = _s(tokens, cats, i + 1) if cats[i] == ("comp",) else None
+    return clause and (DerivationNode(FUNCTIONAL, head=_leaf(tokens, i), nonhead=clause[0]),
+                       clause[1])
+
+
+def _s(tokens: list[str], cats: list[tuple], i: int) -> Optional[tuple[DerivationNode, int]]:
+    subject = _np(tokens, cats, i)
+    pred = subject and _vp(tokens, cats, subject[1])
+    return pred and (DerivationNode(HEAD_SUBJ, head=pred[0], nonhead=subject[0]), pred[1])
 
 
 def parse(tokens: list[str], lexicon: Optional[Lexicon] = None) -> list[DerivationNode]:

@@ -13,14 +13,17 @@ The search backtracks over label classes, numbered as the Closure numbers
 them, and is compiled from the closure's weak and strict bit rows: one
 check per set bit, filed under the class whose placement completes it, and
 per class the candidate boxes, a bit mask narrowed by the rows of the
-classes pinned to boxes.  A parsed UDRS already holds the constraints that
-put each duplex label above its two boxes, so its closure is the one
-check_udrs built a moment before (core.closure keeps the last it built).
-Once the box forest is fixed "inside or equal" is one lookup in a box's
-ancestor set.  Accessibility (Kamp & Reyle, From Discourse to Logic, 1993)
-is one more kind of check, kept only where the closure does not imply it,
-so no scoping is built only to be refused; check_binding is the same test
-on a finished DRS.
+classes pinned to boxes.  It is a generator, as are its two recursive
+placers, closures over the search's state whose cells it clears when it
+ends or is closed: a nested function that reaches itself through its
+closure is a reference cycle until then.  A parsed UDRS already holds the
+constraints that put each duplex label above its two boxes, so its closure
+is the one check_udrs built a moment before (core.closure keeps the last it
+built).  Once the box forest is fixed "inside or equal" is one lookup in a
+box's ancestor set.  Accessibility (Kamp & Reyle, From Discourse to Logic,
+1993) is one more kind of check, kept only where the closure does not imply
+it, so no scoping is built only to be refused; check_binding is the same
+test on a finished DRS.
 
 Every scoping places the same conditions over the same referents, so a
 UDRS is compiled once for all its readings: a private table grounds each
@@ -243,9 +246,15 @@ def _scopings(u: UDRS) -> Iterator[dict[Label, tuple]]:
                 if _all_hold(tests, pos, anc):
                     yield from place_rest(j + 1)
 
-        yield from place_rest(0)
+        try:
+            yield from place_rest(0)
+        finally:  # place_rest reaches itself through this cell: a cycle until cleared
+            place_rest = None
 
-    yield from place_hosts(0)
+    try:
+        yield from place_hosts(0)
+    finally:  # place_hosts reaches itself through this cell: a cycle until cleared
+        place_hosts = None
 
 
 def _access_checks(u: UDRS, class_of: dict[Label, int], weak_rows: list[int],
@@ -430,53 +439,54 @@ class _Table:
                 at[pos].append(i)
             else:
                 at[pos] = [i]
-        groups, leaves, new_box = self.groups, self.leaves, self.new_box
-
-        def box(pos: tuple) -> tuple[DRS, Box, int]:
-            """The box at pos, as a DRS and over indices; how many
-            conditions it holds, nested ones too."""
-            ids = tuple(at.get(pos, ()))
-            if ids in leaves:
-                return leaves[ids]
-            placed, refs, preds, members, quants = 0, [], [], [], []
-            universe, ipreds, imembers = [], [], []
-            for i in ids:
-                group = groups[i]
-                placed += group.size
-                refs += group.referents
-                preds += group.predicates
-                members += group.memberships
-                quants += group.duplexes
-                universe += group.universe
-                ipreds += group.indexed_predicates
-                imembers += group.indexed_memberships
-            dups, idups = [], []
-            for rel, res_pos, scope_pos in quants:
-                res, ires, in_res = box(res_pos)
-                scope, iscope, in_scope = box(scope_pos)
-                placed += in_res + in_scope
-                dups.append(DuplexCondition(rel, res, scope))
-                idups.append((rel, ires, iscope))
-            drs = DRS(frozenset(refs), frozenset(preds), frozenset(members), frozenset(dups))
-            # what two groups repeat, the sets keep once, and so must the box
-            if len(drs.referents) < len(universe):
-                universe = set(universe)
-            if len(drs.predicates) < len(ipreds):
-                ipreds = list(set(ipreds))
-            if len(drs.memberships) < len(imembers):
-                imembers = list(set(imembers))
-            if len(drs.duplexes) < len(idups):
-                idups = list(dict(zip(dups, idups)).values())
-            built = drs, new_box(tuple(universe), ipreds, imembers, idups), placed
-            if not quants and pos != TOP_BOX:  # the top DRS is the reading's own
-                leaves[ids] = built
-            return built
-
-        drs, top, placed = box(TOP_BOX)
+        drs, top, placed = self._box(TOP_BOX, at)
         if placed != self.size:
             raise UDRSError(self.misplaced(placement))
         drs._compiled = (self.refs, top)
         return drs
+
+    def _box(self, pos: tuple, at: dict[tuple, list[int]]) -> tuple[DRS, Box, int]:
+        """The box at pos, as a DRS and over indices; how many
+        conditions it holds, nested ones too.  at lists the groups the
+        placement puts in each box."""
+        ids = tuple(at.get(pos, ()))
+        leaves = self.leaves
+        if ids in leaves:
+            return leaves[ids]
+        placed, refs, preds, members, quants = 0, [], [], [], []
+        universe, ipreds, imembers = [], [], []
+        groups = self.groups
+        for i in ids:
+            group = groups[i]
+            placed += group.size
+            refs += group.referents
+            preds += group.predicates
+            members += group.memberships
+            quants += group.duplexes
+            universe += group.universe
+            ipreds += group.indexed_predicates
+            imembers += group.indexed_memberships
+        dups, idups = [], []
+        for rel, res_pos, scope_pos in quants:
+            res, ires, in_res = self._box(res_pos, at)
+            scope, iscope, in_scope = self._box(scope_pos, at)
+            placed += in_res + in_scope
+            dups.append(DuplexCondition(rel, res, scope))
+            idups.append((rel, ires, iscope))
+        drs = DRS(frozenset(refs), frozenset(preds), frozenset(members), frozenset(dups))
+        # what two groups repeat, the sets keep once, and so must the box
+        if len(drs.referents) < len(universe):
+            universe = set(universe)
+        if len(drs.predicates) < len(ipreds):
+            ipreds = list(set(ipreds))
+        if len(drs.memberships) < len(imembers):
+            imembers = list(set(imembers))
+        if len(drs.duplexes) < len(idups):
+            idups = list(dict(zip(dups, idups)).values())
+        built = drs, self.new_box(tuple(universe), ipreds, imembers, idups), placed
+        if not quants and pos != TOP_BOX:  # the top DRS is the reading's own
+            leaves[ids] = built
+        return built
 
     def misplaced(self, placement: dict[Label, tuple]) -> str:
         """Which label a placement leaves out of the box tree, and how."""
@@ -563,25 +573,28 @@ def check_binding(d: DRS) -> list[str]:
     its memberships by uids.
     """
     violations: list[str] = []
-
-    def walk(box: DRS, accessible: frozenset[DiscourseReferent]) -> None:
-        here = accessible | box.referents
-        bad = [p for p in box.predicates if not here.issuperset(p[1])]
-        if bad:
-            for rel, args in sorted(bad, key=lambda p: (p[0], [a.uid for a in p[1]])):
-                violations.extend(f"{rel}: referent {a} not accessible"
-                                  for a in args if a not in here)
-        bad = [m for m in box.memberships if not here.issuperset(m)]
-        if bad:
-            for m in sorted(bad, key=lambda m: (m[0].uid, m[1].uid)):
-                violations.extend(f"membership: referent {a} not accessible"
-                                  for a in m if a not in here)
-        for dup in box.duplexes:
-            walk(dup.res, here)
-            walk(dup.scope, here | dup.res.referents)
-
-    walk(d, frozenset())
+    _unbound(d, frozenset(), violations)
     return violations
+
+
+def _unbound(box: DRS, accessible: frozenset[DiscourseReferent],
+             violations: list[str]) -> None:
+    """check_binding's messages for box and the boxes in it, added to
+    violations; accessible holds the referents declared above box."""
+    here = accessible | box.referents
+    bad = [p for p in box.predicates if not here.issuperset(p[1])]
+    if bad:
+        for rel, args in sorted(bad, key=lambda p: (p[0], [a.uid for a in p[1]])):
+            violations.extend(f"{rel}: referent {a} not accessible"
+                              for a in args if a not in here)
+    bad = [m for m in box.memberships if not here.issuperset(m)]
+    if bad:
+        for m in sorted(bad, key=lambda m: (m[0].uid, m[1].uid)):
+            violations.extend(f"membership: referent {a} not accessible"
+                              for a in m if a not in here)
+    for dup in box.duplexes:
+        _unbound(dup.res, here, violations)
+        _unbound(dup.scope, here | dup.res.referents, violations)
 
 
 # --- Rendering -------------------------------------------------------------------
@@ -637,16 +650,16 @@ def _join_duplex(res: list[str], connector: str, scope: list[str]) -> list[str]:
 
 
 def drs_to_json(d: DRS) -> dict:
-    shape, names = _printed(d)
+    return _json_box(*_printed(d))
 
-    def box(b: tuple) -> dict:
-        universe, preds, members, duplexes = b
-        conds: list[dict] = [{"type": "pred", "rel": rel, "args": [names[a] for a in args]}
-                             for rel, args in preds]
-        conds += [{"type": "member", "element": names[e], "group": names[g]}
-                  for e, g in members]
-        conds += [{"type": "duplex", "rel": QUANT_NAMES.get(rel, rel),
-                   "res": box(res), "scope": box(scope)} for rel, res, scope in duplexes]
-        return {"referents": [names[a] for a in universe], "conditions": conds}
 
-    return box(shape)
+def _json_box(b: tuple, names: list[str]) -> dict:
+    universe, preds, members, duplexes = b
+    conds: list[dict] = [{"type": "pred", "rel": rel, "args": [names[a] for a in args]}
+                         for rel, args in preds]
+    conds += [{"type": "member", "element": names[e], "group": names[g]}
+              for e, g in members]
+    conds += [{"type": "duplex", "rel": QUANT_NAMES.get(rel, rel),
+               "res": _json_box(res, names), "scope": _json_box(scope, names)}
+              for rel, res, scope in duplexes]
+    return {"referents": [names[a] for a in universe], "conditions": conds}

@@ -9,8 +9,15 @@ cannot tie, or that colour refinement leaves without a tie, is labelled
 without a search step, a `that`-chain's constraint set is closed once
 from parse to readings, and the scope search runs a bounded number of
 checks per scoping it finds.
+
+The cycle guards hold the public paths to freeing what they make by
+reference counting alone: a reference cycle waits for the cycle
+collector, whose passes then land inside whatever runs next.
 """
 
+import contextlib
+import gc
+import io
 import itertools
 
 import pytest
@@ -18,9 +25,20 @@ import pytest
 import udrs.canonical as canonical
 import udrs.core as core
 import udrs.readings as readings
-from conftest import NOUNS, analyze, quantified_pairs
-from udrs.cli import build_session
-from udrs.readings import build_drs, enumerate_readings, enumerate_scopings
+from conftest import (
+    NOUNS, analyze, corpus_cases, each_verdict, quantified_pairs, that_chains,
+    wide_discourses,
+)
+from udrs import (
+    GROUP, Lexicon, ParseFailure, UDRSError, UnknownWord, fresh_referent,
+)
+from udrs.cli import build_session, run
+from udrs.readings import (
+    DRS, DuplexCondition, UnresolvedSlot, build_drs, canonical_form,
+    check_binding, drs_to_json, enumerate_readings, enumerate_scopings,
+    render_drs,
+)
+from udrs.serialize import from_json, to_json_str
 
 
 def counted(monkeypatch, module, name: str) -> list[int]:
@@ -51,20 +69,41 @@ def test_labelling_grows_linearly_with_repeats(monkeypatch, sentences, times):
     steps, the walk's and the search's together, by 2.5; quadratic growth
     would multiply them by 4.  A walk step is a token the search would
     emit: an item numbered, and per box walked its universe and the ends of
-    its three lists.  Each doubling is checked as soon as it is counted, so
-    a search that grows exponentially fails before the next length runs for
-    hours."""
+    its three lists.  A tree that colour refinement leaves discrete is
+    neither walked nor searched but read off in one pass, counted as the
+    walk it replaces.  Each doubling is checked as soon as it is counted,
+    so a search that grows exponentially fails before the next length runs
+    for hours."""
     items = counted(monkeypatch, canonical, "_numbered")
     boxes = counted(monkeypatch, canonical, "_walk")
     search_steps = counted(monkeypatch, canonical, "_next")
+    shaped = [0]
+    label_boxes = canonical.label_boxes
+
+    def labelling(refs, top):
+        before = items[0] + boxes[0] + search_steps[0]
+        got = label_boxes(refs, top)
+        if items[0] + boxes[0] + search_steps[0] == before:  # read off, not walked
+            shaped[0] += walk_steps(top)
+        return got
+
+    monkeypatch.setattr(canonical, "label_boxes", labelling)
     counts = []
     for k in times:
         u = analyze(" ".join([sentences] * k)).udrs
-        items[0] = boxes[0] = search_steps[0] = 0
+        items[0] = boxes[0] = search_steps[0] = shaped[0] = 0
         assert len(enumerate_readings(u)) == 1
-        counts.append(items[0] + 4 * boxes[0] + search_steps[0])
+        counts.append(items[0] + 4 * boxes[0] + search_steps[0] + shaped[0])
         assert counts[-1], counts  # a count that missed a path would make the bound vacuous
         assert len(counts) == 1 or counts[-1] <= 2.5 * counts[-2], counts
+
+
+def walk_steps(box) -> int:
+    """The steps a walk of the box takes: one per predicate and membership,
+    four per box."""
+    _, preds, mems, dups = box.lists
+    return len(preds) + len(mems) + 4 + sum(walk_steps(res) + walk_steps(scope)
+                                            for _, res, scope in dups)
 
 
 @pytest.mark.parametrize("text", ["Every lawyer hired a secretary."] + quantified_pairs())
@@ -108,8 +147,8 @@ def test_a_that_chain_is_closed_once(monkeypatch, depth):
 ])
 def test_readings_refinement_unties_take_no_search_step(monkeypatch, text):
     """Two believe predicates in one box can tie, but colour refinement
-    tells their believers apart, so every reading is walked and the
-    search's step function never runs."""
+    tells their believers apart, so every reading is numbered by its
+    refined partition and the search's step function never runs."""
     steps = counted(monkeypatch, canonical, "_next")
     u = analyze(text).udrs
     unforced = 0
@@ -131,3 +170,120 @@ def test_scope_search_checks_are_bounded_per_scoping(monkeypatch, depth):
     calls = counted(monkeypatch, readings, "_all_hold")
     n = len(enumerate_scopings(u))
     assert calls[0] <= 3 * n + 10, (calls[0], n)
+
+
+# --- Cycle guards ----------------------------------------------------------
+
+def cycles_left_by(op) -> int:
+    """How many objects op leaves that only the cycle collector frees.  op
+    runs once to warm up (first-use imports and one-entry caches), then
+    again with the collector off; what a collection then finds unreachable
+    is what the second run left in cycles.  The collector's state is
+    restored whatever happens."""
+    op()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        op()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def read_everything(u) -> None:
+    """Every reading of u, printed, as JSON and checked for binding."""
+    for d in enumerate_readings(u):
+        assert render_drs(d) and drs_to_json(d)
+        assert check_binding(d) == []
+
+
+def raised(f, *args) -> type:
+    """The type of the UDRSError f raises, holding neither it nor its
+    traceback (a frame holding its own traceback is a cycle of the
+    caller's making)."""
+    try:
+        f(*args)
+    except UDRSError as e:
+        return type(e)
+    raise AssertionError(f"{f.__name__}{args} raised nothing")
+
+
+@pytest.mark.parametrize("case", corpus_cases(), ids=lambda case: case.name)
+def test_a_corpus_case_leaves_no_cycle(case):
+    """Build with the corpus's rules, under each verdict, write to JSON and
+    back, and read every reading."""
+    def op():
+        for _, u in each_verdict(case):
+            doc = to_json_str(u)
+            assert to_json_str(from_json(doc)) == doc
+            if u.pending_slots():
+                assert raised(enumerate_readings, u) is UnresolvedSlot
+            else:
+                read_everything(u)
+
+    assert cycles_left_by(op) == 0
+
+
+@pytest.mark.parametrize("family", [
+    [(text, ()) for text in that_chains()],
+    wide_discourses(),
+    [(text, ()) for text in quantified_pairs()],
+], ids=("that_chains", "wide_discourses", "quantified_pairs"))
+def test_a_benchmark_family_leaves_no_cycle(family):
+    def op():
+        for text, directives in family:
+            read_everything(analyze(text, disambiguate=directives).udrs)
+
+    assert cycles_left_by(op) == 0
+
+
+def test_a_drs_made_by_hand_leaves_no_cycle():
+    """canonical_labelling compiles a DRS the reading layer did not build."""
+    def op():
+        x, y, z = fresh_referent(), fresh_referent(), fresh_referent(GROUP)
+        none = frozenset()
+        res = DRS(frozenset({x}), frozenset({("lawyer", (x,))}), frozenset({(x, z)}), none)
+        scope = DRS(none, frozenset({("met", (x, y)), ("met", (y, x))}), none, none)
+        d = DRS(frozenset({y, z}), frozenset({("clerk", (y,))}), none,
+                frozenset({DuplexCondition("every", res, scope)}))
+        assert canonical_form(d) and render_drs(d) and drs_to_json(d)
+
+    assert cycles_left_by(op) == 0
+
+
+def test_tracing_semantics_on_the_command_line_leaves_no_cycle():
+    def op():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert run(["parse", "--trace-semantics", "--readings",
+                        "Every lawyer believed that a clerk met John."]) == 0
+        assert "sentence 1:" in out.getvalue()
+
+    assert cycles_left_by(op) == 0
+
+
+def test_an_abandoned_scope_search_leaves_no_cycle():
+    """A scoping generator dropped after its first scoping is closed, and
+    closing it frees its recursive placers."""
+    u = analyze("Every lawyer believed that a clerk believed that John left.").udrs
+    assert len(enumerate_scopings(u)) > 1
+
+    def op():
+        assert next(readings._scopings(u))
+
+    assert cycles_left_by(op) == 0
+
+
+@pytest.mark.parametrize("f,arg,error", [
+    (build_session, "John hired.", ParseFailure),
+    (build_session, "John zorked a lawyer.", ParseFailure),
+    (Lexicon.default().sign, "sesquipedalian", UnknownWord),
+    (lambda text: enumerate_readings(build_session(text)[0].udrs),
+     "The lawyers hired a secretary.", UnresolvedSlot),
+], ids=("no parse", "unknown word in a parse", "unknown word", "unresolved slot"))
+def test_a_failing_input_leaves_no_cycle(f, arg, error):
+    def op():
+        assert raised(f, arg) is error
+
+    assert cycles_left_by(op) == 0
