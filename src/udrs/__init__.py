@@ -3,8 +3,8 @@ fragment: principle-based construction, monotonic plural disambiguation, and
 an indexed, closure-pruned search for the fully scoped readings.
 
 Importing the package loads only the construction layers.  The reading
-layer (``readings``, and ``canonical`` under it) and ``serialize`` load on
-first use of one of their names, here or in ``cli``: a process that runs
+layer (``readings``, and ``scoping`` and ``canonical`` under it) and
+``serialize`` load on first use, here or in ``cli``: a process that runs
 without cached bytecode compiles every module it imports, and building a
 UDRS needs neither readings nor documents.
 """
@@ -13,11 +13,11 @@ from importlib import import_module
 
 from .core import (
     CONDITIONAL, DISTRIBUTION, EVERY, GROUP, IDENTITY, INDIVIDUAL, STRICT,
-    WEAK, Condition, CycleError, DiscourseReferent, Label, LS, Membership,
-    Predicate, Quantifier, ReferentIntro, Slot, SubordConstraint, UDRS,
-    UDRSError, Violation, check_udrs, closure, conditional, fresh_label,
-    fresh_referent, fresh_slot, identity, make_udrs, merge, strict, top_label,
-    weak,
+    WEAK, Condition, CycleError, DiscourseReferent, InconsistentConstraints,
+    Label, LS, Membership, Predicate, Quantifier, ReferentIntro, Slot,
+    SubordConstraint, UDRS, UDRSError, Violation, check_udrs, closure,
+    conditional, fresh_label, fresh_referent, fresh_slot, identity, make_udrs,
+    merge, strict, top_label, weak,
 )
 from .delay import MalformedNP, PendingKey, PendingRegistry, dref_res
 from .lexicon import Lexicon, Sign, SubcatSlot, UnknownWord
@@ -37,9 +37,9 @@ from .cli import Session, build_session
 
 _ON_FIRST_USE = {
     **dict.fromkeys([
-        "DRS", "DuplexCondition", "InconsistentConstraints", "UnresolvedSlot",
-        "build_drs", "canonical_form", "check_binding", "count_readings",
-        "enumerate_readings", "enumerate_scopings", "render_drs"], "readings"),
+        "DRS", "DuplexCondition", "UnresolvedSlot", "build_drs", "canonical_form",
+        "check_binding", "count_readings", "enumerate_readings", "enumerate_scopings",
+        "render_drs"], "readings"),
     **dict.fromkeys([
         "from_json", "render_text", "to_dot", "to_json", "to_json_str"], "serialize"),
 }

@@ -11,7 +11,8 @@ order of the referents that renaming keeps, is the reading's identity
 The search runs on boxes over referent indices (Box), the referents
 numbered in uid order.  Two compilers feed it: _compile turns a DRS into
 such boxes (canonical_labelling), and the reading layer's per-UDRS table
-builds them with each scoping's DRS and hands them to label_boxes.  The
+builds one for each scoping, which is that reading, and hands it to
+label_boxes with the sort partition it computed once.  The
 search steps through the shape in the order shapes compare: a box's
 universe, predicates, memberships, then duplexes (restrictor, then scope),
 each list closed by _END.  Numbers are committed through an ordered
@@ -66,25 +67,25 @@ _END = (0,)  # ends a list; less than every (1, element) token
 
 def canonical_labelling(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
     """The canonical form and the numbering that gives it, for any DRS."""
-    return label_boxes(*_compile(d))
+    refs, top = _compile(d)
+    return label_boxes(refs, top, _firsts([r.sort for r in refs]))
 
 
-def label_boxes(refs: list[DiscourseReferent],
-                top: Box) -> tuple[tuple, dict[DiscourseReferent, int]]:
+def label_boxes(refs: list[DiscourseReferent], top: Box,
+                lo: list[int]) -> tuple[tuple, dict[DiscourseReferent, int]]:
     """The canonical form and numbering of a DRS compiled to boxes over the
     indices of refs, the referents in uid order: the search itself.
 
-    Both start from the sort partition, groups before individuals, which a
-    tree that can tie (see Box) refines by colour (_ranks).  Where that
-    leaves every referent its own cell, the partition is the numbering.
-    Otherwise the tree is walked from there, building its shape as it goes,
-    unless the search would branch: then its form is the top box's _shape
-    under a numbering within the final partition of the search
-    (_Labelling.run) from the same partition.  Any two numberings within a
-    final partition differ by an automorphism, which keeps each number's
-    sort and so the display names.
+    Both start from lo, the sort partition of refs (_firsts of their sorts:
+    groups before individuals), which a tree that can tie (see Box) refines
+    by colour (_ranks).  Where that leaves every referent its own cell, the
+    partition is the numbering.  Otherwise the tree is walked from there,
+    building its shape as it goes, unless the search would branch: then its
+    form is the top box's _shape under a numbering within the final
+    partition of the search (_Labelling.run) from the same partition.  Any
+    two numberings within a final partition differ by an automorphism,
+    which keeps each number's sort and so the display names.
     """
-    lo = _firsts([r.sort for r in refs])
     if not top.forced:
         lo = _ranks(lo, top)
         if len(set(lo)) == len(lo):  # discrete: no step can change it, so it numbers
@@ -93,7 +94,7 @@ def label_boxes(refs: list[DiscourseReferent],
     try:
         return _walk(walked, top), dict(zip(refs, _complete(walked)))
     except _Tie:
-        nu = _complete(_Labelling(refs, top).run(lo))
+        nu = _complete(_Labelling(top).run(lo))
         return _shape(top, nu), dict(zip(refs, nu))
 
 
@@ -221,6 +222,17 @@ def _key(box: Box, tau) -> tuple:
 
 def _items_key(items, tau) -> frozenset:
     return frozenset((rel, tuple(tau[a] for a in args)) for rel, args in items)
+
+
+def box_key(box: Box) -> tuple:
+    """_key of the box with no index renamed, kept on the box: two boxes
+    over one list of referents are equal as DRSs exactly when their keys
+    are."""
+    if box.key is None:
+        universe, preds, mems, dups = box.lists
+        box.key = (frozenset(universe), frozenset(preds), frozenset(mems),
+                   frozenset([(rel, box_key(res), box_key(scope)) for rel, res, scope in dups]))
+    return box.key
 
 
 # A search entry is (lo, stack).  A stack frame is (box, phase, rem, queue,
@@ -387,9 +399,8 @@ def _next(lo: list[int], stack: tuple) -> tuple:
 class _Labelling:
     """The canonical-numbering search over one DRS."""
 
-    def __init__(self, refs: list[DiscourseReferent], top: Box):
+    def __init__(self, top: Box):
         self.top = top
-        self.identity = range(len(refs))
         self.automorphic: dict[tuple, bool] = {}
 
     def run(self, lo: list[int]) -> list[int]:
@@ -443,11 +454,6 @@ class _Labelling:
                 kept.append((e, cells))
         return [e for e, _ in kept]
 
-    def own_key(self, box: Box) -> tuple:
-        if box.key is None:
-            box.key = _key(box, self.identity)
-        return box.key
-
     def maps_onto(self, tau: Optional[tuple], e1: tuple, e2: tuple) -> bool:
         """Whether tau (index -> index) is an automorphism taking e1 to e2."""
         if tau is None:
@@ -456,7 +462,7 @@ class _Labelling:
         if any(lo1[r] != lo2[t] for r, t in enumerate(tau)):
             return False
         if tau not in self.automorphic:
-            self.automorphic[tau] = _key(self.top, tau) == self.own_key(self.top)
+            self.automorphic[tau] = _key(self.top, tau) == box_key(self.top)
         if not self.automorphic[tau]:
             return False
         while st1 is not None and st2 is not None:
@@ -464,14 +470,14 @@ class _Labelling:
             b2, p2, rem2, q2, st2 = st2
             if p1 != p2 or q1 != q2 or len(rem1) != len(rem2):
                 return False
-            if b1 is not self.top and _key(b1, tau) != self.own_key(b2):
+            if b1 is not self.top and _key(b1, tau) != box_key(b2):
                 return False
             if p1 == 0:
                 continue
             if p1 == 3:
                 a = {(rel, _key(res, tau), _key(scope, tau))
                      for rel, res, scope in (b1.lists[3][i] for i in rem1)}
-                b = {(rel, self.own_key(res), self.own_key(scope))
+                b = {(rel, box_key(res), box_key(scope))
                      for rel, res, scope in (b2.lists[3][i] for i in rem2)}
             else:
                 a = _items_key([b1.lists[p1][i] for i in rem1], tau)

@@ -45,6 +45,10 @@ class CycleError(UDRSError):
         super().__init__(f"strict subordination cycle through {label}")
 
 
+class InconsistentConstraints(UDRSError):
+    """A constraint set no scoping can satisfy: its closure has a cycle."""
+
+
 # Single process-wide id source.  itertools.count increments under the GIL,
 # so concurrent derivations never collide on identifiers.
 _ids = itertools.count(1)

@@ -20,7 +20,7 @@ pragmatic inference is out of scope.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     DISTRIBUTION, GROUP, Condition, DiscourseReferent, Label, Membership,
@@ -182,32 +182,56 @@ def decide(context: UDRS, key: PendingKey,
 
 def apply_pending_decisions(
         u: UDRS, registry: PendingRegistry, rules: KnowledgeRules,
+        parts: Sequence[tuple[UDRS, bool]],
 ) -> tuple[UDRS, set[SubordConstraint], set[Condition]]:
     """Disambiguate every pending plural the knowledge source can decide.
 
-    One pass in key order decides all it can: disambiguating a plural binds
-    only its own key and adds no predicate, so it changes no other plural's
-    verdict.  A directive on a plural that is already classified the other
-    way (by its verb, e.g. "gathered") is a conflict and raises.  Returns
-    the (possibly unchanged) UDRS plus the constraint and condition deltas,
-    for tracing and monotonicity checks: empty when nothing was decided.
+    parts are the UDRSs u sequences, each with whether it is a discourse,
+    whose plurals were tried when it was sequenced.  Those are tried again
+    only where another part adds a predicate that can change their verdict
+    (_waiting), so as a discourse grows a sentence at a time each plural is
+    tried at most twice.  One pass in key order decides all it can: disambiguating a
+    plural binds only its own key and adds no predicate, so it changes no
+    other plural's verdict.  A directive on a plural that is already
+    classified the other way (by its verb, e.g. "gathered") is a conflict
+    and raises.  Returns the (possibly unchanged) UDRS plus the constraint
+    and condition deltas, for tracing and monotonicity checks: empty when
+    nothing was decided.
     """
+    keys = registry.all_keys()
+    if not keys:
+        return u, set(), set()
     start = u
-    waiting = set(u.bindings.values())
-    for index, key in enumerate(registry.all_keys(), 1):
-        if key not in waiting:
-            continue  # the plural's sentence is not part of this UDRS
+    waiting = _waiting(u, rules, parts)
+    for index, key in enumerate(keys, 1):
         if key in u.bindings:
             directive = rules.overrides.get(index)
             if directive and directive != _classified(u, key):
                 raise _already_classified(u, key)
-            continue
-        verdict = decide(u, key, rules, index)
-        if verdict != UNKNOWN:
-            u = DISAMBIGUATE[verdict](u, key)
+        elif key in waiting:
+            verdict = decide(u, key, rules, index)
+            if verdict != UNKNOWN:
+                u = DISAMBIGUATE[verdict](u, key)
     if u is start:
         return u, set(), set()
     return u, set(u.subord - start.subord), set(u.conds - start.conds)
+
+
+def _waiting(u: UDRS, rules: KnowledgeRules, parts: Sequence[tuple[UDRS, bool]]) -> set:
+    """The plurals of parts the rules may decide in u: every plural of a
+    part not tried yet; of a tried part, every plural where another part
+    predicates a continuation rule's rel, else those another part makes
+    the subject of a subject rule's verb."""
+    waiting = set()
+    for part, tried in parts:
+        preds = [c for other, _ in parts if other is not part
+                 for c in other.conds if isinstance(c, Predicate)] if tried else []
+        if not tried or any(c.rel in rules.continuation_rules for c in preds):
+            waiting.update(part.bindings.values())
+        else:
+            waiting.update(u.resolve(c.args[0]) for c in preds
+                           if c.rel in rules.subject_rules and c.args)
+    return waiting
 
 
 def _classified(u: UDRS, key: PendingKey) -> str:

@@ -187,7 +187,8 @@ def combine_coord(left: Sign, right: Sign, ctx: Derivation) -> CombinatorResult:
         if not l_max.is_top:
             delta.add(weak(ctx.top, l_max))
     u = make_udrs(LS(ctx.top, ctx.top), subord | delta, conds, bindings)
-    u, c_delta, cond_delta = plurals.apply_pending_decisions(u, ctx.registry, ctx.rules)
+    u, c_delta, cond_delta = plurals.apply_pending_decisions(
+        u, ctx.registry, ctx.rules, [(s.udrs, s.cat == "disc") for s in (left, right)])
     ctx.registry.discourse = u
     sign = Sign("disc", (), u)
     return CombinatorResult(sign, frozenset(delta | c_delta), frozenset(cond_delta))

@@ -4,7 +4,8 @@ In this fresh interpreter, ``import udrs``, the default lexicon and a first
 ``build_session`` must load none of the reading or serialization layers and
 none of the standard modules only they or the command line need; a second
 ``build_session`` and ``to_json_str``, which is all a parse to JSON runs,
-must not load ``udrs.canonical``; the full pipeline after them must still
+must not load ``udrs.canonical``, nor must a first reading name load the
+search or ``udrs.canonical`` with ``udrs.readings``; the full pipeline after them must still
 load no ``dataclasses``, and run again with the cycle collector off it must
 leave nothing in reference cycles.  Exits nonzero with the offending
 modules or the count of objects left otherwise.  Needs only the installed
@@ -15,7 +16,7 @@ package (or ``src`` on ``PYTHONPATH``), not pytest, which itself imports
 import gc
 import sys
 
-ON_FIRST_USE = {"udrs.readings", "udrs.serialize", "udrs.canonical",
+ON_FIRST_USE = {"udrs.readings", "udrs.scoping", "udrs.serialize", "udrs.canonical",
                 "argparse", "json", "dataclasses"}
 
 
@@ -36,6 +37,10 @@ def main() -> None:
         sys.exit("to_json_str gave no JSON object")
     if "udrs.canonical" in sys.modules:
         sys.exit("build_session and to_json_str loaded udrs.canonical")
+    udrs.build_drs  # a reading name loads readings, but neither the search nor the labelling
+    early = {"udrs.scoping", "udrs.canonical"} & set(sys.modules)
+    if early:
+        sys.exit(f"a reading name loaded {sorted(early)}")
     full_pipeline(session)
     if "dataclasses" in loaded_since(before):
         sys.exit("the full pipeline loaded dataclasses")

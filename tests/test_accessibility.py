@@ -21,7 +21,7 @@ from oracle import (
     oracle_readings, reference_build_drs, reference_check_binding,
     reference_scopings,
 )
-from udrs import readings
+from udrs import readings, scoping
 from udrs.core import (
     EVERY, LS, Predicate, Quantifier, ReferentIntro, fresh_label,
     fresh_referent, make_udrs, strict, top_label, weak,
@@ -114,8 +114,8 @@ def test_constructed_checks_are_all_implied(text, monkeypatch):
     """Every use in a parsed input is bound in every placement the closure
     allows, so the search keeps no accessibility check for it."""
     kept = []
-    compile_checks = readings._access_checks
-    monkeypatch.setattr(readings, "_access_checks",
+    compile_checks = scoping._access_checks
+    monkeypatch.setattr(scoping, "_access_checks",
                         lambda *args: kept.extend(compile_checks(*args)) or [])
     enumerate_scopings(analyze(text).udrs)
     assert kept == []

@@ -446,10 +446,16 @@ def compiled_drss():
             yield random_drs(rng)
 
 
+def table_box(d):
+    """(refs, top) of a DRS the reading table built, None for one made by
+    hand (before its labelling compiles it)."""
+    return d._box and (d._frame.refs, d._box)
+
+
 def compiled_trees():
     """(refs, top) of every DRS of compiled_drss."""
     for d in compiled_drss():
-        yield getattr(d, "_compiled", None) or canonical._compile(d)
+        yield table_box(d) or canonical._compile(d)
 
 
 def test_walk_is_the_search_it_replaces():
@@ -462,7 +468,7 @@ def test_walk_is_the_search_it_replaces():
         lo = canonical._firsts([r.sort for r in refs])
         if not top.forced:
             lo = canonical._ranks(lo, top)
-        searched_lo = canonical._Labelling(refs, top).run(list(lo))
+        searched_lo = canonical._Labelling(top).run(list(lo))
         try:
             shape = canonical._walk(lo, top)
         except canonical._Tie:
@@ -480,7 +486,7 @@ def test_form_is_the_oracle_shape_under_the_numbering():
     oracle's shape of the DRS under the numbering the labelling returns."""
     paths = Counter()
     for d in compiled_drss():
-        compiled = getattr(d, "_compiled", None) or canonical._compile(d)
+        compiled = table_box(d) or canonical._compile(d)
         paths[compiled[1].forced] += 1
         assert canonical_form(d) == oracle_shape(d, d.labelling[1])
     assert paths[True] > 4000 and paths[False] > 4000, paths
@@ -509,7 +515,7 @@ def test_duplex_order_changes_no_form_or_sort(sorts):
     labelled, numberings = [], []
     for top in tops:
         assert not top.forced
-        form, numbering = canonical.label_boxes(refs, top)
+        form, numbering = canonical.label_boxes(refs, top, canonical._firsts(list(sorts)))
         labelled.append((form, sorted((i, r.sort) for r, i in numbering.items())))
         numberings.append(numbering)
     assert labelled[0] == labelled[1]
@@ -634,7 +640,7 @@ def test_each_reading_is_labelled_once(monkeypatch):
     calls = []
     search = udrs.canonical.label_boxes
     monkeypatch.setattr(udrs.canonical, "label_boxes",
-                        lambda refs, top: calls.append(top) or search(refs, top))
+                        lambda refs, top, lo: calls.append(top) or search(refs, top, lo))
     monkeypatch.setattr(udrs.canonical, "_compile", None)  # a DRS-side compile fails
     readings = enumerate_readings(analyze("Every lawyer hired a secretary.").udrs)
     labelled = len(calls)
@@ -644,3 +650,28 @@ def test_each_reading_is_labelled_once(monkeypatch):
         drs_to_json(d)
         canonical_form(d)
     assert len(calls) == labelled  # printing reads dedup's labelling
+
+
+def test_names_follow_each_numbers_sort_for_any_sort():
+    """A sort that sorts before "group", as from_json accepts, takes the
+    least numbers, and the printers still name each number by its
+    referent's sort: x<i> for it, X<i> for the groups after it, in readings
+    built from a document and in DRSs made by hand."""
+    import json
+    from udrs import from_json, to_json
+    doc = to_json(analyze("The lawyers hired a clerk.", disambiguate=((1, DISTRIBUTIVE),)).udrs)
+    doc = json.loads(json.dumps(doc).replace('"sort": "individual"', '"sort": "atom"'))
+    drss = enumerate_readings(from_json(doc))
+    rng = random.Random(1996)
+    for _ in range(20):
+        refs = [DiscourseReferent(uid, rng.choice(("atom", GROUP, INDIVIDUAL)))
+                for uid in range(rng.randint(3, 6))]
+        drss.append(random_box(rng, refs, 2))
+    atoms = 0
+    for d in drss:
+        numbering = d.labelling[1]
+        assert render_drs(d) == reference_render(d, numbering)
+        assert drs_to_json(d) == reference_json(d, numbering)
+        atoms += any(r.sort == "atom" for r in numbering) and any(
+            r.sort == GROUP for r in numbering)
+    assert atoms > 10

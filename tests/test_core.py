@@ -9,7 +9,7 @@ from types import MappingProxyType
 import pytest
 
 import udrs.core
-from conftest import relations, to_constraints
+from conftest import analyze, relations, to_constraints
 from udrs.cli import CorpusCase
 from udrs.core import (
     CONDITIONAL, EVERY, GROUP, STRICT, WEAK, Condition, CycleError,
@@ -23,7 +23,7 @@ from udrs.grammar import HEAD_COMP, LEXICAL, DerivationNode
 from udrs.lexicon import Lexicon, Sign, SubcatSlot, VocabEntry
 from udrs.plurals import KnowledgeRules
 from udrs.principles import CombinatorResult, Derivation
-from udrs.readings import DRS, DuplexCondition
+from udrs.readings import DRS, DuplexCondition, enumerate_readings
 
 SRC = os.path.dirname(os.path.dirname(udrs.core.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -82,8 +82,6 @@ VALUES = [
     SubcatSlot("comp", "noun", agr="sg", bind_label=Label(4), bind_dref=DiscourseReferent(5)),
     Sign("np", (), _U, word="john"), VocabEntry("lawyers", "noun", "lawyer", plural=True),
     CombinatorResult(Sign("disc", (), _U), frozenset([weak(Label(1, True), Label(2))])),
-    DRS(frozenset([DiscourseReferent(3)]), frozenset([("lawyer", (DiscourseReferent(3),))]),
-        frozenset(), frozenset()),
 ]
 
 
@@ -119,9 +117,47 @@ def test_record_reprs_name_every_field():
         f"CombinatorResult(sign=Sign(cat='disc', subcat=(), udrs={u}, agr=None, word=None, "
         "collective_subject=False), introduced_constraints=frozenset({(l⊤1 ≥ l2)}), "
         "introduced_conditions=frozenset())",
-        "DRS(referents=frozenset({x3}), predicates=frozenset({('lawyer', (x3,))}), "
-        "memberships=frozenset(), duplexes=frozenset())",
     ]
+
+
+def test_drs_is_a_value_made_by_hand_or_built():
+    """A DRS is no tuple: one that build_drs made is its box over referent
+    indices and grounds its fields, and its duplexes' DRSs, on first
+    access.  Either way it hashes as the tuple of its four fields, equals
+    that tuple, DRS(*d) and the same DRS made the other way, both ways,
+    has no field to assign, prints as DRS(referents=..., predicates=...,
+    memberships=..., duplexes=...), and copies and pickles as a DRS of its
+    fields."""
+    x = DiscourseReferent(3)
+    lawyer = DRS(frozenset([x]), frozenset([("lawyer", (x,))]), frozenset(), frozenset())
+    assert repr(lawyer) == ("DRS(referents=frozenset({x3}), predicates=frozenset({('lawyer', "
+                            "(x3,))}), memberships=frozenset(), duplexes=frozenset())")
+    u = analyze("A lawyer left.").udrs
+    (y,) = {c.dref for c in u.conds if isinstance(c, ReferentIntro)}
+    (left,) = enumerate_readings(u)
+    by_hand = DRS(frozenset([y]), frozenset([("lawyer", (y,)), ("leave", (y,))]),
+                  frozenset(), frozenset())
+    assert left == by_hand and by_hand == left and hash(left) == hash(by_hand)
+    readings = enumerate_readings(analyze("Every lawyer hired a secretary.").udrs)
+    for built in [left, *readings]:
+        made = DRS(*built)
+        assert type(made) is DRS and repr(built) == repr(made)
+        assert built == made and made == built
+        for dup in built.duplexes:
+            assert type(dup.res) is type(dup.scope) is DRS and dup in made.duplexes
+    for d in [lawyer, by_hand, left, *readings]:
+        fields = tuple(d)
+        assert len(fields) == 4 and hash(d) == hash(fields)
+        assert d == fields and fields == d and d == DRS(*d) and DRS(*d) == d
+        assert d != fields[:3] and d != list(fields)
+        for clone in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert type(clone) is DRS and clone == d
+        for name in ("referents", "predicates", "memberships", "duplexes", "labelling"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, frozenset())
+            with pytest.raises(AttributeError):
+                delattr(d, name)
+    assert lawyer != by_hand and by_hand != lawyer
 
 
 def test_udrs_hashes_as_its_fields_but_the_bindings():

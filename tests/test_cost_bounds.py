@@ -7,8 +7,10 @@ time: labelling a discourse that repeats one structure, or alternates or
 cycles through a few, grows linearly with its length, a reading that
 cannot tie, or that colour refinement leaves without a tie, is labelled
 without a search step, a `that`-chain's constraint set is closed once
-from parse to readings, and the scope search runs a bounded number of
-checks per scoping it finds.
+from parse to readings, the scope search runs a bounded number of
+checks per scoping it finds, no reading grounds its fields to be listed,
+checked or printed, and sequencing with a rules file tries each plural a
+bounded number of times.
 
 The cycle guards hold the public paths to freeing what they make by
 reference counting alone: a reference cycle waits for the cycle
@@ -19,15 +21,19 @@ import contextlib
 import gc
 import io
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
 import udrs.canonical as canonical
 import udrs.core as core
+import udrs.plurals as plurals
 import udrs.readings as readings
+import udrs.scoping as scoping
 from conftest import (
-    NOUNS, analyze, corpus_cases, each_verdict, quantified_pairs, that_chains,
-    wide_discourses,
+    NOUNS, analyze, corpus_cases, each_verdict, golden_path, quantified_pairs,
+    that_chains, wide_discourses,
 )
 from udrs import (
     GROUP, Lexicon, ParseFailure, UDRSError, UnknownWord, fresh_referent,
@@ -39,6 +45,9 @@ from udrs.readings import (
     render_drs,
 )
 from udrs.serialize import from_json, to_json_str
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import CATALOGUES, generate, read_vocabulary  # noqa: E402
 
 
 def counted(monkeypatch, module, name: str) -> list[int]:
@@ -80,9 +89,9 @@ def test_labelling_grows_linearly_with_repeats(monkeypatch, sentences, times):
     shaped = [0]
     label_boxes = canonical.label_boxes
 
-    def labelling(refs, top):
+    def labelling(refs, top, lo):
         before = items[0] + boxes[0] + search_steps[0]
-        got = label_boxes(refs, top)
+        got = label_boxes(refs, top, lo)
         if items[0] + boxes[0] + search_steps[0] == before:  # read off, not walked
             shaped[0] += walk_steps(top)
         return got
@@ -115,7 +124,7 @@ def test_forced_readings_take_no_search_step(monkeypatch, text):
     forced = 0
     for placement in enumerate_scopings(u):
         d = build_drs(u, placement)
-        if d._compiled[1].forced:
+        if d._box.forced:
             forced += 1
             steps[0] = 0
             assert d.labelling
@@ -154,10 +163,53 @@ def test_readings_refinement_unties_take_no_search_step(monkeypatch, text):
     unforced = 0
     for placement in enumerate_scopings(u):
         d = build_drs(u, placement)
-        unforced += not d._compiled[1].forced
+        unforced += not d._box.forced
         assert d.labelling
     assert unforced
     assert steps[0] == 0
+
+
+def test_readings_stay_unground_until_asked():
+    """A built reading is its box over referent indices: enumerating,
+    dedup, check_binding, render_drs and drs_to_json over the many-readings
+    catalogue at seed 7 read only that box, so no reading derives its
+    ground fields (and so no DRS inside one is made).  Reading a field
+    derives them, and those of the DRSs inside, which the duplex set
+    hashes."""
+    built = []
+    for inp in generate(CATALOGUES["many-readings"](), 7, read_vocabulary()):
+        for d in enumerate_readings(analyze(inp.text, disambiguate=inp.shape.directives).udrs):
+            assert check_binding(d) == [] and render_drs(d) and drs_to_json(d)
+            built.append(d)
+    assert len(built) > 1000
+    assert sum(d._fields is not None for d in built) == 0
+    d = built[-1]
+    assert d.duplexes and d._fields is not None
+    assert all(x.res._fields and x.scope._fields for x in d.duplexes)
+
+
+@pytest.mark.parametrize("pair", [
+    "The lawyers hired a clerk. John met a student.",
+    "The lawyers hired a clerk. The students gathered.",  # a subject rule's verb
+])
+def test_sequencing_with_rules_tries_each_plural_a_bounded_number_of_times(monkeypatch, pair):
+    """With a rules file, a pending plural is tried again only when a new
+    sentence adds a predicate that can decide it, so the calls of
+    plurals.decide grow linearly with the discourse, not quadratically; a
+    sentence that adds a continuation rule's rel still decides every
+    plural waiting before it."""
+    decided = counted(monkeypatch, plurals, "decide")
+    counts = []
+    for times in (5, 10, 20, 40):
+        decided[0] = 0
+        analyze(" ".join([pair] * times), golden_path("rules.txt"))
+        counts.append(decided[0])
+        assert counts[-1], counts
+        assert len(counts) == 1 or counts[-1] <= 2.5 * counts[-2], counts
+    session = analyze(" ".join([pair] * 3) + " They shared an office.", golden_path("rules.txt"))
+    u, keys = session.udrs, session.ctx.registry.all_keys()
+    assert len(keys) == 3 * pair.count("The ") and not session.ctx.registry.unresolved()
+    assert all(u.bindings[k] == plurals._group(u, k) for k in keys)
 
 
 @pytest.mark.parametrize("depth", range(2, 13))
@@ -167,7 +219,7 @@ def test_scope_search_checks_are_bounded_per_scoping(monkeypatch, depth):
     that fail.  Trying every box for every class makes over a hundred runs
     per scoping at depth 9."""
     u = analyze(that_chain(depth)).udrs
-    calls = counted(monkeypatch, readings, "_all_hold")
+    calls = counted(monkeypatch, scoping, "_all_hold")
     n = len(enumerate_scopings(u))
     assert calls[0] <= 3 * n + 10, (calls[0], n)
 
@@ -269,8 +321,10 @@ def test_an_abandoned_scope_search_leaves_no_cycle():
     u = analyze("Every lawyer believed that a clerk believed that John left.").udrs
     assert len(enumerate_scopings(u)) > 1
 
+    duplexes = readings._duplexes(u)
+
     def op():
-        assert next(readings._scopings(u))
+        assert next(scoping._scopings(u, duplexes, list(u.labels()), readings._boxes(duplexes)))
 
     assert cycles_left_by(op) == 0
 

@@ -5,6 +5,7 @@ from udrs import (
     DISTRIBUTION, GROUP, DiscourseReferent, Membership, Predicate, Quantifier, ReferentIntro,
     closure, count_readings, from_json, identity, to_json_str,
 )
+from udrs import plurals
 from udrs.plurals import (
     COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
     NotPlural, decide, pl_dis_collective, pl_dis_distributive,
@@ -225,3 +226,63 @@ class TestDiscourseDisambiguation:
         assert len(session.ctx.registry.unresolved()) == 1
         u = session.udrs
         assert isinstance(u.resolve(hire_pred(u).args[0]), PendingKey)
+
+
+SEQUENCED = [
+    "The lawyers shared a clerk. John left.",
+    "The lawyers hired a clerk. John left. They shared an office.",
+    "The students gathered. The lawyers hired a clerk.",
+    "The lawyers hired a clerk. The students gathered. John met a student.",
+    "John left. The lawyers hired a clerk. The students shared an office.",
+    "The students shared an office. The lawyers hired a clerk. John left.",
+]
+
+
+def verdicts(text, overrides, how):
+    """Each plural's reading (or None) after sequencing text with the golden
+    rules and overrides, or the error's type and message.  how is "parse"
+    (one derivation, whose first COORD joins two sentences), "session" (an
+    empty discourse, then a sentence at a time) or "right" (the last two
+    sentences sequenced first, then the rest joined on their left)."""
+    from conftest import golden_path
+    from udrs import Derivation, Lexicon, UDRSError, combine_coord, interpret, parse, tokenize
+    from udrs.cli import Session, sentence_roots
+    rules = KnowledgeRules.from_file(golden_path("rules.txt")).with_overrides(overrides)
+    (tree,) = parse(tokenize(text), Lexicon.default())
+    try:
+        if how == "parse":
+            ctx = Derivation.new(Lexicon.default(), rules)
+            u = interpret(tree, ctx).udrs
+        elif how == "session":
+            session = Session(rules=rules)
+            for root in sentence_roots(tree):
+                session.add(root)
+            ctx, u = session.ctx, session.udrs
+        else:
+            ctx = Derivation.new(Lexicon.default(), rules)
+            *first, second, last = [interpret(r, ctx) for r in sentence_roots(tree)]
+            sign = combine_coord(second, last, ctx).sign
+            for s in reversed(first):
+                sign = combine_coord(s, sign, ctx).sign
+            u = sign.udrs
+    except UDRSError as e:
+        return type(e).__name__, str(e)
+    return [plurals._classified(u, k) if k in u.bindings else None
+            for k in ctx.registry.all_keys()]
+
+
+@pytest.mark.parametrize("how", ["parse", "session", "right"])
+@pytest.mark.parametrize("text", SEQUENCED)
+def test_sequencing_decides_as_trying_every_plural_does(monkeypatch, text, how):
+    """Trying a plural of a sequenced discourse again only where another
+    part adds a predicate that can decide it gives the verdicts, and the
+    conflicts, of trying every plural at every sequencing, however the
+    sentences are joined: the first sentence of a parse is not a discourse
+    when it is sequenced, so its plurals are tried there.  The reference
+    passes u as one part not tried yet."""
+    cases = [{}, {1: DISTRIBUTIVE}, {1: COLLECTIVE}, {2: DISTRIBUTIVE}]
+    narrowed = [verdicts(text, o, how) for o in cases]
+    apply = plurals.apply_pending_decisions
+    monkeypatch.setattr(plurals, "apply_pending_decisions",
+                        lambda u, registry, rules, parts: apply(u, registry, rules, [(u, False)]))
+    assert narrowed == [verdicts(text, o, how) for o in cases]

@@ -1,10 +1,12 @@
 """The per-UDRS reading table against the first DRS builder.
 
 The reading layer compiles a UDRS once (``readings._Table``) and builds
-every scoping's DRS from it, together with the DRS's boxes over referent
-indices, which seed its labelling.  Each DRS must equal what
-``oracle.reference_build_drs`` builds from the same placement, and each
-seeded labelling must give the same canonical form, ``render_drs`` text and
+every scoping's DRS from it as its box over referent indices, which its
+labelling reads and which grounds the DRS's fields when they are first
+read.  The search's positions for the table's labels must be the
+placement ``enumerate_scopings`` gives, each DRS must equal what
+``oracle.reference_build_drs`` builds from that placement, and each
+labelling must give the same canonical form, ``render_drs`` text and
 ``drs_to_json`` as ``canonical_labelling`` run on a fresh copy of the DRS,
 which compiles that copy on its own.  One table serves all the scopings of
 its UDRS, as in ``enumerate_readings``.  Inputs: the golden corpus (both
@@ -33,6 +35,7 @@ from udrs.canonical import canonical_labelling
 from udrs.readings import (
     DRS, _Table, canonical_form, drs_to_json, enumerate_scopings, render_drs,
 )
+from udrs.scoping import _scopings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import CATALOGUES, generate, read_vocabulary  # noqa: E402
@@ -42,7 +45,8 @@ Q_3 = ("Every lawyer hired a secretary. Every clerk met a student. "
 
 
 def check_placement(table: _Table, u, placement) -> None:
-    d = table.build(placement)
+    """The table's DRS of a placement, given as each group's position."""
+    d = table.build([table.where[placement[label]] for label in table.labels])
     assert d == reference_build_drs(u, placement)
     fresh = DRS(*d)
     shape, _ = canonical_labelling(fresh)
@@ -56,7 +60,9 @@ def check_table(u, limit=None) -> int:
     limit ones) to the references; the number of scopings checked."""
     table = _Table(u)
     scopings = enumerate_scopings(u)[:limit]
-    for placement in scopings:
+    positions = range(2 * len(table.duplexes) + 1)
+    for placement, at in zip(scopings, _scopings(u, table.duplexes, table.labels, positions)):
+        assert at == [table.where[placement[label]] for label in table.labels]
         check_placement(table, u, placement)
     return len(scopings)
 

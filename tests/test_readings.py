@@ -8,7 +8,7 @@ from conftest import (
 )
 from oracle import oracle_count, oracle_readings, reference_scoping
 from udrs import (
-    LS, SubordConstraint, closure, fresh_label, make_udrs, strict,
+    LS, SubordConstraint, closure, fresh_label, make_udrs, strict, weak,
 )
 from udrs.core import Quantifier, UDRSError, fresh_referent
 from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
@@ -130,6 +130,19 @@ class TestBuildDrs:
         with pytest.raises(UDRSError, match=rf"{self.every.label} in no box") as e:
             build_drs(self.u, placement)
         assert not isinstance(e.value, KeyError)
+
+    def test_two_duplexes_of_one_label(self):
+        """A document may give two duplexes one label.  The table merges
+        their boxes, so a scoping that puts conditions in either is refused
+        with the same UDRSError, not built short of them."""
+        res, scope = fresh_label(), fresh_label()
+        top = self.u.ls.l_max
+        u = make_udrs(self.u.ls, self.u.subord | {weak(top, res), weak(top, scope)},
+                      self.u.conds | {Quantifier(self.every.label, "every", res, scope)},
+                      self.u.bindings)
+        assert enumerate_scopings(u)
+        with pytest.raises(UDRSError, match="leaves conditions out of the box tree"):
+            enumerate_readings(u)
 
 
 class TestOracleAgreement:

@@ -189,19 +189,19 @@ def test_three_quantified_sentences_search_is_fast():
 
 def test_first_reading_comes_before_the_search_ends(monkeypatch):
     """The reading layer consumes scopings as the search finds them."""
-    from udrs import readings
+    from udrs import readings, scoping
     built = []
-    search = readings._scopings
+    search = scoping._scopings
 
-    def counting_scopings(u):
-        for placement in search(u):
-            built.append(placement)
-            yield placement
+    def counting_scopings(*args):
+        for at in search(*args):
+            built.append(at)
+            yield at
 
-    monkeypatch.setattr(readings, "_scopings", counting_scopings)
+    monkeypatch.setattr(scoping, "_scopings", counting_scopings)
     u = analyze("Every lawyer hired a secretary. Every clerk met a student. "
                 "Every philosopher hired an office.").udrs
     first = next(readings._licensed(u))
     assert len(built) <= 3, len(built)
-    assert canonical_form(first) == canonical_form(readings.build_drs(u, built[0]))
+    assert canonical_form(first) == canonical_form(readings._Table(u).build(built[0]))
     assert len(enumerate_scopings(u)) == 7280  # the full search, as a list
