@@ -17,21 +17,15 @@ from .core import (
     Label, LS, Membership, Predicate, Quantifier, ReferentIntro, Slot,
     SubordConstraint, UDRS, UDRSError, Violation, check_udrs, closure,
     conditional, fresh_label, fresh_referent, fresh_slot, identity, make_udrs,
-    merge, strict, top_label, weak,
+    strict, top_label, weak,
 )
-from .delay import MalformedNP, PendingKey, PendingRegistry, dref_res
-from .lexicon import Lexicon, Sign, SubcatSlot, UnknownWord
-from .grammar import (
-    SEP, DerivationNode, ParseFailure, parse, tokenize, yield_tokens,
-)
-from .principles import (
-    CombinatorResult, Derivation, SemanticsError, SubcatMismatch,
-    combine_coord, combine_functional, combine_head_comp, combine_head_subj,
-    interpret,
-)
+from .delay import MalformedNP, PendingKey
+from .lexicon import Lexicon, UnknownWord
+from .grammar import ParseFailure, parse, tokenize
+from .principles import SemanticsError, SubcatMismatch
 from .plurals import (
-    COLLECTIVE, DISTRIBUTIVE, UNKNOWN, AlreadyDisambiguated, KnowledgeRules,
-    NotPlural, decide, pl_dis_collective, pl_dis_distributive,
+    COLLECTIVE, DISTRIBUTIVE, AlreadyDisambiguated, KnowledgeRules, NotPlural,
+    pl_dis_collective, pl_dis_distributive,
 )
 from .cli import Session, build_session
 
@@ -50,14 +44,10 @@ __all__ = [
     "LS", "Membership", "Predicate", "Quantifier", "ReferentIntro", "Slot",
     "SubordConstraint", "UDRS", "UDRSError", "Violation", "check_udrs",
     "closure", "conditional", "fresh_label", "fresh_referent", "fresh_slot",
-    "identity", "make_udrs", "merge", "strict", "top_label", "weak",
-    "MalformedNP", "PendingKey", "PendingRegistry", "dref_res", "Lexicon",
-    "Sign", "SubcatSlot", "UnknownWord", "SEP", "DerivationNode",
-    "ParseFailure", "parse", "tokenize", "yield_tokens", "CombinatorResult",
-    "Derivation", "SemanticsError", "SubcatMismatch", "combine_coord",
-    "combine_functional", "combine_head_comp", "combine_head_subj",
-    "interpret", "COLLECTIVE", "DISTRIBUTIVE", "UNKNOWN",
-    "AlreadyDisambiguated", "KnowledgeRules", "NotPlural", "decide",
+    "identity", "make_udrs", "strict", "top_label", "weak",
+    "MalformedNP", "PendingKey", "Lexicon", "UnknownWord", "ParseFailure",
+    "parse", "tokenize", "SemanticsError", "SubcatMismatch", "COLLECTIVE",
+    "DISTRIBUTIVE", "AlreadyDisambiguated", "KnowledgeRules", "NotPlural",
     "pl_dis_collective", "pl_dis_distributive", "DRS",
     "DuplexCondition", "InconsistentConstraints", "UnresolvedSlot",
     "build_drs", "canonical_form", "check_binding", "count_readings",

@@ -10,7 +10,7 @@ order of the referents that renaming keeps, is the reading's identity
 
 The search runs on boxes over referent indices (Box), the referents
 numbered in uid order.  Two compilers feed it: _compile turns a DRS into
-such boxes (canonical_labelling), and the reading layer's per-UDRS table
+such boxes (readings.DRS.labelling), and the reading layer's per-UDRS table
 builds one for each scoping, which is that reading, and hands it to
 label_boxes with the sort partition it computed once.  The
 search steps through the shape in the order shapes compare: a box's
@@ -63,12 +63,6 @@ if TYPE_CHECKING:
     from .readings import DRS
 
 _END = (0,)  # ends a list; less than every (1, element) token
-
-
-def canonical_labelling(d: DRS) -> tuple[tuple, dict[DiscourseReferent, int]]:
-    """The canonical form and the numbering that gives it, for any DRS."""
-    refs, top = _compile(d)
-    return label_boxes(refs, top, _firsts([r.sort for r in refs]))
 
 
 def label_boxes(refs: list[DiscourseReferent], top: Box,
@@ -458,9 +452,7 @@ class _Labelling:
         """Whether tau (index -> index) is an automorphism taking e1 to e2."""
         if tau is None:
             return False
-        (lo1, st1), (lo2, st2) = e1, e2
-        if any(lo1[r] != lo2[t] for r, t in enumerate(tau)):
-            return False
+        (_, st1), (_, st2) = e1, e2
         if tau not in self.automorphic:
             self.automorphic[tau] = _key(self.top, tau) == box_key(self.top)
         if not self.automorphic[tau]:
@@ -499,7 +491,9 @@ def _partition_map(cells1: dict[int, list[int]], cells2: dict[int, list[int]],
                    n: int) -> Optional[tuple]:
     """A map taking the n referents' partition with cells1 cell by cell onto
     the one with cells2 that moves only the referents the two cells do not
-    share; None if the cells differ in size."""
+    share; None if the cells differ in size.  Each referent of a cell goes
+    to a referent of the same cell (lo1[r] == lo2[tau[r]] for every r), so
+    maps_onto need not check that."""
     tau = list(range(n))
     for s, m1 in cells1.items():
         m2 = cells2.get(s, ())

@@ -27,28 +27,23 @@ class Session:
     """Discourse state accumulated across input sentences.
 
     After each sentence the session UDRS is the coordination of the previous
-    session UDRS with the new sentence sign's UDRS.
+    session UDRS with the new sentence sign's UDRS.  ``discourses`` holds
+    the discourse before the first sentence and after each one; a
+    sentence's own sign is its derivation root's ``sign``.
     """
 
     def __init__(self, lexicon: Optional[Lexicon] = None,
                  rules: Optional[KnowledgeRules] = None):
         self.ctx = Derivation.new(lexicon, rules)
-        self.discourse: Sign = empty_discourse(self.ctx)
-        self.sentence_signs: list[Sign] = []
-        self.coord_deltas: list[tuple] = []
-        self.coord_cond_deltas: list[tuple] = []
+        self.discourses: list[Sign] = [empty_discourse(self.ctx)]
 
     @property
     def udrs(self) -> UDRS:
-        return self.discourse.udrs
+        return self.discourses[-1].udrs
 
     def add(self, sentence_root: DerivationNode) -> Sign:
         sign = interpret(sentence_root, self.ctx)
-        result = combine_coord(self.discourse, sign, self.ctx)
-        self.discourse = result.sign
-        self.sentence_signs.append(sign)
-        self.coord_deltas.append(tuple(result.introduced_constraints))
-        self.coord_cond_deltas.append(tuple(result.introduced_conditions))
+        self.discourses.append(combine_coord(self.discourses[-1], sign, self.ctx))
         return sign
 
     def disambiguate(self, index: int, verdict: str) -> None:
@@ -64,7 +59,7 @@ class Session:
         if not 1 <= index <= len(keys):
             raise UDRSError(f"no plural NP #{index} (found {len(keys)})")
         u = DISAMBIGUATE[verdict](self.udrs, keys[index - 1])
-        self.discourse = self.discourse._replace(udrs=u)
+        self.discourses[-1] = self.discourses[-1]._replace(udrs=u)
         self.ctx.registry.discourse = u
 
 
@@ -127,37 +122,43 @@ def _parse_disambiguation(spec: str) -> tuple[int, str]:
 
 
 def _trace_semantics(session: Session, roots: list[DerivationNode]) -> str:
+    """Each sentence's derivation, every node with the constraints it adds
+    to its daughters', then each sequencing step's additions to the
+    discourse before it and the sentence it sequenced."""
     from .serialize import constraint_text, display_names
     names = display_names(session.udrs)
     lines = []
 
-    def text(c) -> str:
+    def shown(constraints) -> str:
         def n(l):
             return names.get(l, repr(l))
-        return constraint_text(c.kind, n(c.left), n(c.right),
-                               [n(l) for l in c.antecedent or ()])
+        return ", ".join(sorted(constraint_text(c.kind, n(c.left), n(c.right),
+                                                [n(l) for l in c.antecedent or ()])
+                                for c in constraints))
 
     for i, root in enumerate(roots, 1):
         lines.append(f"sentence {i}:")
-        _trace_node(root, 1, text, lines)
-    for i, delta in enumerate(session.coord_deltas, 1):
-        if delta:
-            shown = ", ".join(sorted(text(c) for c in delta))
-            lines.append(f"discourse {i}: +{{{shown}}}")
+        _trace_node(root, 1, shown, lines)
+    steps = zip(session.discourses, session.discourses[1:], roots)
+    for i, (before, after, root) in enumerate(steps, 1):
+        added = after.udrs.subord - before.udrs.subord - root.sign.udrs.subord
+        if added:
+            lines.append(f"discourse {i}: +{{{shown(added)}}}")
     return "\n".join(lines) + "\n"
 
 
-def _trace_node(node: DerivationNode, depth: int, text, lines: list[str]) -> None:
-    """Add the node's line and its subtree's to lines, constraints shown by
-    text."""
+def _trace_node(node: DerivationNode, depth: int, shown, lines: list[str]) -> None:
+    """Add the node's line and its subtree's to lines, constraint sets shown
+    by shown."""
     pad = "  " * depth
     if node.construction == "lexical":
         lines.append(f"{pad}{node.word}")
         return
-    delta = ", ".join(sorted(text(c) for c in node.introduced))
-    lines.append(f"{pad}{node.construction}" + (f"  +{{{delta}}}" if delta else ""))
-    for child in node.children():
-        _trace_node(child, depth + 1, text, lines)
+    children = node.children()
+    added = node.sign.udrs.subord.difference(*(c.sign.udrs.subord for c in children))
+    lines.append(f"{pad}{node.construction}" + (f"  +{{{shown(added)}}}" if added else ""))
+    for child in children:
+        _trace_node(child, depth + 1, shown, lines)
 
 
 def cmd_parse(args: argparse.Namespace) -> int:

@@ -29,21 +29,18 @@ class ParseFailure(UDRSError):
 class DerivationNode:
     """A node of a derivation tree.  Only lexical nodes have a word;
     trailing_sep marks a sentence root that absorbed a separator.
-    Interpretation fills in sign and introduced, the node's constraint
-    delta, for tracing."""
+    Interpretation fills in sign."""
 
     def __init__(self, construction: str, word: Optional[str] = None,
                  head: Optional[DerivationNode] = None,
                  nonhead: Optional[DerivationNode] = None,
-                 trailing_sep: bool = False, sign: object = None,
-                 introduced: tuple = ()):
+                 trailing_sep: bool = False, sign: object = None):
         self.construction = construction
         self.word = word
         self.head = head
         self.nonhead = nonhead
         self.trailing_sep = trailing_sep
         self.sign = sign
-        self.introduced = introduced
 
     def children(self) -> list["DerivationNode"]:
         return [c for c in (self.head, self.nonhead) if c is not None]

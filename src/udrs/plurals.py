@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 
 from .core import (
     DISTRIBUTION, GROUP, Condition, DiscourseReferent, Label, Membership,
-    Predicate, Quantifier, ReferentIntro, SubordConstraint, UDRS, UDRSError,
-    fresh_label, fresh_referent, identity, make_udrs, read_text, strict,
+    Predicate, Quantifier, ReferentIntro, UDRS, UDRSError, fresh_label,
+    fresh_referent, identity, make_udrs, read_text, strict,
 )
 from .delay import PendingKey, PendingRegistry
 
@@ -182,8 +182,7 @@ def decide(context: UDRS, key: PendingKey,
 
 def apply_pending_decisions(
         u: UDRS, registry: PendingRegistry, rules: KnowledgeRules,
-        parts: Sequence[tuple[UDRS, bool]],
-) -> tuple[UDRS, set[SubordConstraint], set[Condition]]:
+        parts: Sequence[tuple[UDRS, bool]]) -> UDRS:
     """Disambiguate every pending plural the knowledge source can decide.
 
     parts are the UDRSs u sequences, each with whether it is a discourse,
@@ -194,14 +193,11 @@ def apply_pending_decisions(
     plural binds only its own key and adds no predicate, so it changes no
     other plural's verdict.  A directive on a plural that is already
     classified the other way (by its verb, e.g. "gathered") is a conflict
-    and raises.  Returns the (possibly unchanged) UDRS plus the constraint
-    and condition deltas, for tracing and monotonicity checks: empty when
-    nothing was decided.
+    and raises.  Returns the new UDRS, u itself when nothing was decided.
     """
     keys = registry.all_keys()
     if not keys:
-        return u, set(), set()
-    start = u
+        return u
     waiting = _waiting(u, rules, parts)
     for index, key in enumerate(keys, 1):
         if key in u.bindings:
@@ -212,9 +208,7 @@ def apply_pending_decisions(
             verdict = decide(u, key, rules, index)
             if verdict != UNKNOWN:
                 u = DISAMBIGUATE[verdict](u, key)
-    if u is start:
-        return u, set(), set()
-    return u, set(u.subord - start.subord), set(u.conds - start.conds)
+    return u
 
 
 def _waiting(u: UDRS, rules: KnowledgeRules, parts: Sequence[tuple[UDRS, bool]]) -> set:

@@ -12,11 +12,11 @@ and leaves its daughters as they were.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
-    Condition, Label, LS, Predicate, SubordConstraint, UDRS, UDRSError,
-    check_udrs, conditional, identity, make_udrs, merge, top_label, weak,
+    Label, LS, Predicate, SubordConstraint, UDRSError, check_udrs, conditional,
+    identity, make_udrs, merge, top_label, weak,
 )
 from .delay import PendingKey, PendingRegistry, dref_res
 from .grammar import (
@@ -51,12 +51,6 @@ class Derivation:
                    rules or plurals.KnowledgeRules())
 
 
-class CombinatorResult(NamedTuple):
-    sign: Sign
-    introduced_constraints: frozenset[SubordConstraint]
-    introduced_conditions: frozenset[Condition] = frozenset()
-
-
 def _comp_cat(head: Sign, slot: SubcatSlot) -> str:
     """A head's category once slot, one of its complements, is filled."""
     if head.cat == "v" and all(s.role != "comp" or s is slot for s in head.subcat):
@@ -65,7 +59,7 @@ def _comp_cat(head: Sign, slot: SubcatSlot) -> str:
 
 
 def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot, cat: str,
-                      ctx: Derivation) -> CombinatorResult:
+                      ctx: Derivation) -> Sign:
     """Clauses I-V plus argument-slot linking, for one NP argument; the
     result is the head with slot filled, of category cat."""
     if comp.cat != "np" or not comp.saturated:
@@ -88,14 +82,12 @@ def _combine_argument(head: Sign, comp: Sign, slot: SubcatSlot, cat: str,
     if (isinstance(outcome, PendingKey) and head.collective_subject
             and slot.role == "subj"):
         # lexical directive (e.g. "gathered"): the subject must be collective
-        before = u
         u = plurals.pl_dis_collective(u, outcome)
-        delta.extend(u.subord - before.subord)
 
-    return CombinatorResult(head.fill(slot, cat, u), frozenset(delta))
+    return head.fill(slot, cat, u)
 
 
-def combine_head_comp(head: Sign, comp: Sign, ctx: Derivation) -> CombinatorResult:
+def combine_head_comp(head: Sign, comp: Sign, ctx: Derivation) -> Sign:
     """Fill the head's next complement slot with comp.
 
     Determiner-noun combination only links the noun's predicate into the
@@ -116,20 +108,19 @@ def combine_head_comp(head: Sign, comp: Sign, ctx: Derivation) -> CombinatorResu
         subord, conds, bindings = merge(head.udrs, comp.udrs)
         cap = weak(head.udrs.ls.l_min, comp.udrs.ls.l_max)
         u = make_udrs(head.udrs.ls, subord | {cap}, conds, bindings)
-        return CombinatorResult(head.fill(slot, _comp_cat(head, slot), u),
-                                frozenset([cap]))
+        return head.fill(slot, _comp_cat(head, slot), u)
 
     return _combine_argument(head, comp, slot, _comp_cat(head, slot), ctx)
 
 
-def _combine_det_noun(det: Sign, noun: Sign, slot: SubcatSlot) -> CombinatorResult:
+def _combine_det_noun(det: Sign, noun: Sign, slot: SubcatSlot) -> Sign:
     if noun.cat != "n":
         raise SubcatMismatch(f"determiner expects a noun, got {noun.cat}")
     if slot.agr and noun.agr and slot.agr != noun.agr:
         raise SubcatMismatch(f"agreement mismatch: {slot.agr} det, {noun.agr} noun")
     noun = bind_noun(noun, slot)
     u = make_udrs(det.udrs.ls, *merge(det.udrs, noun.udrs))
-    return CombinatorResult(det.fill(slot, "np", u), frozenset())
+    return det.fill(slot, "np", u)
 
 
 def bind_noun(noun: Sign, slot: SubcatSlot) -> Sign:
@@ -141,7 +132,7 @@ def bind_noun(noun: Sign, slot: SubcatSlot) -> Sign:
                       label=slot.bind_label, dref=slot.bind_dref)
 
 
-def combine_head_subj(head: Sign, subj: Sign, ctx: Derivation) -> CombinatorResult:
+def combine_head_subj(head: Sign, subj: Sign, ctx: Derivation) -> Sign:
     """Same clauses as complement combination, on the nominative slot."""
     slot = head.subj_slot()
     if slot is None:
@@ -149,7 +140,7 @@ def combine_head_subj(head: Sign, subj: Sign, ctx: Derivation) -> CombinatorResu
     return _combine_argument(head, subj, slot, "s", ctx)
 
 
-def combine_functional(func: Sign, comp: Sign, ctx: Derivation) -> CombinatorResult:
+def combine_functional(func: Sign, comp: Sign, ctx: Derivation) -> Sign:
     """Functional head: adopt the complement's distinguished labels.
 
     The complement clause's maximal label becomes the scope ceiling: the
@@ -174,24 +165,21 @@ def combine_functional(func: Sign, comp: Sign, ctx: Derivation) -> CombinatorRes
                 delta.append(weak(ctx.top, l))
     u = make_udrs(comp.udrs.ls, subord | set(delta), comp.udrs.conds,
                   comp.udrs.bindings)
-    return CombinatorResult(func.fill(slot, "s" if is_root else "cs", u),
-                            frozenset(delta))
+    return func.fill(slot, "s" if is_root else "cs", u)
 
 
-def combine_coord(left: Sign, right: Sign, ctx: Derivation) -> CombinatorResult:
-    """Discourse sequencing, the designated site for plural disambiguation."""
-    subord, conds, bindings = merge(left.udrs, right.udrs)
-    delta: set[SubordConstraint] = set()
-    for s in (left, right):
-        l_max = s.udrs.ls.l_max
-        if not l_max.is_top:
-            delta.add(weak(ctx.top, l_max))
-    u = make_udrs(LS(ctx.top, ctx.top), subord | delta, conds, bindings)
-    u, c_delta, cond_delta = plurals.apply_pending_decisions(
+def combine_coord(left: Sign, right: Sign, ctx: Derivation) -> Sign:
+    """Discourse sequencing, the designated site for plural disambiguation.
+
+    Each sentence's root complementizer has already put every label it
+    mentions below the discourse top, so the union adds only what the
+    plural rules decide.
+    """
+    u = make_udrs(LS(ctx.top, ctx.top), *merge(left.udrs, right.udrs))
+    u = plurals.apply_pending_decisions(
         u, ctx.registry, ctx.rules, [(s.udrs, s.cat == "disc") for s in (left, right)])
     ctx.registry.discourse = u
-    sign = Sign("disc", (), u)
-    return CombinatorResult(sign, frozenset(delta | c_delta), frozenset(cond_delta))
+    return Sign("disc", (), u)
 
 
 def empty_discourse(ctx: Derivation) -> Sign:
@@ -201,8 +189,7 @@ def empty_discourse(ctx: Derivation) -> Sign:
 def interpret(tree: DerivationNode, ctx: Optional[Derivation] = None) -> Sign:
     """Interpret a derivation bottom-up into its root sign.
 
-    Fills each node's sign and introduced-constraint fields; validates the
-    result's semilattice invariants.
+    Fills each node's sign; validates the result's semilattice invariants.
     """
     if ctx is None:
         ctx = Derivation.new()
@@ -235,19 +222,16 @@ def _interpret(node: DerivationNode, ctx: Derivation) -> Sign:
             comp = node.nonhead.sign
         else:
             comp = _interpret(node.nonhead, ctx)
-        result = combine_head_comp(head, comp, ctx)
+        node.sign = combine_head_comp(head, comp, ctx)
     elif node.construction == HEAD_SUBJ:
         subj = _interpret(node.nonhead, ctx)
-        result = combine_head_subj(head, subj, ctx)
+        node.sign = combine_head_subj(head, subj, ctx)
     elif node.construction == FUNCTIONAL:
         comp = _interpret(node.nonhead, ctx)
-        result = combine_functional(head, comp, ctx)
+        node.sign = combine_functional(head, comp, ctx)
     elif node.construction == COORD:
         right = _interpret(node.nonhead, ctx)
-        result = combine_coord(head, right, ctx)
+        node.sign = combine_coord(head, right, ctx)
     else:
         raise SemanticsError(f"unknown construction {node.construction!r}")
-
-    node.sign = result.sign
-    node.introduced = tuple(result.introduced_constraints)
-    return result.sign
+    return node.sign

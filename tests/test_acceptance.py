@@ -16,11 +16,13 @@ from conftest import (
 )
 from oracle import oracle_count
 from udrs import (
-    GROUP, DiscourseReferent, KnowledgeRules, Membership, PendingKey, Predicate,
-    Quantifier, ReferentIntro, check_udrs, closure,
+    DISTRIBUTION, GROUP, DiscourseReferent, KnowledgeRules, Membership, PendingKey,
+    Predicate, Quantifier, ReferentIntro, check_udrs, closure, identity, strict,
 )
-from udrs.cli import Session, build_session
-from udrs.plurals import COLLECTIVE, DISTRIBUTIVE, pl_dis_collective, pl_dis_distributive
+from udrs.cli import Session, build_directed_session, build_session
+from udrs.plurals import (
+    COLLECTIVE, DISTRIBUTIVE, _classified, pl_dis_collective, pl_dis_distributive,
+)
 from udrs.readings import (
     InconsistentConstraints, canonical_form, check_binding, count_readings,
     enumerate_readings,
@@ -172,28 +174,61 @@ def _corpus_session_with_trees(case):
     return build_session(case.input, rules=rules)
 
 
+def _decided(session) -> tuple[set, set]:
+    """The constraints and conditions the session's plural decisions add, read
+    off each bound key: a collective plural its identity; a distributive one
+    its two strict subordinations and three conditions, the dist quantifier
+    at the key's l_max, its referent intro and its membership."""
+    u = session.udrs
+    subord, conds = set(), set()
+    for key in session.ctx.registry.all_keys():
+        if key not in u.bindings:
+            continue
+        if _classified(u, key) == COLLECTIVE:
+            subord.add(identity(*key))
+            continue
+        l_max, l_min = key
+        x, group = u.bindings[key], u.find_intro(l_max).dref
+        (quant,) = [c for c in u.conds if isinstance(c, Quantifier) and c.label == l_max
+                    and (c.rel, c.scope) == (DISTRIBUTION, l_min)]
+        (intro,) = [c for c in u.conds if isinstance(c, ReferentIntro)
+                    and (c.label, c.dref) == (quant.res, x)]
+        (member,) = [c for c in u.conds if isinstance(c, Membership)
+                     and (c.label, c.element, c.group) == (quant.res, x, group)]
+        subord |= {strict(l_max, quant.res), strict(l_max, l_min)}
+        conds |= {quant, intro, member}
+    return subord, conds
+
+
 def test_criterion_5_monotonicity_over_corpus():
     with criterion(5, "conditions and constraints grow monotonically"):
+        distributive = 0
+        rules = KnowledgeRules.from_file(golden_path("rules.txt"))
         for case in corpus_cases():
-            session, roots = _corpus_session_with_trees(case)
-            for root in roots:
-                for node in _walk_nodes(root):
-                    if node.construction == "lexical":
-                        continue
-                    kids = node.children()
-                    kid_conds = frozenset().union(*(k.sign.udrs.conds for k in kids))
-                    kid_subord = frozenset().union(*(k.sign.udrs.subord for k in kids))
-                    assert node.sign.udrs.conds == kid_conds, case.name
-                    assert node.sign.udrs.subord >= kid_subord, case.name
-            # discourse level: union of sentence signs plus recorded deltas
-            expected = frozenset()
-            for sign in session.sentence_signs:
-                expected |= sign.udrs.conds
-            for delta in session.coord_cond_deltas:
-                expected |= frozenset(delta)
-            assert session.udrs.conds == expected, case.name
-            for sign in session.sentence_signs:
-                assert session.udrs.subord >= sign.udrs.subord, case.name
+            built = [build_session(case.input, rules=rules)]
+            if case.disambiguate:
+                built.append(build_directed_session(case.input, case.disambiguate,
+                                                    rules=rules))
+            for session, roots in built:
+                for root in roots:
+                    for node in _walk_nodes(root):
+                        if node.construction == "lexical":
+                            continue
+                        kids = node.children()
+                        kid_conds = frozenset().union(*(k.sign.udrs.conds for k in kids))
+                        kid_subord = frozenset().union(*(k.sign.udrs.subord for k in kids))
+                        assert node.sign.udrs.conds == kid_conds, case.name
+                        assert node.sign.udrs.subord >= kid_subord, case.name
+                # discourse level: exactly its sentences' conditions and
+                # constraints plus those of the plural decisions sequencing made
+                subord, conds = _decided(session)
+                distributive += len(conds) // 3
+                for root in roots:
+                    subord |= root.sign.udrs.subord
+                    conds |= root.sign.udrs.conds
+                assert session.udrs.conds == conds, case.name
+                assert session.udrs.subord == subord, case.name
+        assert distributive == 2  # the two corpus cases directed distributive
 
         # pl_dis applications are add-only, componentwise
         for fn in (pl_dis_collective, pl_dis_distributive):

@@ -51,7 +51,6 @@ from test_scope_search import CHAINS, DISCOURSES
 from udrs.core import GROUP, INDIVIDUAL, DiscourseReferent
 from udrs.plurals import COLLECTIVE, DISTRIBUTIVE
 import udrs.canonical as canonical
-from udrs.canonical import canonical_labelling
 from udrs.readings import (
     DRS, DuplexCondition, build_drs, canonical_form, check_binding,
     count_readings, drs_to_json, enumerate_readings, enumerate_scopings,
@@ -418,12 +417,12 @@ def test_inputs_take_every_search_path(monkeypatch):
     monkeypatch.setattr(canonical, "_walk", counting_walk)
     for text, directives in family_inputs():
         for d in scoped_drss(analyze(text, disambiguate=directives).udrs):
-            canonical_labelling(d)
+            DRS(*d).labelling  # a copy made by hand, which compiles itself
     for seed in range(12):
         rng = random.Random(seed)
         for _ in range(25):
-            canonical_labelling(random_drs(rng))
-    canonical_labelling(two_copies_owing_a_group_token())
+            DRS(*random_drs(rng)).labelling
+    DRS(*two_copies_owing_a_group_token()).labelling
     assert all(seen[path] for path in ("walk", "walk to a tie", "tie branch",
                                        "group take", "automorphism pruning",
                                        "lockstep step", "queued token in lockstep")), dict(seen)

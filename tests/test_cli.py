@@ -76,6 +76,23 @@ class TestParseCommand:
         assert "head_subj" in out
         assert ">=" in out
 
+    def test_trace_semantics_shows_what_sequencing_decides(self, capsys, corpus_rules):
+        """A discourse line holds exactly the constraints of the plural
+        decision sequencing made there, and a step that decides nothing
+        prints none."""
+        assert run(["parse", "The lawyers hired a secretary. They shared an office.",
+                    "--rules", corpus_rules, "--trace-semantics"]) == 0
+        trace = capsys.readouterr().out
+        assert [l for l in trace.splitlines() if l.startswith("discourse")] == [
+            "discourse 2: +{l1 = l10}"]  # the continuation rule makes np1 collective
+        assert run(["parse", "The lawyers hired a secretary.",
+                    "--disambiguate", "np1=distributive", "--trace-semantics"]) == 0
+        trace = capsys.readouterr().out
+        assert [l for l in trace.splitlines() if l.startswith("discourse")] == [
+            "discourse 1: +{l1 > l3, l1 > l6}"]
+        assert run(["parse", "John left. Mary left.", "--trace-semantics"]) == 0
+        assert "discourse" not in capsys.readouterr().out
+
     def test_rules_flag(self, capsys, corpus_rules):
         status = run(["parse",
                       "The lawyers hired a secretary. They shared an office.",
@@ -207,7 +224,7 @@ class TestCorpusCommand:
 class TestSession:
     def test_discourse_accumulates_by_coordination(self):
         session, roots = build_session("John left. Mary left.")
-        s1, s2 = session.sentence_signs
+        s1, s2 = (root.sign for root in roots)
         assert session.udrs.conds == s1.udrs.conds | s2.udrs.conds
         assert session.udrs.subord >= s1.udrs.subord | s2.udrs.subord
         assert session.udrs.ls.l_max.is_top
@@ -273,7 +290,7 @@ class TestDirectives:
         assert run(argv + ["--trace-semantics"]) == 0
         trace = capsys.readouterr().out
         assert "    head_subj  +{(l1 > l8 => l5 >= l1), l1 = l8, l8 >= l3}\n" in trace
-        assert "discourse 1: +{l0 >= l5}\n" in trace
+        assert "discourse" not in trace  # linking decided it; sequencing adds nothing
         assert run(argv + ["--disambiguate", "np1=distributive"]) == 1
         assert capsys.readouterr().err == "error: l1/l8 already classified\n"
 

@@ -22,7 +22,7 @@ from udrs.delay import PendingKey, PendingRegistry
 from udrs.grammar import HEAD_COMP, LEXICAL, DerivationNode
 from udrs.lexicon import Lexicon, Sign, SubcatSlot, VocabEntry
 from udrs.plurals import KnowledgeRules
-from udrs.principles import CombinatorResult, Derivation
+from udrs.principles import Derivation
 from udrs.readings import DRS, DuplexCondition, enumerate_readings
 
 SRC = os.path.dirname(os.path.dirname(udrs.core.__file__))
@@ -81,15 +81,13 @@ VALUES = [
     LS(Label(1), Label(2)), Violation("top", "l1 does not dominate l2"),
     SubcatSlot("comp", "noun", agr="sg", bind_label=Label(4), bind_dref=DiscourseReferent(5)),
     Sign("np", (), _U, word="john"), VocabEntry("lawyers", "noun", "lawyer", plural=True),
-    CombinatorResult(Sign("disc", (), _U), frozenset([weak(Label(1, True), Label(2))])),
 ]
 
 
 @pytest.mark.parametrize("v", VALUES, ids=lambda v: type(v).__name__)
 def test_value_types_hash_as_the_tuple_of_their_fields(v):
     # Sets and dicts of these values, and so every output order, iterate as
-    # they did when each was a frozen dataclass hashing that same tuple
-    # (CombinatorResult, then a mutable dataclass, had no hash).
+    # they did when each was a frozen dataclass hashing that same tuple.
     assert hash(v) == hash(tuple(v)) == hash(tuple(getattr(v, f) for f in v._fields))
     assert type(v).__hash__ is tuple.__hash__
     assert type(v).__eq__ is tuple.__eq__
@@ -114,9 +112,6 @@ def test_record_reprs_name_every_field():
         "bind_dref=x5)",
         f"Sign(cat='np', subcat=(), udrs={u}, agr=None, word='john', collective_subject=False)",
         "VocabEntry(word='lawyers', pos='noun', rel='lawyer', plural=True, collective_only=False)",
-        f"CombinatorResult(sign=Sign(cat='disc', subcat=(), udrs={u}, agr=None, word=None, "
-        "collective_subject=False), introduced_constraints=frozenset({(l⊤1 ≥ l2)}), "
-        "introduced_conditions=frozenset())",
     ]
 
 
@@ -214,11 +209,10 @@ def test_constructors_take_their_field_names_as_keywords():
     entry = VocabEntry(word="lawyers", pos="noun", rel="lawyer", plural=True,
                        collective_only=False)
     assert entry == VALUES[13] and entry.agr == "pl"
-    assert CombinatorResult(sign, frozenset()).introduced_conditions == frozenset()
 
     leaf, verb = DerivationNode(LEXICAL, word="john"), DerivationNode(LEXICAL, word="left")
     node = DerivationNode(HEAD_COMP, head=verb, nonhead=leaf)
-    assert (node.word, node.trailing_sep, node.sign, node.introduced) == (None, False, None, ())
+    assert (node.word, node.trailing_sep, node.sign) == (None, False, None)
     assert node.children() == [verb, leaf]
     ctx = Derivation(lexicon=Lexicon.default(), top=top_label(), registry=PendingRegistry(),
                      rules=KnowledgeRules())

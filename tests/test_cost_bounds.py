@@ -292,7 +292,7 @@ def test_a_benchmark_family_leaves_no_cycle(family):
 
 
 def test_a_drs_made_by_hand_leaves_no_cycle():
-    """canonical_labelling compiles a DRS the reading layer did not build."""
+    """Labelling a DRS the reading layer did not build compiles it."""
     def op():
         x, y, z = fresh_referent(), fresh_referent(), fresh_referent(GROUP)
         none = frozenset()

@@ -24,7 +24,7 @@ def saturated_np(lex, det_word, noun_word):
     ctx = Derivation.new(lex)
     det = lex.sign(det_word)
     noun = lex.sign(noun_word)
-    return combine_head_comp(det, noun, ctx).sign
+    return combine_head_comp(det, noun, ctx)
 
 
 class TestDrefRes:
@@ -114,8 +114,8 @@ def test_pattern_only_through_other_labels_is_malformed(kind):
 def link_object(lex, det_word, noun_word):
     """hired + det noun: the derivation, the NP and the linked VP's UDRS."""
     ctx = Derivation.new(lex)
-    obj = combine_head_comp(lex.sign(det_word), lex.sign(noun_word), ctx).sign
-    vp = combine_head_comp(lex.sign("hired"), obj, ctx).sign
+    obj = combine_head_comp(lex.sign(det_word), lex.sign(noun_word), ctx)
+    vp = combine_head_comp(lex.sign("hired"), obj, ctx)
     hire = next(c for c in vp.udrs.conds if isinstance(c, Predicate) and c.rel == "hire")
     return ctx, obj, vp.udrs, hire.args[1]
 

@@ -245,7 +245,8 @@ def verdicts(text, overrides, how):
     empty discourse, then a sentence at a time) or "right" (the last two
     sentences sequenced first, then the rest joined on their left)."""
     from conftest import golden_path
-    from udrs import Derivation, Lexicon, UDRSError, combine_coord, interpret, parse, tokenize
+    from udrs import Lexicon, UDRSError, parse, tokenize
+    from udrs.principles import Derivation, combine_coord, interpret
     from udrs.cli import Session, sentence_roots
     rules = KnowledgeRules.from_file(golden_path("rules.txt")).with_overrides(overrides)
     (tree,) = parse(tokenize(text), Lexicon.default())
@@ -261,9 +262,9 @@ def verdicts(text, overrides, how):
         else:
             ctx = Derivation.new(Lexicon.default(), rules)
             *first, second, last = [interpret(r, ctx) for r in sentence_roots(tree)]
-            sign = combine_coord(second, last, ctx).sign
+            sign = combine_coord(second, last, ctx)
             for s in reversed(first):
-                sign = combine_coord(s, sign, ctx).sign
+                sign = combine_coord(s, sign, ctx)
             u = sign.udrs
     except UDRSError as e:
         return type(e).__name__, str(e)

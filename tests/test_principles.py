@@ -19,7 +19,12 @@ def ctx():
 
 
 def np(ctx, det, noun):
-    return combine_head_comp(ctx.lexicon.sign(det), ctx.lexicon.sign(noun), ctx).sign
+    return combine_head_comp(ctx.lexicon.sign(det), ctx.lexicon.sign(noun), ctx)
+
+
+def added(result, head, comp):
+    """The constraints a combination added to its daughters'."""
+    return result.udrs.subord - (head.udrs.subord | comp.udrs.subord)
 
 
 def the_pred(sign, rel):
@@ -53,24 +58,23 @@ class TestHeadComp:
 
     def test_indefinite_object_adds_weak_only(self, ctx):
         hired = ctx.lexicon.sign("hired")
-        result = combine_head_comp(hired, np(ctx, "a", "secretary"), ctx)
-        kinds = sorted(c.kind for c in result.introduced_constraints)
-        assert kinds == [WEAK]
-        (c,) = result.introduced_constraints
+        a_secretary = np(ctx, "a", "secretary")
+        result = combine_head_comp(hired, a_secretary, ctx)
+        (c,) = added(result, hired, a_secretary)
+        assert c.kind == WEAK
         assert c.right == hired.udrs.ls.l_min  # verb label sits below the argument
 
     def test_quantified_object_adds_conditional_and_resolves(self, ctx):
         hired = ctx.lexicon.sign("hired")
         every_secretary = np(ctx, "every", "secretary")
         result = combine_head_comp(hired, every_secretary, ctx)
-        kinds = sorted(c.kind for c in result.introduced_constraints)
-        assert kinds == [CONDITIONAL, WEAK]
-        pred = the_pred(result.sign, "hire")
+        delta = added(result, hired, every_secretary)
+        assert sorted(c.kind for c in delta) == [CONDITIONAL, WEAK]
+        pred = the_pred(result, "hire")
         restrictor_ref = next(c for c in every_secretary.udrs.conds
                               if isinstance(c, ReferentIntro)).dref
-        assert result.sign.udrs.resolve(pred.args[1]) == restrictor_ref
-        cond = next(c for c in result.introduced_constraints
-                    if c.kind == CONDITIONAL)
+        assert result.udrs.resolve(pred.args[1]) == restrictor_ref
+        cond = next(c for c in delta if c.kind == CONDITIONAL)
         assert cond.antecedent == (every_secretary.udrs.ls.l_max,
                                    every_secretary.udrs.ls.l_min)
         assert cond.left == hired.udrs.ls.l_max
@@ -78,29 +82,30 @@ class TestHeadComp:
 
     def test_plural_object_adds_conditional_and_stays_pending(self, ctx):
         hired = ctx.lexicon.sign("hired")
-        result = combine_head_comp(hired, np(ctx, "the", "lawyers"), ctx)
-        kinds = sorted(c.kind for c in result.introduced_constraints)
+        the_lawyers = np(ctx, "the", "lawyers")
+        result = combine_head_comp(hired, the_lawyers, ctx)
+        kinds = sorted(c.kind for c in added(result, hired, the_lawyers))
         assert kinds == [CONDITIONAL, WEAK]
-        pred = the_pred(result.sign, "hire")
-        assert isinstance(result.sign.udrs.resolve(pred.args[1]), PendingKey)
+        pred = the_pred(result, "hire")
+        assert isinstance(result.udrs.resolve(pred.args[1]), PendingKey)
 
     def test_conditions_and_constraints_union(self, ctx):
         hired = ctx.lexicon.sign("hired")
         obj = np(ctx, "every", "secretary")
         result = combine_head_comp(hired, obj, ctx)
-        assert result.sign.udrs.conds == hired.udrs.conds | obj.udrs.conds
-        assert result.sign.udrs.subord >= hired.udrs.subord | obj.udrs.subord
+        assert result.udrs.conds == hired.udrs.conds | obj.udrs.conds
+        assert result.udrs.subord >= hired.udrs.subord | obj.udrs.subord
 
     def test_ls_projected_from_head(self, ctx):
         hired = ctx.lexicon.sign("hired")
         result = combine_head_comp(hired, np(ctx, "a", "secretary"), ctx)
-        assert result.sign.udrs.ls == hired.udrs.ls
+        assert result.udrs.ls == hired.udrs.ls
 
     def test_head_sign_is_reusable(self, ctx):
         hired = ctx.lexicon.sign("hired")
         slot = hired.next_comp_slot()
         objects = [np(ctx, "a", "secretary"), np(ctx, "every", "clerk")]
-        vps = [combine_head_comp(hired, obj, ctx).sign for obj in objects]
+        vps = [combine_head_comp(hired, obj, ctx) for obj in objects]
         for vp, obj in zip(vps, objects):
             assert vp.cat == "vp" and vp.next_comp_slot() is None
             obj_ref = next(c for c in obj.udrs.conds if isinstance(c, ReferentIntro)).dref
@@ -120,9 +125,9 @@ class TestHeadComp:
 class TestHeadSubj:
     def test_quantified_subject_resolves_to_restrictor(self, ctx):
         vp = combine_head_comp(ctx.lexicon.sign("hired"),
-                               np(ctx, "a", "secretary"), ctx).sign
+                               np(ctx, "a", "secretary"), ctx)
         subj = np(ctx, "every", "lawyer")
-        s = combine_head_subj(vp, subj, ctx).sign
+        s = combine_head_subj(vp, subj, ctx)
         pred = the_pred(s, "hire")
         restrictor_ref = next(c for c in subj.udrs.conds
                               if isinstance(c, ReferentIntro)).dref
@@ -131,7 +136,7 @@ class TestHeadSubj:
     def test_name_subject_resolves_directly(self, ctx):
         vp = ctx.lexicon.sign("left")
         john = ctx.lexicon.sign("john")
-        s = combine_head_subj(vp, john, ctx).sign
+        s = combine_head_subj(vp, john, ctx)
         pred = the_pred(s, "leave")
         john_ref = next(c for c in john.udrs.conds
                         if isinstance(c, ReferentIntro)).dref
@@ -140,7 +145,7 @@ class TestHeadSubj:
     def test_collective_only_verb_forces_group_subject(self, ctx):
         gathered = ctx.lexicon.sign("gathered")
         subj = np(ctx, "the", "lawyers")
-        s = combine_head_subj(gathered, subj, ctx).sign
+        s = combine_head_subj(gathered, subj, ctx)
         pred = the_pred(s, "gather")
         group = next(c for c in subj.udrs.conds
                      if isinstance(c, ReferentIntro)).dref
@@ -171,9 +176,9 @@ class TestFunctional:
 
     def test_filled_complementizer_takes_no_second_clause(self, ctx):
         clause = combine_head_subj(ctx.lexicon.sign("left"),
-                                   ctx.lexicon.sign("john"), ctx).sign
+                                   ctx.lexicon.sign("john"), ctx)
         that = ctx.lexicon.sign("that")
-        cs = combine_functional(that, clause, ctx).sign
+        cs = combine_functional(that, clause, ctx)
         assert cs.cat == "cs" and cs.saturated and not that.saturated
         with pytest.raises(SubcatMismatch):
             combine_functional(cs, clause, ctx)
@@ -205,8 +210,8 @@ class TestCoord:
         (deriv,) = parse(tokenize("john left"), ctx.lexicon)
         sign = interpret(deriv, ctx)
         result = combine_coord(empty_discourse(ctx), sign, ctx)
-        assert result.sign.udrs.conds == sign.udrs.conds
-        assert result.sign.udrs.subord >= sign.udrs.subord
+        assert result.udrs.conds == sign.udrs.conds
+        assert result.udrs.subord == sign.udrs.subord  # the sentence is below top already
 
 
 class TestInterpret:

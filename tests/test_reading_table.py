@@ -7,7 +7,7 @@ read.  The search's positions for the table's labels must be the
 placement ``enumerate_scopings`` gives, each DRS must equal what
 ``oracle.reference_build_drs`` builds from that placement, and each
 labelling must give the same canonical form, ``render_drs`` text and
-``drs_to_json`` as ``canonical_labelling`` run on a fresh copy of the DRS,
+``drs_to_json`` as the labelling of a fresh copy of the DRS, made by hand,
 which compiles that copy on its own.  One table serves all the scopings of
 its UDRS, as in ``enumerate_readings``.  Inputs: the golden corpus (both
 verdicts of a pending plural), the generated families of ``conftest``,
@@ -31,7 +31,6 @@ from udrs import (
     EVERY, GROUP, LS, Membership, Predicate, Quantifier, ReferentIntro,
     fresh_label, fresh_referent, make_udrs, strict, top_label,
 )
-from udrs.canonical import canonical_labelling
 from udrs.readings import (
     DRS, _Table, canonical_form, drs_to_json, enumerate_scopings, render_drs,
 )
@@ -49,7 +48,7 @@ def check_placement(table: _Table, u, placement) -> None:
     d = table.build([table.where[placement[label]] for label in table.labels])
     assert d == reference_build_drs(u, placement)
     fresh = DRS(*d)
-    shape, _ = canonical_labelling(fresh)
+    shape, _ = fresh.labelling
     assert canonical_form(d) == shape
     assert render_drs(d) == render_drs(fresh)
     assert drs_to_json(d) == drs_to_json(fresh)
