@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from .core import UDRS, UDRSError, read_text
+from .delay import PendingKey
 from .grammar import COORD, DerivationNode, ParseFailure, bracketed, parse, tokenize
 from .lexicon import Lexicon, Sign
 from .plurals import COLLECTIVE, DISAMBIGUATE, DISTRIBUTIVE, KnowledgeRules
@@ -29,7 +30,8 @@ class Session:
     After each sentence the session UDRS is the coordination of the previous
     session UDRS with the new sentence sign's UDRS.  ``discourses`` holds
     the discourse before the first sentence and after each one; a
-    sentence's own sign is its derivation root's ``sign``.
+    sentence's own sign is its derivation root's ``sign``.  The session is
+    the one writer of its registry's current discourse.
     """
 
     def __init__(self, lexicon: Optional[Lexicon] = None,
@@ -44,6 +46,7 @@ class Session:
     def add(self, sentence_root: DerivationNode) -> Sign:
         sign = interpret(sentence_root, self.ctx)
         self.discourses.append(combine_coord(self.discourses[-1], sign, self.ctx))
+        self.ctx.registry.discourse = self.udrs
         return sign
 
     def disambiguate(self, index: int, verdict: str) -> None:
@@ -55,12 +58,16 @@ class Session:
         """
         if verdict not in DISAMBIGUATE:
             raise UDRSError(f"unknown reading {verdict!r}")
+        u = DISAMBIGUATE[verdict](self.udrs, self._plural_key(index))
+        self.discourses[-1] = self.discourses[-1]._replace(udrs=u)
+        self.ctx.registry.discourse = u
+
+    def _plural_key(self, index: int) -> PendingKey:
+        """The key of the index-th plural NP (1-based) in the key log."""
         keys = self.ctx.registry.all_keys()
         if not 1 <= index <= len(keys):
             raise UDRSError(f"no plural NP #{index} (found {len(keys)})")
-        u = DISAMBIGUATE[verdict](self.udrs, keys[index - 1])
-        self.discourses[-1] = self.discourses[-1]._replace(udrs=u)
-        self.ctx.registry.discourse = u
+        return keys[index - 1]
 
 
 def sentence_roots(node: DerivationNode) -> list[DerivationNode]:
@@ -99,10 +106,8 @@ def build_directed_session(text: str, specs: list[str],
     if directives:
         rules = (rules or KnowledgeRules()).with_overrides(directives)
     session, roots = build_session(text, lexicon, rules)
-    found = len(session.ctx.registry.all_keys())
     for index in sorted(directives):
-        if not 1 <= index <= found:
-            raise UDRSError(f"no plural NP #{index} (found {found})")
+        session._plural_key(index)
     return session, roots
 
 

@@ -66,7 +66,7 @@ class PendingRegistry:
     """A derivation's plural keys in the order linking met them.
 
     Whether a key is resolved is read off a UDRS value, the discourse the
-    derivation last sequenced or disambiguated: its bindings bind the key.
+    session last sequenced or disambiguated: its bindings bind the key.
     """
 
     def __init__(self):

@@ -8,7 +8,7 @@ semantics interprets bottom-up.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import UDRSError
 from .lexicon import Lexicon
@@ -28,28 +28,19 @@ class ParseFailure(UDRSError):
 
 class DerivationNode:
     """A node of a derivation tree.  Only lexical nodes have a word;
-    trailing_sep marks a sentence root that absorbed a separator.
-    Interpretation fills in sign."""
+    interpretation fills in sign."""
 
     def __init__(self, construction: str, word: Optional[str] = None,
                  head: Optional[DerivationNode] = None,
-                 nonhead: Optional[DerivationNode] = None,
-                 trailing_sep: bool = False, sign: object = None):
+                 nonhead: Optional[DerivationNode] = None, sign: object = None):
         self.construction = construction
         self.word = word
         self.head = head
         self.nonhead = nonhead
-        self.trailing_sep = trailing_sep
         self.sign = sign
 
     def children(self) -> list["DerivationNode"]:
         return [c for c in (self.head, self.nonhead) if c is not None]
-
-    def lexical_nodes(self) -> Iterator["DerivationNode"]:
-        if self.construction == LEXICAL:
-            yield self
-        for c in self.children():
-            yield from c.lexical_nodes()
 
 
 def tokenize(text: str) -> list[str]:
@@ -67,16 +58,6 @@ def tokenize(text: str) -> list[str]:
         if raw.endswith((".", "!", "?")):
             tokens.append(SEP)
     return tokens
-
-
-def yield_tokens(node: DerivationNode) -> list[str]:
-    """The token string a derivation covers (inverse of parse)."""
-    if node.construction == LEXICAL:
-        return [] if node.word == SILENT else [node.word]
-    out = [token for child in _surface_order(node) for token in yield_tokens(child)]
-    if node.trailing_sep:
-        out.append(SEP)
-    return out
 
 
 def _parse_sentence(tokens: list[str], offset: int, lexicon: Lexicon) -> DerivationNode:
@@ -163,22 +144,21 @@ def parse(tokens: list[str], lexicon: Optional[Lexicon] = None) -> list[Derivati
     nodes.  Raises ParseFailure with the position where analysis stopped.
     """
     lexicon = lexicon or Lexicon.default()
-    segments: list[tuple[int, list[str], bool]] = []
+    segments: list[tuple[int, list[str]]] = []
     start = 0
     for i, tok in enumerate(tokens):
         if tok == SEP:
-            segments.append((start, tokens[start:i], True))
+            segments.append((start, tokens[start:i]))
             start = i + 1
     if start < len(tokens):
-        segments.append((start, tokens[start:], False))
+        segments.append((start, tokens[start:]))
     if not segments:
         return []
 
     derivation = None
-    for offset, seg, has_sep in segments:
+    for offset, seg in segments:
         root = DerivationNode(FUNCTIONAL, head=DerivationNode(LEXICAL, word=SILENT),
-                              nonhead=_parse_sentence(seg, offset, lexicon),
-                              trailing_sep=has_sep)
+                              nonhead=_parse_sentence(seg, offset, lexicon))
         derivation = root if derivation is None else DerivationNode(
             COORD, head=derivation, nonhead=root)
     return [derivation]

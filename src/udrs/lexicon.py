@@ -81,38 +81,21 @@ class Sign(NamedTuple):
 
 # --- Entry constructors -------------------------------------------------------
 
-def _verb_sign(rel: str, slots: list[SubcatSlot], args: tuple[Slot, ...],
-               word: Optional[str] = None, collective_subject: bool = False) -> Sign:
+# A verb's frame: what each of its slots expects, subject first.
+_FRAMES = {"trans": ("np", "np"), "intrans": ("np",), "clause": ("np", "clause")}
+
+
+def entry_verb(rel: str, frame: str, word: Optional[str] = None,
+               collective_subject: bool = False) -> Sign:
+    """A verb of the given frame; each NP slot carries one argument of the
+    verb's predicate."""
+    slots = tuple(SubcatSlot(role, expects, arg=fresh_slot() if expects == "np" else None)
+                  for role, expects in zip(("subj", "comp"), _FRAMES[frame]))
     l_verb = fresh_label()
     l_ceiling = fresh_label()  # scope ceiling, bound later by the functional head
+    args = tuple(s.arg for s in slots if s.arg is not None)
     u = make_udrs(LS(l_ceiling, l_verb), (), [Predicate(l_verb, rel, args)])
-    return Sign("v", tuple(slots), u, word=word,
-                collective_subject=collective_subject)
-
-
-def entry_transitive_verb(rel: str, word: Optional[str] = None,
-                          collective_subject: bool = False) -> Sign:
-    subj, obj = fresh_slot(), fresh_slot()
-    return _verb_sign(rel, [
-        SubcatSlot("subj", "np", arg=subj),
-        SubcatSlot("comp", "np", arg=obj),
-    ], (subj, obj), word, collective_subject)
-
-
-def entry_intransitive_verb(rel: str, word: Optional[str] = None,
-                            collective_subject: bool = False) -> Sign:
-    subj = fresh_slot()
-    return _verb_sign(rel, [SubcatSlot("subj", "np", arg=subj)],
-                      (subj,), word, collective_subject)
-
-
-def entry_clause_verb(rel: str, word: Optional[str] = None,
-                      collective_subject: bool = False) -> Sign:
-    subj = fresh_slot()
-    return _verb_sign(rel, [
-        SubcatSlot("subj", "np", arg=subj),
-        SubcatSlot("comp", "clause"),
-    ], (subj,), word, collective_subject)
+    return Sign("v", slots, u, word=word, collective_subject=collective_subject)
 
 
 def entry_quant_det(word: str = "every") -> Sign:
@@ -207,21 +190,17 @@ _TAGS: dict[str, _Tag] = {
     "noun": _Tag(lambda e: ("n", e.agr), lambda e: entry_noun(e.rel, e.word, e.agr), True),
     "name": _Tag(lambda e: ("np", "sg"), lambda e: entry_name(e.rel, e.word), True),
     "pron": _Tag(lambda e: ("np", "pl"), lambda e: entry_pronoun(e.word), False),
-    "verb-trans": _Tag(lambda e: ("v", "trans"), lambda e: entry_transitive_verb(
-        e.rel, e.word, e.collective_only), True),
-    "verb-intrans": _Tag(lambda e: ("v", "intrans"), lambda e: entry_intransitive_verb(
-        e.rel, e.word, e.collective_only), True),
-    "verb-clause": _Tag(lambda e: ("v", "clause"), lambda e: entry_clause_verb(
-        e.rel, e.word, e.collective_only), True),
     "comp": _Tag(lambda e: ("comp",), lambda e: entry_complementizer(e.word), False),
+    **{f"verb-{frame}": _Tag(lambda e, frame=frame: ("v", frame),
+                             lambda e, frame=frame: entry_verb(e.rel, frame, e.word,
+                                                               e.collective_only), True)
+       for frame in _FRAMES},
 }
 
 
 class Lexicon:
     def __init__(self, entries: list[VocabEntry]):
-        self._entries: dict[str, VocabEntry] = {}
-        for e in entries:
-            self._entries[e.word] = e
+        self._entries = {e.word: e for e in entries}
 
     @classmethod
     def from_file(cls, path: str) -> "Lexicon":
@@ -256,6 +235,7 @@ class Lexicon:
 
 def _parse_lex(text: str, origin: str) -> list[VocabEntry]:
     entries = []
+    first: dict[str, int] = {}  # the line each word first appears on
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -271,8 +251,12 @@ def _parse_lex(text: str, origin: str) -> list[VocabEntry]:
             raise LexiconError(f"{origin}:{lineno}: unknown flags {sorted(bad)}")
         if rel == "-" and _TAGS[pos].needs_rel:
             raise LexiconError(f"{origin}:{lineno}: a {pos} entry needs a rel, not '-'")
+        word = word.lower()
+        if first.setdefault(word, lineno) != lineno:
+            raise LexiconError(f"{origin}:{lineno}: {word!r} repeats the entry "
+                               f"at line {first[word]}")
         entries.append(VocabEntry(
-            word=word.lower(), pos=pos,
+            word=word, pos=pos,
             rel=None if rel == "-" else rel,
             plural="pl" in flags,
             collective_only="collective-only" in flags))

@@ -150,8 +150,7 @@ class KnowledgeRules:
         return rules
 
 
-def decide(context: UDRS, key: PendingKey,
-           rules: Optional[KnowledgeRules] = None,
+def decide(context: UDRS, key: PendingKey, rules: KnowledgeRules,
            index: Optional[int] = None) -> str:
     """The verdict of the configured knowledge sources: COLLECTIVE,
     DISTRIBUTIVE, or UNKNOWN by default.
@@ -159,8 +158,6 @@ def decide(context: UDRS, key: PendingKey,
     ``index`` is the plural's 1-based number in the key log, which
     directives are keyed by.
     """
-    if rules is None:
-        return UNKNOWN
     override = rules.overrides.get(index)
     if override:
         return override
@@ -187,9 +184,9 @@ def apply_pending_decisions(
 
     parts are the UDRSs u sequences, each with whether it is a discourse,
     whose plurals were tried when it was sequenced.  Those are tried again
-    only where another part adds a predicate that can change their verdict
-    (_waiting), so as a discourse grows a sentence at a time each plural is
-    tried at most twice.  One pass in key order decides all it can: disambiguating a
+    only where another part adds a continuation rule's rel (_waiting), so
+    as a discourse grows a sentence at a time each plural is tried at most
+    twice.  One pass in key order decides all it can: disambiguating a
     plural binds only its own key and adds no predicate, so it changes no
     other plural's verdict.  A directive on a plural that is already
     classified the other way (by its verb, e.g. "gathered") is a conflict
@@ -198,7 +195,7 @@ def apply_pending_decisions(
     keys = registry.all_keys()
     if not keys:
         return u
-    waiting = _waiting(u, rules, parts)
+    waiting = _waiting(rules, parts)
     for index, key in enumerate(keys, 1):
         if key in u.bindings:
             directive = rules.overrides.get(index)
@@ -211,20 +208,20 @@ def apply_pending_decisions(
     return u
 
 
-def _waiting(u: UDRS, rules: KnowledgeRules, parts: Sequence[tuple[UDRS, bool]]) -> set:
-    """The plurals of parts the rules may decide in u: every plural of a
-    part not tried yet; of a tried part, every plural where another part
-    predicates a continuation rule's rel, else those another part makes
-    the subject of a subject rule's verb."""
+def _waiting(rules: KnowledgeRules, parts: Sequence[tuple[UDRS, bool]]) -> set:
+    """The plurals of parts the rules may decide: every plural of a part
+    not tried yet, and of a tried part, every plural where another part
+    predicates a continuation rule's rel.
+
+    A subject rule cannot change a tried plural's verdict: linking binds
+    each argument Slot inside its own sentence, and every part's labels are
+    fresh, so another part's predicate never resolves to this part's key.
+    """
     waiting = set()
     for part, tried in parts:
-        preds = [c for other, _ in parts if other is not part
-                 for c in other.conds if isinstance(c, Predicate)] if tried else []
-        if not tried or any(c.rel in rules.continuation_rules for c in preds):
+        if not tried or any(isinstance(c, Predicate) and c.rel in rules.continuation_rules
+                            for other, _ in parts if other is not part for c in other.conds):
             waiting.update(part.bindings.values())
-        else:
-            waiting.update(u.resolve(c.args[0]) for c in preds
-                           if c.rel in rules.subject_rules and c.args)
     return waiting
 
 

@@ -178,7 +178,6 @@ def combine_coord(left: Sign, right: Sign, ctx: Derivation) -> Sign:
     u = make_udrs(LS(ctx.top, ctx.top), *merge(left.udrs, right.udrs))
     u = plurals.apply_pending_decisions(
         u, ctx.registry, ctx.rules, [(s.udrs, s.cat == "disc") for s in (left, right)])
-    ctx.registry.discourse = u
     return Sign("disc", (), u)
 
 

@@ -262,38 +262,39 @@ def _from_doc(doc: dict) -> UDRS:
     bindings: dict[Arg, Arg] = {}
     from . import core
 
-    def label(name: str) -> Label:
-        if name not in labels:
-            labels[name] = core.top_label() if name == "l0" else core.fresh_label()
-        return labels[name]
-
     def text(d: dict, field: str) -> str:
         if not isinstance(d[field], str):
             raise SerializationError(f"malformed UDRS document: {field} {d[field]!r} "
                                      "is not a string")
         return d[field]
 
+    def label(d: dict, field: str) -> Label:
+        name = text(d, field)
+        if name not in labels:
+            labels[name] = core.top_label() if name == "l0" else core.fresh_label()
+        return labels[name]
+
     def ref(d: dict) -> DiscourseReferent:
-        sort = text(d, "sort")
-        if d["id"] not in refs:
-            refs[d["id"]] = core.fresh_referent(sort)
-        return refs[d["id"]]
+        sort, name = text(d, "sort"), text(d, "id")
+        if name not in refs:
+            refs[name] = core.fresh_referent(sort)
+        return refs[name]
 
     def arg(d: dict) -> Arg:
         if "ref" in d:
-            return refs.setdefault(d["ref"], core.fresh_referent())
+            return refs.setdefault(text(d, "ref"), core.fresh_referent())
         slot = core.fresh_slot()
-        bindings[slot] = PendingKey(label(d["pending"]["max"]), label(d["pending"]["min"]))
+        bindings[slot] = PendingKey(label(d["pending"], "max"), label(d["pending"], "min"))
         return slot
 
     for cd in doc["conds"]:  # introductions first, so sorts are known at use sites
         if cd["type"] == "ref":
             ref(cd["dref"])
 
-    ls = LS(label(doc["ls"]["max"]), label(doc["ls"]["min"]))
+    ls = LS(label(doc["ls"], "max"), label(doc["ls"], "min"))
     conds: list[Condition] = []
     for cd in doc["conds"]:
-        l = label(cd["label"])
+        l = label(cd, "label")
         if cd["type"] == "ref":
             conds.append(ReferentIntro(l, ref(cd["dref"])))
         elif cd["type"] == "pred":
@@ -302,7 +303,7 @@ def _from_doc(doc: dict) -> UDRS:
             if cd["rel"] not in _QUANT_RELS:
                 raise SerializationError(f"unknown quantifier {cd['rel']!r}")
             conds.append(Quantifier(l, _QUANT_RELS[cd["rel"]],
-                                    label(cd["res"]), label(cd["scope"])))
+                                    label(cd, "res"), label(cd, "scope")))
         elif cd["type"] == "member":
             conds.append(Membership(l, arg(cd["element"]), arg(cd["group"])))
         else:
@@ -310,10 +311,11 @@ def _from_doc(doc: dict) -> UDRS:
     subord = []
     for sd in doc["subord"]:
         if sd["kind"] == CONDITIONAL:
-            a, b = sd["antecedent"]
-            subord.append(conditional(label(a), label(b), label(sd["left"]), label(sd["right"])))
+            a, b = ({"antecedent": name} for name in sd["antecedent"])
+            subord.append(conditional(label(a, "antecedent"), label(b, "antecedent"),
+                                      label(sd, "left"), label(sd, "right")))
         elif sd["kind"] in _CONSTRUCTORS:
-            subord.append(_CONSTRUCTORS[sd["kind"]](label(sd["left"]), label(sd["right"])))
+            subord.append(_CONSTRUCTORS[sd["kind"]](label(sd, "left"), label(sd, "right")))
         else:
             raise SerializationError(f"unknown constraint kind {sd['kind']!r}")
     return make_udrs(ls, subord, conds, bindings)

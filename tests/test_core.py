@@ -212,7 +212,7 @@ def test_constructors_take_their_field_names_as_keywords():
 
     leaf, verb = DerivationNode(LEXICAL, word="john"), DerivationNode(LEXICAL, word="left")
     node = DerivationNode(HEAD_COMP, head=verb, nonhead=leaf)
-    assert (node.word, node.trailing_sep, node.sign) == (None, False, None)
+    assert (node.word, node.sign) == (None, None)
     assert node.children() == [verb, leaf]
     ctx = Derivation(lexicon=Lexicon.default(), top=top_label(), registry=PendingRegistry(),
                      rules=KnowledgeRules())

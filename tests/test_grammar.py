@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 from conftest import corpus_cases
 from oracle import reference_parse_sentence
 from udrs.grammar import (
-    COORD, FUNCTIONAL, SEP, SILENT, ParseFailure, _parse_sentence, bracketed,
-    parse, tokenize, yield_tokens,
+    COORD, FUNCTIONAL, LEXICAL, SEP, SILENT, ParseFailure, _parse_sentence,
+    _surface_order, bracketed, parse, tokenize,
 )
 from udrs.lexicon import Lexicon
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def words(node):
+    """The words a derivation covers, in order; the silent root has none."""
+    if node.construction == LEXICAL:
+        return [] if node.word == SILENT else [node.word]
+    return [w for child in _surface_order(node) for w in words(child)]
 
 
 class TestTokenize:
@@ -44,7 +51,7 @@ class TestTokenize:
     def test_a_sentence_ending_in_a_mark_parses(self, text):
         (deriv,) = parse(tokenize(text))
         assert deriv.construction == COORD
-        assert yield_tokens(deriv) == ["john", "left", SEP, "mary", "left", SEP]
+        assert words(deriv) == ["john", "left", "mary", "left"]
 
 
 class TestParse:
@@ -55,7 +62,6 @@ class TestParse:
     def test_unambiguous_with_final_period(self):
         derivs = parse(tokenize("The lawyers hired a secretary."))
         assert len(derivs) == 1
-        assert derivs[0].trailing_sep
 
     def test_embedded_clause_has_functional_node(self):
         (deriv,) = parse(tokenize("every lawyer believed that a clerk left"))
@@ -124,7 +130,7 @@ SENTENCES = [
 def test_yield_inverts_parse(text):
     tokens = tokenize(text)
     for deriv in parse(tokens):
-        assert yield_tokens(deriv) == tokens
+        assert words(deriv) == [t for t in tokens if t != SEP]
 
 
 @pytest.mark.parametrize("text", SENTENCES)

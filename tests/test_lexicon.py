@@ -195,3 +195,12 @@ def test_lexicon_file_not_utf8(tmp_path):
     bad.write_bytes(b"caf\xe9 noun cafe\n\xff\n")
     with pytest.raises(EncodingError, match="latin1.lex: not UTF-8"):
         Lexicon.from_file(str(bad))
+
+
+def test_repeated_word_names_both_lines(tmp_path):
+    """A word may have one entry: a second would silently replace the first."""
+    from udrs.lexicon import LexiconError
+    path = tmp_path / "dup.lex"
+    path.write_text("john name john\n# a comment\nJohn noun lawyer\nleft verb-intrans leave\n")
+    with pytest.raises(LexiconError, match=r"^.*dup.lex:3: 'john' repeats the entry at line 1$"):
+        Lexicon.from_file(str(path))

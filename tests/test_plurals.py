@@ -1,6 +1,8 @@
 import pytest
 
-from conftest import analyze
+from conftest import (
+    analyze, corpus_cases, quantified_pairs, that_chains, wide_discourses,
+)
 from udrs import (
     DISTRIBUTION, GROUP, DiscourseReferent, Membership, Predicate, Quantifier, ReferentIntro,
     closure, count_readings, from_json, identity, to_json_str,
@@ -176,7 +178,7 @@ class TestDecide:
 
     def test_default_unknown(self):
         session, key = fixture_11()
-        assert decide(session.udrs, key, None) == UNKNOWN
+        assert decide(session.udrs, key, KnowledgeRules()) == UNKNOWN
 
     def test_override_wins(self):
         session, key = fixture_11()
@@ -287,3 +289,38 @@ def test_sequencing_decides_as_trying_every_plural_does(monkeypatch, text, how):
     monkeypatch.setattr(plurals, "apply_pending_decisions",
                         lambda u, registry, rules, parts: apply(u, registry, rules, [(u, False)]))
     assert narrowed == [verdicts(text, o, how) for o in cases]
+
+
+# Each family's inputs as (text, directives).
+FAMILIES = {
+    "corpus": lambda: [(case.input, case.disambiguate) for case in corpus_cases()],
+    "that-chains": lambda: [(text, []) for text in that_chains()],
+    "wide-discourses": lambda: [(text, [f"np{k}={v}" for k, v in directives])
+                                for text, directives in wide_discourses()],
+    "quantified-pairs": lambda: [(text, []) for text in quantified_pairs()],
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_sentence_links_only_its_own_plurals(family, corpus_rules):
+    """Every predicate argument of a sentence's sign, resolved through that
+    sentence's own bindings, is a referent or the key of a plural the
+    sentence mentions.  plurals._waiting rests on this: no other part's
+    subject-rule predicate resolves to a tried part's key, so only a
+    continuation rule's rel can change a tried plural's verdict.  A feature
+    that links a verb to an earlier sentence's plural, such as pronoun
+    resolution, breaks it, and then _waiting must try those plurals again."""
+    from udrs.cli import build_directed_session
+    rules = KnowledgeRules.from_file(corpus_rules)
+    pending = 0
+    for text, specs in FAMILIES[family]():
+        _, roots = build_directed_session(text, specs, rules=rules)
+        for root in roots:
+            u = root.sign.udrs
+            for cond in u.conds:
+                for arg in cond.args if isinstance(cond, Predicate) else ():
+                    key = u.resolve(arg)
+                    if isinstance(key, PendingKey):
+                        pending += 1
+                        assert key.np_l_max in u.labels(), text
+    assert (pending > 0) == (family in ("corpus", "wide-discourses"))

@@ -259,4 +259,8 @@ class TestInterpret:
         interpret(deriv, Derivation.new())
         assert deriv.sign is not None
         assert deriv.nonhead.sign is not None
-        assert all(n.sign is not None for n in deriv.lexical_nodes())
+        nodes = [deriv]
+        while nodes:
+            node = nodes.pop()
+            assert node.sign is not None
+            nodes.extend(node.children())

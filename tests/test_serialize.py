@@ -144,3 +144,28 @@ def test_dot_output_shape():
 def test_text_that_is_not_json_raises_serialization_error():
     with pytest.raises(SerializationError, match="malformed UDRS document"):
         from_json("not json")
+
+
+def _doc(subord=(), conds=(), ls=("l0", "l1")):
+    return {"ls": {"max": ls[0], "min": ls[1]}, "subord": list(subord), "conds": list(conds)}
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("max", _doc(ls=(0, "l1"))),
+    ("min", _doc(ls=("l0", ["l1"]))),
+    ("label", _doc(conds=[{"type": "ref", "label": 1,
+                           "dref": {"id": "x1", "sort": "individual"}}])),
+    ("id", _doc(conds=[{"type": "ref", "label": "l1", "dref": {"id": 5, "sort": "individual"}}])),
+    ("ref", _doc(conds=[{"type": "pred", "label": "l1", "rel": "leave", "args": [{"ref": 5}]}])),
+    ("max", _doc(conds=[{"type": "pred", "label": "l1", "rel": "leave",
+                         "args": [{"pending": {"max": None, "min": "l2"}}]}])),
+    ("right", _doc(subord=[{"kind": "weak", "left": "l0", "right": 1}])),
+    ("antecedent", _doc(subord=[{"kind": "conditional", "left": "l0", "right": "l1",
+                                 "antecedent": ["l1", 2]}])),
+])
+def test_non_string_names_raise_serialization_error(field, doc):
+    """A label or referent name that is not a string is an error naming its
+    field, not a fresh label or referent."""
+    with pytest.raises(SerializationError, match=f"^malformed UDRS document: {field} .* "
+                                                 "is not a string$"):
+        from_json(doc)
